@@ -17,11 +17,9 @@ from .coupling import (
     transfer_exact,
 )
 from .states import (
-    CorrelationMatrix,
     SignState,
     alternating_state,
     enumerate_sign_states,
-    pair_correlations,
     symmetric_state,
 )
 from .damping import (
@@ -30,7 +28,6 @@ from .damping import (
     angle_sweep,
     damping_general,
     damping_quadrature_oracle,
-    damping_symmetric,
     f_kernel,
     n_scaling_sweep,
 )
@@ -53,7 +50,6 @@ __all__ = [
     "CausalityError",
     "ChainConfig",
     "ConfigError",
-    "CorrelationMatrix",
     "CouplingMatrix",
     "DampingResult",
     "EmissionGeometry",
@@ -70,14 +66,12 @@ __all__ = [
     "coupling_sweep",
     "damping_general",
     "damping_quadrature_oracle",
-    "damping_symmetric",
     "derive_scales",
     "dimensionless_separation",
     "emission_sweep",
     "enumerate_sign_states",
     "f_kernel",
     "n_scaling_sweep",
-    "pair_correlations",
     "symmetric_state",
     "total_intensity",
     "transfer_electrostatic",

@@ -11,12 +11,12 @@ import math
 import sys
 
 import numpy as np
-from scipy import constants as const
 
 from . import __version__
 from .scales import (
     ANGSTROM,
     CODATA,
+    SPEED_OF_LIGHT,
     ChainConfig,
     ConfigError,
     config_from_dict,
@@ -36,7 +36,13 @@ from .damping import (
     x_sweep,
 )
 from .emission import CausalityError, emission_sweep
-from .states import SignState, alternating_state, enumerate_sign_states, symmetric_state
+from .states import (
+    MAX_ENUM_ATOMS,
+    SignState,
+    alternating_state,
+    enumerate_sign_states,
+    symmetric_state,
+)
 from .sweeps import SweepTable, format_value
 
 EXIT_OK = 0
@@ -86,10 +92,21 @@ def parse_state(token: str, n: int) -> SignState:
 
 def _parse_range(text: str) -> tuple[float, float]:
     try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
+        lo, hi = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise UsageError(f"range must be 'lo:hi', got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"range bounds must be finite, got {text!r}")
+    return lo, hi
+
+
+def _points(args, default: int) -> int:
+    """The --points value, or the command's default when it is not given."""
+    if args.points is None:
+        return default
+    if args.points < 1:
+        raise UsageError(f"--points must be >= 1, got {args.points}")
+    return args.points
 
 
 def _apply_sets(data: dict, sets: list[str]) -> dict:
@@ -168,7 +185,7 @@ def cmd_scales(args) -> int:
 def cmd_coupling(args) -> int:
     config = _load_config(args)
     lo, hi = _parse_range(args.range) if args.range else (0.01, 20.0)
-    table = coupling_sweep(lo, hi, args.points or 1000, [config.polarization_angle])
+    table = coupling_sweep(lo, hi, _points(args, 1000), [config.polarization_angle])
     table.metadata = _base_metadata(config, "coupling")
     _emit(table, args)
     return EXIT_OK
@@ -179,7 +196,7 @@ def cmd_damping(args) -> int:
     state = parse_state(args.state or "sym", config.n_atoms)
     lo, hi = _parse_range(args.range) if args.range else (0.01, 20.0)
     table = x_sweep(
-        state, lo, hi, args.points or 1000,
+        state, lo, hi, _points(args, 1000),
         [config.polarization_angle], oracle=args.oracle,
     )
     table.metadata = _base_metadata(config, "damping")
@@ -190,11 +207,17 @@ def cmd_damping(args) -> int:
 
 def cmd_nscaling(args) -> int:
     config = _load_config(args)
+    if args.points is not None:
+        raise UsageError("nscaling takes no --points; it evaluates every N up to N_max")
+    n_max = 200
     if args.range:
         lo, hi = _parse_range(args.range)
+        if lo != 1 or not (hi.is_integer() and hi >= 1):
+            raise UsageError(
+                f"nscaling --range must be 1:N_max with whole N_max >= 1, "
+                f"got {args.range!r}"
+            )
         n_max = int(hi)
-    else:
-        n_max = 200
     table = n_scaling_sweep(
         n_max, dimensionless_separation(config), [config.polarization_angle]
     )
@@ -205,8 +228,7 @@ def cmd_nscaling(args) -> int:
 
 def cmd_angles(args) -> int:
     config = _load_config(args)
-    n_points = args.points or 181
-    grid = np.radians(np.linspace(0.0, 90.0, n_points))
+    grid = np.radians(np.linspace(0.0, 90.0, _points(args, 181)))
     table = angle_sweep(config.n_atoms, dimensionless_separation(config), grid)
     table.metadata = _base_metadata(config, "angles")
     _emit(table, args)
@@ -217,16 +239,26 @@ def cmd_emission(args) -> int:
     config = _load_config(args)
     state = parse_state(args.state or "sym", config.n_atoms)
     scales = derive_scales(config)
-    obs_x = (args.obs_x if args.obs_x else EMISSION_OBS_X_ANGSTROM) * ANGSTROM
+    obs_x_angstrom = EMISSION_OBS_X_ANGSTROM if args.obs_x is None else args.obs_x
+    if not (math.isfinite(obs_x_angstrom) and obs_x_angstrom > 0):
+        raise UsageError(f"--obs-x must be finite and > 0, got {obs_x_angstrom}")
+    obs_x = obs_x_angstrom * ANGSTROM
     lo, hi = _parse_range(args.range) if args.range else (1e3, 1e7)
+    if not (lo > 0 and hi > 0):
+        raise UsageError(
+            f"emission --range is a lattice-constant range in Angstrom and "
+            f"needs lo > 0 and hi > 0, got {args.range!r}"
+        )
     a_grid = np.logspace(
-        math.log10(lo), math.log10(hi), args.points or 2000
+        math.log10(lo), math.log10(hi), _points(args, 2000)
     ) * ANGSTROM
-    if args.time:
+    if args.time is None:
+        # latest retardation over the grid, so the default is always causal
+        t = math.hypot(obs_x, (config.n_atoms - 1) * float(a_grid[-1])) / SPEED_OF_LIGHT
+    elif math.isfinite(args.time):
         t = args.time
     else:
-        # latest retardation over the grid, so the default is always causal
-        t = math.hypot(obs_x, (config.n_atoms - 1) * float(a_grid[-1])) / const.c
+        raise UsageError(f"--time must be finite, got {args.time}")
     trace = emission_sweep(
         state, a_grid, config.polarization_angle, obs_x, t, scales,
         config.dipole_moment,
@@ -264,7 +296,7 @@ def _figure_table(number: int) -> SweepTable:
     config = config_from_dict(EMISSION_CONFIG)
     scales = derive_scales(config)
     obs_x = EMISSION_OBS_X_ANGSTROM * ANGSTROM
-    t = 2.0 * obs_x / const.c
+    t = 2.0 * obs_x / SPEED_OF_LIGHT
     state, phi = {
         16: (symmetric_state(2), 0.0),
         17: (symmetric_state(2), deg(45)),
@@ -274,7 +306,7 @@ def _figure_table(number: int) -> SweepTable:
     }[number]
     # the reference traces use t = 2x/c; the grid is capped at the lattice
     # constant whose light reaches the observer exactly then (sqrt(3) x)
-    a_max = math.sqrt((const.c * t) ** 2 - obs_x**2) * (1.0 - 1e-12)
+    a_max = math.sqrt((SPEED_OF_LIGHT * t) ** 2 - obs_x**2) * (1.0 - 1e-12)
     a_grid = np.logspace(
         math.log10(1e3 * ANGSTROM), math.log10(a_max), 2000
     )
@@ -298,7 +330,9 @@ def cmd_figure(args) -> int:
 
 def cmd_verify(args) -> int:
     """Closed form vs quadrature over all sign states, N <= n_max."""
-    n_max = args.nmax or 8
+    n_max = 8 if args.nmax is None else args.nmax
+    if not 1 <= n_max <= MAX_ENUM_ATOMS:
+        raise UsageError(f"--nmax must be in 1..{MAX_ENUM_ATOMS}, got {n_max}")
     x_grid = (0.1, 0.5, 1.0, 3.0, 10.0)
     phi_grid = (0.0, math.pi / 4, math.pi / 2)
     rows = []

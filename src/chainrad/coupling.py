@@ -77,14 +77,12 @@ def coupling_matrix(config: ChainConfig) -> CouplingMatrix:
     scales = derive_scales(config)
     n = config.n_atoms
     x0 = scales.q_a * config.lattice_const
-    by_bond = [0.0] + [
+    by_bond = np.array([0.0] + [
         scales.gamma_a * transfer_exact(k * x0, config.polarization_angle)
         for k in range(1, n)
-    ]
-    off = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            off[i, j] = by_bond[abs(i - j)]
+    ])
+    sites = np.arange(n)
+    off = by_bond[np.abs(sites[:, None] - sites[None, :])]
     return CouplingMatrix(dim=n, diagonal=scales.omega_a, off_diag=off)
 
 

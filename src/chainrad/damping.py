@@ -8,7 +8,10 @@ the kernel
 
 with F(0) = 1. The closed-form rate for a sign state {C_n} is
 
-    gamma/gamma_a = 1 + (2/N) sum_{n<m} C_n C_m F(q_a a (m - n), phi).
+    gamma/gamma_a = 1 + (2/N) sum_{n<m} C_n C_m F(q_a a (m - n), phi),
+
+which depends on the state only through the bond autocorrelation
+A_k = sum_n C_n C_{n+k}, the signed count of bonds of length k.
 
 The same rate follows from the golden-rule integral over photon
 emission directions; :func:`damping_quadrature_oracle` evaluates that
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .states import SignState, symmetric_state
 from .sweeps import SweepTable
@@ -117,44 +119,26 @@ class DampingResult:
             object.__setattr__(self, "rate_ratio", 0.0)
 
 
-def damping_symmetric(n: int, x: float, phi: float) -> DampingResult:
-    """Rate of the all-plus state via the bond-count form.
-
-    gamma/gamma_a = 1 + 2 sum_{k=1}^{N-1} ((N-k)/N) F(k x, phi);
-    there are N-k bonds of length k on a chain of N atoms. Evaluated
-    as N + 2 sum ((N-k)/N)(F - 1), which is the same sum with the
-    constant part done exactly.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not x > 0:
-        raise ValueError(f"separation must be > 0, got x={x}")
-    ratio = float(n) + 2.0 * sum(
-        (n - k) / n * f_kernel_minus_one(k * x, phi) for k in range(1, n)
-    )
-    return DampingResult(
-        rate_ratio=ratio, method="closed_form",
-        state=symmetric_state(n), x=x, phi=phi,
-    )
-
-
 def damping_general(state: SignState, x: float, phi: float) -> DampingResult:
-    """Rate of an arbitrary sign state via the pairwise closed form.
+    """Rate of an arbitrary sign state via the bond-autocorrelation form.
 
     1 + (2/N) sum_{n<m} C_n C_m F is evaluated as
-    (sum_n C_n)^2/N + (2/N) sum_{n<m} C_n C_m (F - 1): the constant part
+    (sum_n C_n)^2/N + (2/N) sum_k A_k (F(k x, phi) - 1): the constant part
     collapses exactly, so nearly dark states keep their tiny rates
-    instead of dissolving into cancellation noise.
+    instead of dissolving into cancellation noise. A_k = sum_n C_n C_{n+k}
+    is correlated in exact integers, and the kernel is evaluated once per
+    bond length. The all-plus state has A_k = N - k, the number of bonds
+    of length k.
     """
     if not x > 0:
         raise ValueError(f"separation must be > 0, got x={x}")
-    c = state.coeffs
+    c = np.array(state.coeffs)
     n = state.n
+    autocorr = np.correlate(c, c, "full")[n:].tolist()
     acc = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc += c[i] * c[j] * f_kernel_minus_one(x * (j - i), phi)
-    constant = float(sum(c)) ** 2 / n
+    for k, a_k in enumerate(autocorr, start=1):
+        acc += a_k * f_kernel_minus_one(k * x, phi)
+    constant = float(sum(state.coeffs)) ** 2 / n
     return DampingResult(
         rate_ratio=constant + 2.0 * acc / n, method="closed_form",
         state=state, x=x, phi=phi,
@@ -181,6 +165,8 @@ def damping_quadrature_oracle(
     fixed by the single-atom normalization (N = 1 gives exactly 1).
     The integrand is even in y, so only [0, x] is integrated.
     """
+    from scipy.integrate import quad  # only the oracle needs scipy
+
     if not x > 0:
         raise ValueError(f"separation must be > 0, got x={x}")
     cos2phi = math.cos(phi) ** 2
@@ -214,8 +200,9 @@ def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
     columns = ["N"] + [f"gamma_phi{round(math.degrees(p))}" for p in phi_list]
     rows = []
     for n in range(1, n_max + 1):
+        state = symmetric_state(n)
         rows.append(
-            (n, *(damping_symmetric(n, x, p).rate_ratio for p in phi_list))
+            (n, *(damping_general(state, x, p).rate_ratio for p in phi_list))
         )
     return SweepTable(columns=columns, rows=rows)
 
@@ -224,8 +211,9 @@ def angle_sweep(n: int, x: float, phi_grid) -> SweepTable:
     """Symmetric-state rate vs polarization angle."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    state = symmetric_state(n)
     rows = [
-        (math.degrees(p), damping_symmetric(n, x, p).rate_ratio)
+        (math.degrees(p), damping_general(state, x, p).rate_ratio)
         for p in np.asarray(phi_grid, dtype=float)
     ]
     return SweepTable(columns=["phi_deg", "gamma"], rows=rows)

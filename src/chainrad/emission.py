@@ -17,10 +17,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants as const
 
-from .scales import ANGSTROM, AtomicScales, ChainConfig, derive_scales
-from .states import SignState, pair_correlations
+from .scales import (
+    ANGSTROM,
+    ELEMENTARY_CHARGE,
+    EPSILON_0,
+    SPEED_OF_LIGHT,
+    AtomicScales,
+    ChainConfig,
+    derive_scales,
+)
+from .states import SignState
 from .sweeps import SweepTable
 
 
@@ -36,7 +43,6 @@ class EmissionGeometry:
     """
 
     obs_x: float
-    polarization_angle: float
     atom_z: np.ndarray    # R_n
     phi_n: np.ndarray     # dipole angle seen from atom n
     dist_n: np.ndarray    # |r - R_n|
@@ -60,11 +66,10 @@ def _geometry(n: int, a: float, phi: float, obs_x: float) -> EmissionGeometry:
     ) / dist[:, None]
     return EmissionGeometry(
         obs_x=obs_x,
-        polarization_angle=phi,
         atom_z=atom_z,
         phi_n=phi_n,
         dist_n=dist,
-        retard_n=dist / const.c,
+        retard_n=dist / SPEED_OF_LIGHT,
         unit_n=unit,
     )
 
@@ -91,9 +96,9 @@ def build_geometry(config: ChainConfig, obs_x: float) -> EmissionGeometry:
 
 def reference_intensity(scales: AtomicScales, mu_e_angstrom: float, obs_x: float) -> float:
     """I_0(x) in W/m^2."""
-    mu = mu_e_angstrom * const.e * ANGSTROM
+    mu = mu_e_angstrom * ELEMENTARY_CHARGE * ANGSTROM
     return mu**2 * scales.omega_a**4 / (
-        16.0 * math.pi**2 * const.epsilon_0 * const.c**3 * obs_x**2
+        16.0 * math.pi**2 * EPSILON_0 * SPEED_OF_LIGHT**3 * obs_x**2
     )
 
 
@@ -102,9 +107,15 @@ def total_intensity(
 ) -> float:
     """Scaled intensity I(r, t)/I_0(x) for an arbitrary sign state.
 
-    Sums the per-atom intensities and the pairwise correlation terms,
-    each with its own retardation in both the exponential decay and the
-    interference phase.
+    The pair correlations C_i C_j / N are rank one, so the per-atom and
+    pairwise interference terms collapse into one squared amplitude sum,
+
+        I/I_0 = (x^2/2N) |sum_n C_n (sin phi_n/d_n)
+                          e^{-gamma (t - t_n)/2} e^{i omega (t_n - t_0)} u_n|^2,
+
+    each atom carrying its own retardation t_n in both the decay envelope
+    and the phase. Only phase differences enter, so they are taken
+    relative to t_0, the first atom's retardation.
     """
     n = len(geom.atom_z)
     if state.n != n:
@@ -122,30 +133,15 @@ def total_intensity(
                 "is outside its validity regime",
                 stacklevel=2,
             )
-    corr = pair_correlations(state).entries
-    gamma = scales.gamma_a
-    omega = scales.omega_a
-    x = geom.obs_x
-    sin_phi = np.sin(geom.phi_n)
     tn = geom.retard_n
-    # per-atom terms; the 1/2 turns the 32 pi^2 field prefactor into I_0/2
-    total = 0.0
-    for i in range(n):
-        total += (
-            0.5 * x**2 * sin_phi[i] ** 2 / geom.dist_n[i] ** 2
-            * corr[i, i] * math.exp(-gamma * (t - tn[i]))
-        )
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += (
-                0.5 * x**2 * sin_phi[i] * sin_phi[j]
-                / (geom.dist_n[i] * geom.dist_n[j])
-                * float(np.dot(geom.unit_n[i], geom.unit_n[j]))
-                * corr[i, j]
-                * math.exp(-gamma * (t - 0.5 * (tn[i] + tn[j])))
-                * 2.0 * math.cos(omega * (tn[i] - tn[j]))
-            )
-    return total
+    amplitude = (
+        np.array(state.coeffs) * np.sin(geom.phi_n) / geom.dist_n
+        * np.exp(-0.5 * scales.gamma_a * (t - tn))
+        * np.exp(1j * (scales.omega_a * (tn - tn[0])))
+    )
+    field = amplitude @ geom.unit_n
+    # the 1/2 turns the 32 pi^2 field prefactor into I_0/2
+    return 0.5 * geom.obs_x**2 / n * float(np.vdot(field, field).real)
 
 
 def two_atom_intensity(
@@ -165,8 +161,8 @@ def two_atom_intensity(
     if a < 0:
         raise ValueError(f"lattice constant must be >= 0, got {a}")
     d2 = math.hypot(obs_x, a)
-    t1 = obs_x / const.c
-    t2 = d2 / const.c
+    t1 = obs_x / SPEED_OF_LIGHT
+    t2 = d2 / SPEED_OF_LIGHT
     if t < t2:
         raise CausalityError(f"t={t!r} s precedes retardation time {t2!r} s")
     phi1 = math.pi / 2.0 - phi
@@ -200,14 +196,14 @@ def two_atom_asymptotic(
     if not obs_x > 0:
         raise ValueError(f"obs_x must be > 0, got {obs_x}")
     gamma = scales.gamma_a
-    u = a * a / (2.0 * const.c * obs_x)
+    u = a * a / (2.0 * SPEED_OF_LIGHT * obs_x)
     sign = 1.0 if symmetric else -1.0
     brace = (
         1.0
         + math.exp(gamma * u)
         + sign * 2.0 * math.cos(scales.omega_a * u) * math.exp(gamma * u / 2.0)
     )
-    return 0.25 * math.cos(phi) ** 2 * math.exp(-gamma * (t - obs_x / const.c)) * brace
+    return 0.25 * math.cos(phi) ** 2 * math.exp(-gamma * (t - obs_x / SPEED_OF_LIGHT)) * brace
 
 
 @dataclass
@@ -237,7 +233,7 @@ def emission_sweep(
         raise ValueError("empty lattice-constant grid")
     n = state.n
     for a in a_grid:
-        t_last = math.hypot(obs_x, (n - 1) * a) / const.c
+        t_last = math.hypot(obs_x, (n - 1) * a) / SPEED_OF_LIGHT
         if t < t_last:
             raise CausalityError(
                 f"grid point a={a / ANGSTROM:.6g} A violates causality: "

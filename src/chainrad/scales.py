@@ -10,18 +10,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-
-from scipy import constants as const
+from dataclasses import dataclass, fields
 
 ANGSTROM = 1e-10  # m
 
+# CODATA 2022 values, written out so every derived number and CSV header
+# stays the same whatever CODATA edition the installed scipy ships.
+HBAR = 1.0545718176461565e-34  # J s
+SPEED_OF_LIGHT = 299792458.0  # m/s, exact
+EPSILON_0 = 8.8541878188e-12  # F/m
+ELEMENTARY_CHARGE = 1.602176634e-19  # C, exact
+
 #: CODATA constants frozen into every CSV metadata header.
 CODATA = {
-    "hbar_J_s": const.hbar,
-    "c_m_s": const.c,
-    "epsilon_0_F_m": const.epsilon_0,
-    "elementary_charge_C": const.e,
+    "hbar_J_s": HBAR,
+    "c_m_s": SPEED_OF_LIGHT,
+    "epsilon_0_F_m": EPSILON_0,
+    "elementary_charge_C": ELEMENTARY_CHARGE,
 }
 
 
@@ -60,6 +65,10 @@ class ChainConfig:
     gamma_override: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.n_atoms < 1:
             raise ConfigError(f"n_atoms must be >= 1, got {self.n_atoms}")
         if not self.lattice_const > 0:
@@ -78,9 +87,6 @@ class ChainConfig:
         if phi > math.pi / 2:
             phi = math.pi - phi
         object.__setattr__(self, "polarization_angle", phi)
-
-    def with_overrides(self, **kwargs) -> "ChainConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -109,17 +115,17 @@ def derive_scales(config: ChainConfig) -> AtomicScales:
 
     unless the config carries a ``gamma_override``.
     """
-    energy_j = config.transition_energy * const.e
-    omega_a = energy_j / const.hbar
-    q_a = energy_j / (const.hbar * const.c)
+    energy_j = config.transition_energy * ELEMENTARY_CHARGE
+    omega_a = energy_j / HBAR
+    q_a = energy_j / (HBAR * SPEED_OF_LIGHT)
     lambda_a = 2.0 * math.pi / q_a
     if config.gamma_override is not None:
         gamma_a = config.gamma_override
         overridden = True
     else:
-        mu_si = config.dipole_moment * const.e * ANGSTROM
+        mu_si = config.dipole_moment * ELEMENTARY_CHARGE * ANGSTROM
         gamma_a = omega_a**3 * mu_si**2 / (
-            3.0 * math.pi * const.epsilon_0 * const.hbar * const.c**3
+            3.0 * math.pi * EPSILON_0 * HBAR * SPEED_OF_LIGHT**3
         )
         overridden = False
     return AtomicScales(

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 #: enumerate_sign_states refuses larger chains (2^n blowup guard).
 MAX_ENUM_ATOMS = 20
 
@@ -32,18 +30,6 @@ class SignState:
         return "".join("+" if c == 1 else "-" for c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Initial-time pair correlations <B_i^dag(0) B_j(0)> = C_i C_j / N."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        n = self.entries.shape[0]
-        if self.entries.shape != (n, n):
-            raise ValueError("correlation matrix must be square")
-
-
 def symmetric_state(n: int) -> SignState:
     """All-plus (superradiant) state."""
     if n < 1:
@@ -56,11 +42,6 @@ def alternating_state(n: int) -> SignState:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return SignState(coeffs=tuple(1 if k % 2 == 0 else -1 for k in range(n)))
-
-
-def pair_correlations(state: SignState) -> CorrelationMatrix:
-    c = np.array(state.coeffs, dtype=float)
-    return CorrelationMatrix(entries=np.outer(c, c) / state.n)
 
 
 def enumerate_sign_states(n: int) -> list[SignState]:

@@ -16,7 +16,6 @@ from chainrad.cli import main
 from chainrad.damping import (
     damping_general,
     damping_quadrature_oracle,
-    damping_symmetric,
     f_kernel,
 )
 from chainrad.coupling import transfer_electrostatic, transfer_exact
@@ -91,9 +90,9 @@ def test_criterion_3_closed_form_specializations(report):
             f1 = f_kernel(x, phi)
             f2 = f_kernel(2 * x, phi)
             pairs = [
-                (damping_symmetric(2, x, phi).rate_ratio, 1.0 + f1),
+                (damping_general(symmetric_state(2), x, phi).rate_ratio, 1.0 + f1),
                 (damping_general(alternating_state(2), x, phi).rate_ratio, 1.0 - f1),
-                (damping_symmetric(3, x, phi).rate_ratio,
+                (damping_general(symmetric_state(3), x, phi).rate_ratio,
                  1.0 + (2.0 / 3.0) * (2 * f1 + f2)),
                 (damping_general(alternating_state(3), x, phi).rate_ratio,
                  1.0 - (2.0 / 3.0) * (2 * f1 - f2)),
@@ -106,7 +105,7 @@ def test_criterion_4_limits(report):
     checks = []
     for n in range(1, 51):
         for phi in (0.0, math.pi / 4, math.pi / 2):
-            ratio = damping_symmetric(n, 1e-4, phi).rate_ratio / n
+            ratio = damping_general(symmetric_state(n), 1e-4, phi).rate_ratio / n
             checks.append(0.999 <= ratio <= 1.0)
     checks.append(damping_general(alternating_state(2), 1e-6, 0.0).rate_ratio <= 1e-6)
     checks.append(

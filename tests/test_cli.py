@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chainrad
 from chainrad.cli import (
     EXIT_ACCURACY,
     EXIT_CAUSALITY,
@@ -15,6 +20,14 @@ from chainrad.cli import (
     main,
     parse_state,
 )
+
+
+def run_fresh(*args):
+    """Run python with ``args`` in a fresh process on this chainrad tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(chainrad.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
 
 
 def read_csv(path):
@@ -107,6 +120,40 @@ class TestCommands:
         assert columns == ["a_angstrom", "intensity_ratio"]
         assert len(rows) == 50
 
+    def test_nscaling_range_sets_n_max(self, tmp_path):
+        out = tmp_path / "nscaling.csv"
+        assert main(["nscaling", "--range", "1:12", "--out", str(out)]) == EXIT_OK
+        _, columns, rows, _ = read_csv(out)
+        assert columns[0] == "N"
+        assert rows[:, 0].tolist() == list(range(1, 13))
+
+    def test_constants_header_pinned(self, tmp_path):
+        # frozen CODATA literals: the header must not follow scipy's edition
+        out = tmp_path / "scales.csv"
+        assert main(["scales", "--out", str(out)]) == EXIT_OK
+        lines = [l for l in out.read_text().splitlines() if l.startswith("# const.")]
+        assert lines == [
+            "# const.c_m_s=299792458",
+            "# const.elementary_charge_C=1.602176634e-19",
+            "# const.epsilon_0_F_m=8.8541878188e-12",
+            "# const.hbar_J_s=1.05457181765e-34",
+        ]
+
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, chainrad.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        done = run_fresh("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_verify_runs_in_fresh_process(self):
+        # the quadrature oracle imports scipy on first use
+        done = run_fresh("-m", "chainrad.cli", "verify", "--nmax", "2")
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "# max_rel_err=" in done.stdout
+
     def test_verify_small(self, tmp_path):
         out = tmp_path / "verify.csv"
         assert main(["verify", "--nmax", "3", "--out", str(out)]) == EXIT_OK
@@ -130,6 +177,51 @@ class TestExitCodes:
 
     def test_bad_state_token(self):
         assert main(["damping", "--state", "++-"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coupling", "--points", "0"],
+            ["damping", "--points", "0"],
+            ["angles", "--points", "0"],
+            ["emission", "--points", "0"],
+            ["emission", "--points", "-3"],
+            ["emission", "--obs-x", "0"],
+            ["emission", "--obs-x", "inf"],
+            ["emission", "--time", "nan"],
+            ["emission", "--range", "0:1e7"],
+            ["emission", "--range=-5:1e7"],
+            ["coupling", "--range", "0.1:inf"],
+            ["nscaling", "--points", "10"],
+            ["nscaling", "--range", "5:50"],
+            ["nscaling", "--range", "1:20.5"],
+            ["verify", "--nmax", "0"],
+            # rejected before any work: 21 would enumerate 2^20 states first
+            ["verify", "--nmax", "21"],
+        ],
+    )
+    def test_invalid_flag_values_are_usage_errors(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("chainrad: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scales", "--set", "lattice_const_angstrom=inf"],
+            ["scales", "--set", "polarization_deg=nan"],
+            ["damping", "--set", "polarization_deg=nan"],
+            ["emission", "--set", "transition_energy_ev=-inf"],
+        ],
+    )
+    def test_non_finite_config_is_config_error(self, argv):
+        assert main(argv) == EXIT_CONFIG
+
+    def test_zero_time_is_not_replaced_by_default(self):
+        rc = main(
+            ["emission", "--points", "10", "--set", "gamma_override_hz=1e8",
+             "--time", "0"]
+        )
+        assert rc == EXIT_CAUSALITY
 
     def test_causality_violation(self):
         rc = main(

@@ -12,12 +12,17 @@ from chainrad.damping import (
     angle_sweep,
     damping_general,
     damping_quadrature_oracle,
-    damping_symmetric,
     f_kernel,
     n_scaling_sweep,
     x_sweep,
 )
 from chainrad.states import SignState, alternating_state, enumerate_sign_states, symmetric_state
+from oracles import (
+    damping_autocorrelation_mp,
+    damping_bond_count,
+    damping_pairwise,
+    sign_coeffs,
+)
 
 # fixed mixed-sign state for the oracle/closed-form cross-check
 RANDOM_STATE_N7 = SignState(coeffs=(1, 1, -1, 1, -1, -1, 1))
@@ -75,11 +80,11 @@ class TestClosedForms:
     def test_small_n_specializations(self, x, phi):
         f1 = f_kernel(x, phi)
         f2 = f_kernel(2 * x, phi)
-        assert damping_symmetric(1, x, phi).rate_ratio == 1.0
-        assert damping_symmetric(2, x, phi).rate_ratio == pytest.approx(
+        assert damping_general(symmetric_state(1), x, phi).rate_ratio == 1.0
+        assert damping_general(symmetric_state(2), x, phi).rate_ratio == pytest.approx(
             1.0 + f1, rel=1e-12
         )
-        assert damping_symmetric(3, x, phi).rate_ratio == pytest.approx(
+        assert damping_general(symmetric_state(3), x, phi).rate_ratio == pytest.approx(
             1.0 + (2.0 / 3.0) * (2 * f1 + f2), rel=1e-12
         )
 
@@ -99,15 +104,15 @@ class TestClosedForms:
     def test_all_plus_matches_symmetric(self, n):
         for x in (0.3, 2.0):
             assert damping_general(symmetric_state(n), x, 0.4).rate_ratio == pytest.approx(
-                damping_symmetric(n, x, 0.4).rate_ratio, rel=1e-13
+                damping_bond_count(n, x, 0.4), rel=1e-13
             )
 
     def test_superradiant_limit(self):
         for n in (2, 10, 50):
-            ratio = damping_symmetric(n, 1e-4, 0.0).rate_ratio
+            ratio = damping_general(symmetric_state(n), 1e-4, 0.0).rate_ratio
             assert 0.999 <= ratio / n <= 1.0
         # looser bound survives up to x = 1e-3
-        assert 0.99 <= damping_symmetric(50, 1e-3, 0.0).rate_ratio / 50 <= 1.0
+        assert 0.99 <= damping_general(symmetric_state(50), 1e-3, 0.0).rate_ratio / 50 <= 1.0
 
     def test_dark_state_limit(self):
         assert damping_general(alternating_state(2), 1e-6, 0.0).rate_ratio <= 1e-6
@@ -124,9 +129,31 @@ class TestClosedForms:
 
     def test_zero_separation_rejected(self):
         with pytest.raises(ValueError):
-            damping_symmetric(3, 0.0, 0.0)
+            damping_general(symmetric_state(3), 0.0, 0.0)
         with pytest.raises(ValueError):
             damping_general(symmetric_state(2), -1.0, 0.0)
+
+
+class TestAutocorrelationForm:
+    @pytest.mark.parametrize("kind", ["sym", "alt", "random"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 200])
+    @pytest.mark.parametrize("x", [0.001, 0.5, 5.0])
+    def test_matches_pairwise_oracle(self, kind, n, x):
+        coeffs = sign_coeffs(kind, n)
+        for phi in (0.0, 0.7, math.pi / 2):
+            got = damping_general(SignState(coeffs), x, phi).rate_ratio
+            want = damping_pairwise(coeffs, x, phi)
+            assert abs(got - want) <= 1e-12 * abs(want), (phi, got, want)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2])
+    def test_near_dark_large_chain_matches_mpmath(self, phi):
+        # alt N = 1000 at x = 0.001: the rate (~5e-5 to ~1e-4) is what is
+        # left after the bond sum cancels ~4 orders of magnitude
+        state = alternating_state(1000)
+        got = damping_general(state, 0.001, phi).rate_ratio
+        want = damping_autocorrelation_mp(state.coeffs, 0.001, phi)
+        assert 4e-5 < want < 1e-4
+        assert abs(got - want) <= 1e-11 * want
 
 
 class TestQuadratureOracle:

@@ -16,6 +16,7 @@ from chainrad.emission import (
 )
 from chainrad.scales import ANGSTROM, config_from_dict, derive_scales
 from chainrad.states import SignState, alternating_state, symmetric_state
+from oracles import sign_coeffs, total_intensity_mp, total_intensity_pairwise
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -126,6 +127,40 @@ class TestTotalIntensity:
         geom = _geometry(2, 1000 * ANGSTROM, 0.0, OBS_X)  # q_a a ~ 0.5
         with pytest.warns(UserWarning, match="independent-atom"):
             total_intensity(symmetric_state(2), geom, scales, T_OBS)
+
+
+class TestRankOneForm:
+    @pytest.mark.parametrize("kind", ["sym", "alt", "random"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+    def test_matches_pairwise_oracle(self, scales, kind, n):
+        # Differences are measured against the all-in-phase bound
+        # (x^2/2N)(sum_n |v_n|)^2, the size of the largest terms either
+        # form adds: near-dark points cancel those terms by up to 1e6,
+        # and there the pairwise sum's own rounding reaches ~1e-10 of the
+        # value (see test_near_dark_pair_matches_mpmath).
+        coeffs = sign_coeffs(kind, n)
+        for a_angstrom in np.logspace(3, 7, 9):
+            for phi in (0.0, 0.7, math.pi / 2):
+                geom = _geometry(n, a_angstrom * ANGSTROM, phi, OBS_X)
+                t = 1.3 * float(np.max(geom.retard_n))
+                got = total_intensity(SignState(coeffs), geom, scales, t)
+                want = total_intensity_pairwise(coeffs, geom, scales, t)
+                weights = np.abs(np.sin(geom.phi_n)) / geom.dist_n * np.exp(
+                    -0.5 * scales.gamma_a * (t - geom.retard_n)
+                )
+                bound = OBS_X**2 / (2 * n) * float(np.sum(weights)) ** 2
+                assert abs(got - want) <= 1e-12 * bound, (a_angstrom, phi)
+
+    @pytest.mark.parametrize("a_angstrom", [1e3, 2e3, 5e3])
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    def test_near_dark_pair_matches_mpmath(self, scales, a_angstrom, phi):
+        # alt N = 2 at a << x: I/I_0 ~ 1e-7 to 1e-5 of terms ~ 0.25
+        coeffs = alternating_state(2).coeffs
+        geom = _geometry(2, a_angstrom * ANGSTROM, phi, OBS_X)
+        got = total_intensity(SignState(coeffs), geom, scales, T_OBS)
+        want = total_intensity_mp(coeffs, geom, scales, T_OBS)
+        assert 1e-8 < want < 1e-4
+        assert abs(got - want) <= 1e-12 * want
 
 
 class TestTwoAtomClosedForm:

@@ -90,6 +90,12 @@ class TestChainConfig:
             ("transition_energy", 0.0),
             ("dipole_moment", -2.0),
             ("gamma_override", 0.0),
+            ("lattice_const", math.inf),
+            ("transition_energy", math.nan),
+            ("dipole_moment", math.inf),
+            ("polarization_angle", math.nan),
+            ("polarization_angle", -math.inf),
+            ("gamma_override", math.inf),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):

