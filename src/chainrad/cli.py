@@ -51,6 +51,10 @@ EXIT_CONFIG = 3
 EXIT_ACCURACY = 4
 EXIT_CAUSALITY = 5
 
+#: Largest chain length ``nscaling`` accepts; per polarization its sweep
+#: costs N_max kernel calls and N_max^2/2 multiply-adds in Python.
+NSCALING_MAX_N = 10_000
+
 #: Figures 1 and 15 are schematics; everything else is a CSV target.
 SUPPORTED_FIGURES = (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 18, 19, 20)
 
@@ -149,7 +153,11 @@ def _base_metadata(config: ChainConfig, command: str) -> dict:
 
 def _emit(table: SweepTable, args) -> None:
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        try:
+            fh = open(args.out, "w", newline="")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc}") from exc
+        with fh:
             table.write_csv(fh)
     else:
         table.write_csv(sys.stdout)
@@ -206,18 +214,23 @@ def cmd_damping(args) -> int:
 
 
 def cmd_nscaling(args) -> int:
-    config = _load_config(args)
     if args.points is not None:
         raise UsageError("nscaling takes no --points; it evaluates every N up to N_max")
+    if any(item.split("=", 1)[0] == "n_atoms" for item in args.set or []):
+        raise UsageError(
+            "nscaling sweeps the chain length itself and takes no "
+            "--set n_atoms; give --range 1:N_max instead"
+        )
     n_max = 200
     if args.range:
         lo, hi = _parse_range(args.range)
-        if lo != 1 or not (hi.is_integer() and hi >= 1):
+        if lo != 1 or not (hi.is_integer() and 1 <= hi <= NSCALING_MAX_N):
             raise UsageError(
-                f"nscaling --range must be 1:N_max with whole N_max >= 1, "
-                f"got {args.range!r}"
+                f"nscaling --range must be 1:N_max with whole N_max in "
+                f"1..{NSCALING_MAX_N}, got {args.range!r}"
             )
         n_max = int(hi)
+    config = _load_config(args)
     table = n_scaling_sweep(
         n_max, dimensionless_separation(config), [config.polarization_angle]
     )
@@ -339,7 +352,12 @@ def cmd_verify(args) -> int:
     worst = 0.0
     for n in range(1, n_max + 1):
         max_err = 0.0
+        # C and -C have the same A_k and an integrand whose re and im only
+        # flip sign, so both methods give them bitwise-equal rates: the
+        # half with C_1 = +1 stands for all 2^n states
         for state in enumerate_sign_states(n):
+            if state.coeffs[0] == -1:
+                continue
             for x in x_grid:
                 for phi in phi_grid:
                     cf = damping_general(state, x, phi).rate_ratio
@@ -444,7 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse usage errors (2), --help/--version (0)
+        return exc.code
     try:
         return args.func(args)
     except UsageError as exc:

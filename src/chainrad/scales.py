@@ -105,6 +105,16 @@ class AtomicScales:
     gamma_overridden: bool = False
 
 
+def _in_range(name: str, value: float) -> float:
+    """``value`` if it is finite and > 0, else a :class:`ConfigError`."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(
+            f"derived scale {name} = {value} is not finite and > 0; "
+            f"the configuration is outside double-precision range"
+        )
+    return value
+
+
 def derive_scales(config: ChainConfig) -> AtomicScales:
     """Derive frequency, wavenumber, wavelength and damping rate.
 
@@ -113,20 +123,27 @@ def derive_scales(config: ChainConfig) -> AtomicScales:
 
         gamma_a = omega_a^3 mu^2 / (3 pi epsilon_0 hbar c^3),
 
-    unless the config carries a ``gamma_override``.
+    unless the config carries a ``gamma_override``. Raises
+    :class:`ConfigError` when a derived scale, or q_a * a, overflows or
+    underflows: every input is finite, but their products need not be.
     """
     energy_j = config.transition_energy * ELEMENTARY_CHARGE
-    omega_a = energy_j / HBAR
-    q_a = energy_j / (HBAR * SPEED_OF_LIGHT)
-    lambda_a = 2.0 * math.pi / q_a
+    omega_a = _in_range("omega_a", energy_j / HBAR)
+    q_a = _in_range("q_a", energy_j / (HBAR * SPEED_OF_LIGHT))
+    lambda_a = _in_range("lambda_a", 2.0 * math.pi / q_a)
+    _in_range("q_a * a", q_a * config.lattice_const)
     if config.gamma_override is not None:
         gamma_a = config.gamma_override
         overridden = True
     else:
         mu_si = config.dipole_moment * ELEMENTARY_CHARGE * ANGSTROM
-        gamma_a = omega_a**3 * mu_si**2 / (
-            3.0 * math.pi * EPSILON_0 * HBAR * SPEED_OF_LIGHT**3
-        )
+        try:
+            gamma_a = omega_a**3 * mu_si**2 / (
+                3.0 * math.pi * EPSILON_0 * HBAR * SPEED_OF_LIGHT**3
+            )
+        except OverflowError:  # float ** raises where * would give inf
+            gamma_a = math.inf
+        gamma_a = _in_range("gamma_a", gamma_a)
         overridden = False
     return AtomicScales(
         omega_a=omega_a,

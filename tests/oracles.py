@@ -49,6 +49,18 @@ def damping_bond_count(n: int, x: float, phi: float) -> float:
     )
 
 
+def golden_rule_integrand_per_term(y: float, coeffs, x: float, cos2phi: float) -> float:
+    """|sum_n C_n e^{i n y}|^2 times the angular weight, with one cos and
+    one sin per atom: the form the library's Horner integrand replaces."""
+    re = 0.0
+    im = 0.0
+    for k, c in enumerate(coeffs):
+        re += c * math.cos((k + 1) * y)
+        im += c * math.sin((k + 1) * y)
+    weight = (1.0 + cos2phi) - (y * y) / (x * x) * (3.0 * cos2phi - 1.0)
+    return (re * re + im * im) * weight
+
+
 def pair_correlations(coeffs) -> np.ndarray:
     """Initial-time pair correlations <B_i^dag(0) B_j(0)> = C_i C_j / N."""
     c = np.array(coeffs, dtype=float)

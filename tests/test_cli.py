@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import chainrad
 from chainrad.cli import (
@@ -159,6 +163,8 @@ class TestCommands:
         assert main(["verify", "--nmax", "3", "--out", str(out)]) == EXIT_OK
         _, columns, rows, footer = read_csv(out)
         assert columns == ["N", "n_states", "max_rel_err"]
+        # only the C_1 = +1 half is integrated, but every state is counted
+        assert rows[:, 1].tolist() == [2, 4, 8]
         assert np.all(rows[:, 2] <= 1e-8)
 
 
@@ -195,6 +201,9 @@ class TestExitCodes:
             ["nscaling", "--points", "10"],
             ["nscaling", "--range", "5:50"],
             ["nscaling", "--range", "1:20.5"],
+            # N_max is capped before any work; the chain length is the sweep
+            ["nscaling", "--range", "1:10001"],
+            ["scales", "--out", "no_such_dir/scales.csv"],
             ["verify", "--nmax", "0"],
             # rejected before any work: 21 would enumerate 2^20 states first
             ["verify", "--nmax", "21"],
@@ -211,10 +220,18 @@ class TestExitCodes:
             ["scales", "--set", "polarization_deg=nan"],
             ["damping", "--set", "polarization_deg=nan"],
             ["emission", "--set", "transition_energy_ev=-inf"],
+            # finite inputs whose derived scales overflow
+            ["scales", "--set", "transition_energy_ev=1e300"],
+            ["damping", "--set", "dipole_e_angstrom=1e200"],
         ],
     )
     def test_non_finite_config_is_config_error(self, argv):
         assert main(argv) == EXIT_CONFIG
+
+    def test_nscaling_rejects_n_atoms(self, capsys):
+        # the header would record an n_atoms the sweep never used
+        assert main(["nscaling", "--set", "n_atoms=5"]) == EXIT_USAGE
+        assert "--range 1:N_max" in capsys.readouterr().err
 
     def test_zero_time_is_not_replaced_by_default(self):
         rc = main(
@@ -271,3 +288,94 @@ class TestFigures:
         gam = rows[:, columns.index("gamma_phi0")]
         ref = gam[n == 50][0]
         assert np.all(np.abs(gam[n >= 50] - ref) <= 0.5)
+
+
+# --- CLI fuzzing: every argv ends in a documented exit code -------------
+
+_COMMON_FLAGS = ("--config", "--set", "--points", "--range", "--out")
+_FLAGS = {
+    "scales": _COMMON_FLAGS,
+    "coupling": _COMMON_FLAGS,
+    "nscaling": _COMMON_FLAGS,
+    "angles": _COMMON_FLAGS,
+    "damping": _COMMON_FLAGS + ("--state", "--oracle"),
+    "emission": _COMMON_FLAGS + ("--state", "--obs-x", "--time"),
+    "figure": ("--out",),
+    "verify": ("--nmax", "--out"),
+}
+# Values bound the work: at most 50 points, 8 atoms, verify --nmax 3 and
+# nscaling N_max 50. "{tmp}" is replaced by a temporary directory.
+_VALUES = {
+    "--config": st.sampled_from(["{tmp}/chain.json", "{tmp}/missing.json", "{tmp}"]),
+    "--set": st.sampled_from([
+        "n_atoms=1", "n_atoms=3", "n_atoms=8", "n_atoms=0", "n_atoms=-2",
+        "n_atoms=2.5", "n_atoms=", "lattice_const_angstrom=300",
+        "lattice_const_angstrom=0", "lattice_const_angstrom=inf",
+        "lattice_const_angstrom=1e-300", "transition_energy_ev=2",
+        "transition_energy_ev=1e300", "transition_energy_ev=1e-310",
+        "transition_energy_ev=nan",
+        "dipole_e_angstrom=1e200", "dipole_e_angstrom=-1",
+        "polarization_deg=90", "polarization_deg=-30", "gamma_override_hz=1e8",
+        "gamma_override_hz=0", "colour=blue", "no_equals_sign",
+    ]),
+    "--points": st.one_of(st.integers(-2, 50).map(str), st.just("ten")),
+    "--range": st.sampled_from([
+        "0.5:2", "0.01:20", "1:50", "1:12", "1:1", "1e3:1e5", "5:1", "0:3",
+        "-1:3", "1:inf", "nan:2", "a:b", "7", "1:2:3",
+    ]),
+    "--out": st.sampled_from(["{tmp}/out.csv", "{tmp}/no_such_dir/out.csv"]),
+    "--state": st.sampled_from(["sym", "alt", "+", "+-", "+-+", "++--", "+0", ""]),
+    "--obs-x": st.sampled_from(["1e6", "1e3", "0", "-5", "inf", "nan", "far"]),
+    "--time": st.sampled_from(["1e-3", "1e-15", "0", "-1", "nan", "1e300", "now"]),
+    "--nmax": st.one_of(st.integers(-1, 3).map(str), st.just("2.5")),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    if command == "figure":
+        argv.append(draw(st.one_of(st.integers(-1, 21).map(str), st.just("seven"))))
+    flags = draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=4))
+    # the defaults (verify --nmax 8, damping --oracle on 1000 points)
+    # cost seconds; always bound them
+    if command == "verify":
+        flags.append("--nmax")
+    if "--oracle" in flags:
+        flags.append("--points")
+    for flag in flags:
+        argv.append(flag)
+        if flag != "--oracle":
+            argv.append(draw(_VALUES[flag]))
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "--nmax", "--help"])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "chain.json").write_text(json.dumps(
+        {"n_atoms": 3, "lattice_const_angstrom": 500,
+         "transition_energy_ev": 2.0, "dipole_e_angstrom": 1.0}
+    ))
+    return path
+
+
+class TestFuzz:
+    @given(argv=cli_argv())
+    @settings(
+        max_examples=60, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_every_argv_ends_in_documented_exit_code(self, fuzz_dir, argv):
+        argv = [a.replace("{tmp}", str(fuzz_dir)) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_ACCURACY,
+                      EXIT_CAUSALITY), (argv, rc)
+        if rc != EXIT_OK:
+            assert err.getvalue().strip(), argv
+        assert "Traceback" not in err.getvalue(), argv

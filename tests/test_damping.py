@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 from scipy.integrate import quad
 
 from chainrad.damping import (
     F_SERIES_THRESHOLD,
     QuadratureAccuracyError,
     _g_plus_third,
+    _golden_rule_integrand,
     _sinc_minus_one,
     angle_sweep,
     damping_general,
@@ -21,6 +23,7 @@ from oracles import (
     damping_autocorrelation_mp,
     damping_bond_count,
     damping_pairwise,
+    golden_rule_integrand_per_term,
     sign_coeffs,
 )
 
@@ -187,6 +190,51 @@ class TestQuadratureOracle:
         # the error still carries a usable estimate
         assert info.value.estimate == pytest.approx(0.5665718598084711, rel=1e-6)
 
+    @pytest.mark.parametrize("kind", ["sym", "alt", "random"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("x", [0.1, 3.0, 10.0])
+    def test_horner_integrand_matches_per_term_form(self, kind, n, x):
+        coeffs = sign_coeffs(kind, n)
+        for cos2phi in (0.0, 0.5, 1.0):
+            for y in np.linspace(0.0, x, 97):
+                got = _golden_rule_integrand(float(y), coeffs, x, cos2phi)
+                want = golden_rule_integrand_per_term(float(y), coeffs, x, cos2phi)
+                assert abs(got - want) <= 1e-14 * n * n, (y, got, want)
+
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_horner_integrand_matches_mpmath_at_large_y(self, n):
+        # past y ~ 10 the per-term form's phases (k + 1) y carry rounding
+        # of order n y eps, and at n = 64 it drifts from the exact value by
+        # ~3e-11; Horner's rule stays within 1e-14 n^2
+        coeffs = sign_coeffs("random", n)
+        x, cos2phi = 40.0, 0.5
+        for y in np.linspace(0.0, x, 33):
+            y = float(y)
+            with mp.workdps(40):
+                amp = sum(c * mp.expj((k + 1) * mpf(y)) for k, c in enumerate(coeffs))
+                weight = (1 + mpf(cos2phi)) - mpf(y) ** 2 / mpf(x) ** 2 * (
+                    3 * mpf(cos2phi) - 1
+                )
+                want = float(abs(amp) ** 2 * weight)
+            got = _golden_rule_integrand(y, coeffs, x, cos2phi)
+            assert abs(got - want) <= 1e-14 * n * n, (y, got, want)
+
+
+class TestSignFlip:
+    """C and -C share A_k, and the oracle integrand only flips the sign of
+    its real and imaginary parts, so both rates are bitwise equal."""
+
+    @pytest.mark.parametrize("x, phi", [(0.5, 0.0), (3.0, math.pi / 4)])
+    def test_rates_bitwise_equal(self, x, phi):
+        for n in range(1, 6):
+            for state in enumerate_sign_states(n):
+                flipped = SignState(tuple(-c for c in state.coeffs))
+                for method in (damping_general, damping_quadrature_oracle):
+                    assert (
+                        method(state, x, phi).rate_ratio
+                        == method(flipped, x, phi).rate_ratio
+                    ), (method.__name__, state)
+
 
 class TestSignAverage:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -203,6 +251,17 @@ class TestSweeps:
         table = n_scaling_sweep(20, 0.001, [0.0])
         gammas = table.column("gamma_phi0")
         assert np.allclose(gammas, np.arange(1, 21), rtol=1e-3)
+
+    @pytest.mark.parametrize("x", [0.001, 0.1, 1.0])
+    def test_nscaling_rows_equal_damping_general(self, x):
+        # on a 64-atom chain, x = 0.001 keeps every bond on the kernel's
+        # series branch; x = 0.1 crosses to the direct one at k = 15, 1.0 at 2
+        phis = [0.0, math.pi / 2]
+        table = n_scaling_sweep(64, x, phis)
+        for n, *rates in table.rows:
+            assert rates == [
+                damping_general(symmetric_state(n), x, p).rate_ratio for p in phis
+            ], n
 
     def test_nscaling_plateau_reached_faster_at_larger_x(self):
         small_x = n_scaling_sweep(100, 0.001, [0.0]).column("gamma_phi0")

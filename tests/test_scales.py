@@ -79,6 +79,21 @@ class TestDeriveScales:
         assert forced.q_a == plain.q_a
         assert forced.lambda_a == plain.lambda_a
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(transition_energy=1e300),  # omega_a overflows
+            dict(transition_energy=1e150),  # omega_a^3 overflows
+            dict(dipole_moment=1e200),  # mu^2 overflows
+            dict(transition_energy=1e-300),  # gamma_a underflows to 0
+            dict(transition_energy=1e-310),  # omega_a, q_a underflow to 0
+            dict(transition_energy=1e10, lattice_const=1e300),  # q_a a overflows
+        ],
+    )
+    def test_out_of_range_derived_scale_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="derived scale"):
+            derive_scales(make_config(**overrides))
+
 
 class TestChainConfig:
     @pytest.mark.parametrize(
