@@ -10,8 +10,6 @@ from .scales import (
     dimensionless_separation,
 )
 from .coupling import (
-    CouplingMatrix,
-    coupling_matrix,
     coupling_sweep,
     transfer_electrostatic,
     transfer_exact,
@@ -35,11 +33,8 @@ from .emission import (
     CausalityError,
     EmissionGeometry,
     IntensityTrace,
-    build_geometry,
     emission_sweep,
     total_intensity,
-    two_atom_asymptotic,
-    two_atom_intensity,
 )
 from .sweeps import SweepTable
 
@@ -50,7 +45,6 @@ __all__ = [
     "CausalityError",
     "ChainConfig",
     "ConfigError",
-    "CouplingMatrix",
     "DampingResult",
     "EmissionGeometry",
     "IntensityTrace",
@@ -59,10 +53,8 @@ __all__ = [
     "SweepTable",
     "alternating_state",
     "angle_sweep",
-    "build_geometry",
     "config_from_dict",
     "config_from_json",
-    "coupling_matrix",
     "coupling_sweep",
     "damping_general",
     "damping_quadrature_oracle",
@@ -76,6 +68,4 @@ __all__ = [
     "total_intensity",
     "transfer_electrostatic",
     "transfer_exact",
-    "two_atom_asymptotic",
-    "two_atom_intensity",
 ]

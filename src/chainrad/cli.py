@@ -16,6 +16,7 @@ from . import __version__
 from .scales import (
     ANGSTROM,
     CODATA,
+    MAX_ATOMS,
     SPEED_OF_LIGHT,
     ChainConfig,
     ConfigError,
@@ -33,6 +34,7 @@ from .damping import (
     damping_quadrature_oracle,
     f_kernel,
     n_scaling_sweep,
+    relative_error,
     x_sweep,
 )
 from .emission import CausalityError, emission_sweep
@@ -43,7 +45,7 @@ from .states import (
     enumerate_sign_states,
     symmetric_state,
 )
-from .sweeps import SweepTable, format_value
+from .sweeps import SweepTable, format_value, phi_columns
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,12 +53,9 @@ EXIT_CONFIG = 3
 EXIT_ACCURACY = 4
 EXIT_CAUSALITY = 5
 
-#: Largest chain length ``nscaling`` accepts; per polarization its sweep
-#: costs N_max kernel calls and N_max^2/2 multiply-adds in Python.
-NSCALING_MAX_N = 10_000
-
-#: Figures 1 and 15 are schematics; everything else is a CSV target.
-SUPPORTED_FIGURES = (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 18, 19, 20)
+#: ``verify`` fails (exit 4) when any closed-form rate is further than
+#: this from its quadrature, relative to the larger of the two.
+VERIFY_TOL = 1e-8
 
 DEFAULT_CONFIG = {
     "n_atoms": 2,
@@ -164,7 +163,7 @@ def _emit(table: SweepTable, args) -> None:
 
 
 def _f_kernel_sweep(x_min, x_max, n_points, phi_list) -> SweepTable:
-    columns = ["x"] + [f"F_phi{round(math.degrees(p))}" for p in phi_list]
+    columns = ["x"] + phi_columns("F", phi_list)
     rows = [
         (float(x), *(f_kernel(float(x), p) for p in phi_list))
         for x in np.linspace(x_min, x_max, n_points)
@@ -214,8 +213,6 @@ def cmd_damping(args) -> int:
 
 
 def cmd_nscaling(args) -> int:
-    if args.points is not None:
-        raise UsageError("nscaling takes no --points; it evaluates every N up to N_max")
     if any(item.split("=", 1)[0] == "n_atoms" for item in args.set or []):
         raise UsageError(
             "nscaling sweeps the chain length itself and takes no "
@@ -224,10 +221,10 @@ def cmd_nscaling(args) -> int:
     n_max = 200
     if args.range:
         lo, hi = _parse_range(args.range)
-        if lo != 1 or not (hi.is_integer() and 1 <= hi <= NSCALING_MAX_N):
+        if lo != 1 or not (hi.is_integer() and 1 <= hi <= MAX_ATOMS):
             raise UsageError(
                 f"nscaling --range must be 1:N_max with whole N_max in "
-                f"1..{NSCALING_MAX_N}, got {args.range!r}"
+                f"1..{MAX_ATOMS}, got {args.range!r}"
             )
         n_max = int(hi)
     config = _load_config(args)
@@ -284,49 +281,48 @@ def cmd_emission(args) -> int:
     return EXIT_OK
 
 
-def _figure_table(number: int) -> SweepTable:
-    deg = math.radians
-    if number in (2, 3, 4):
-        phi = {2: [0.0, deg(90)], 3: [0.0], 4: [deg(90)]}[number]
-        return coupling_sweep(0.01, 20.0, 1000, phi)
-    if number == 5:
-        return _f_kernel_sweep(0.01, 20.0, 1000, [0.0, deg(90)])
-    if number == 6:
-        return x_sweep(symmetric_state(5), 0.01, 20.0, 1000, [0.0, deg(90)])
-    if number in (7, 8, 9):
-        x = {7: 0.001, 8: 0.1, 9: 1.0}[number]
-        return n_scaling_sweep(200, x, [0.0, deg(90)])
-    if number == 10:
-        grid = np.radians(np.linspace(0.0, 90.0, 181))
-        return angle_sweep(100, 0.1, grid)
-    if number in (11, 12, 13, 14):
-        state = {
-            11: symmetric_state(2), 12: alternating_state(2),
-            13: symmetric_state(3), 14: alternating_state(3),
-        }[number]
-        return x_sweep(state, 0.01, 20.0, 1000, [0.0, deg(90)])
-    # 16-20: two-atom emission traces at the reference parameter set
+def _emission_figure(state: SignState, phi: float) -> SweepTable:
+    """Two-atom emission trace at the reference parameter set, t = 2x/c."""
     config = config_from_dict(EMISSION_CONFIG)
-    scales = derive_scales(config)
     obs_x = EMISSION_OBS_X_ANGSTROM * ANGSTROM
     t = 2.0 * obs_x / SPEED_OF_LIGHT
-    state, phi = {
-        16: (symmetric_state(2), 0.0),
-        17: (symmetric_state(2), deg(45)),
-        18: (symmetric_state(2), deg(90)),
-        19: (alternating_state(2), 0.0),
-        20: (alternating_state(2), deg(45)),
-    }[number]
-    # the reference traces use t = 2x/c; the grid is capped at the lattice
-    # constant whose light reaches the observer exactly then (sqrt(3) x)
+    # the grid is capped at the lattice constant whose light reaches the
+    # observer exactly at t (sqrt(3) x). It is a logspace taken in meters,
+    # where ``emission`` takes one in Angstrom: the two round differently
+    # (861 of these 2000 points), so sharing one would change the CSV digits
     a_max = math.sqrt((SPEED_OF_LIGHT * t) ** 2 - obs_x**2) * (1.0 - 1e-12)
-    a_grid = np.logspace(
-        math.log10(1e3 * ANGSTROM), math.log10(a_max), 2000
-    )
+    a_grid = np.logspace(math.log10(1e3 * ANGSTROM), math.log10(a_max), 2000)
     trace = emission_sweep(
-        state, a_grid, phi, obs_x, t, scales, config.dipole_moment
+        state, a_grid, phi, obs_x, t, derive_scales(config), config.dipole_moment
     )
     return trace.table
+
+
+_PHI_0_90 = (0.0, math.radians(90))
+
+#: Figure number -> builder of its CSV table. Figures 1 and 15 are
+#: schematics and have none.
+FIGURES = {
+    2: lambda: coupling_sweep(0.01, 20.0, 1000, _PHI_0_90),
+    3: lambda: coupling_sweep(0.01, 20.0, 1000, [0.0]),
+    4: lambda: coupling_sweep(0.01, 20.0, 1000, [math.radians(90)]),
+    5: lambda: _f_kernel_sweep(0.01, 20.0, 1000, _PHI_0_90),
+    6: lambda: x_sweep(symmetric_state(5), 0.01, 20.0, 1000, _PHI_0_90),
+    7: lambda: n_scaling_sweep(200, 0.001, _PHI_0_90),
+    8: lambda: n_scaling_sweep(200, 0.1, _PHI_0_90),
+    9: lambda: n_scaling_sweep(200, 1.0, _PHI_0_90),
+    10: lambda: angle_sweep(100, 0.1, np.radians(np.linspace(0.0, 90.0, 181))),
+    11: lambda: x_sweep(symmetric_state(2), 0.01, 20.0, 1000, _PHI_0_90),
+    12: lambda: x_sweep(alternating_state(2), 0.01, 20.0, 1000, _PHI_0_90),
+    13: lambda: x_sweep(symmetric_state(3), 0.01, 20.0, 1000, _PHI_0_90),
+    14: lambda: x_sweep(alternating_state(3), 0.01, 20.0, 1000, _PHI_0_90),
+    16: lambda: _emission_figure(symmetric_state(2), 0.0),
+    17: lambda: _emission_figure(symmetric_state(2), math.radians(45)),
+    18: lambda: _emission_figure(symmetric_state(2), math.radians(90)),
+    19: lambda: _emission_figure(alternating_state(2), 0.0),
+    20: lambda: _emission_figure(alternating_state(2), math.radians(45)),
+}
+SUPPORTED_FIGURES = tuple(FIGURES)
 
 
 def cmd_figure(args) -> int:
@@ -334,7 +330,7 @@ def cmd_figure(args) -> int:
         raise UsageError(
             f"unsupported figure {args.number}; choose from {SUPPORTED_FIGURES}"
         )
-    table = _figure_table(args.number)
+    table = FIGURES[args.number]()
     table.metadata["tool"] = f"chainrad {__version__}"
     table.metadata["command"] = f"figure {args.number}"
     _emit(table, args)
@@ -362,8 +358,7 @@ def cmd_verify(args) -> int:
                 for phi in phi_grid:
                     cf = damping_general(state, x, phi).rate_ratio
                     qd = damping_quadrature_oracle(state, x, phi).rate_ratio
-                    rel = abs(cf - qd) / max(abs(cf), abs(qd), 1e-300)
-                    max_err = max(max_err, rel)
+                    max_err = max(max_err, relative_error(cf, qd))
         rows.append((n, 2**n, max_err))
         worst = max(worst, max_err)
     table = SweepTable(
@@ -375,16 +370,71 @@ def cmd_verify(args) -> int:
             "x_grid": " ".join(format_value(x) for x in x_grid),
             "phi_deg_grid": "0 45 90",
         },
-        footer=[f"max_rel_err={worst:.3e}", "tolerance=1e-08"],
+        footer=[f"max_rel_err={worst:.3e}", f"tolerance={VERIFY_TOL:.0e}"],
     )
     _emit(table, args)
-    if worst > 1e-8:
+    if worst > VERIFY_TOL:
         print(
-            f"verify FAILED: max relative error {worst:.3e} > 1e-08",
+            f"verify FAILED: max relative error {worst:.3e} > {VERIFY_TOL:.0e}",
             file=sys.stderr,
         )
         return EXIT_ACCURACY
     return EXIT_OK
+
+
+#: argparse settings of every flag; each subcommand registers only the
+#: ones it reads, so a flag it would ignore is a usage error.
+_FLAGS = {
+    "number": dict(type=int, help="figure number"),
+    "--config": dict(help="JSON chain configuration file"),
+    "--set": dict(
+        action="append", metavar="KEY=VALUE",
+        help="override a config key (repeatable)",
+    ),
+    "--points": dict(type=int, help="grid point count"),
+    "--range": dict(metavar="LO:HI", help="grid range"),
+    "--state": dict(help="collective state: sym, alt or +/- pattern"),
+    "--oracle": dict(
+        action="store_true", help="add quadrature cross-check columns"
+    ),
+    "--obs-x": dict(
+        dest="obs_x", type=float,
+        help="observation distance in Angstrom (default 1e6)",
+    ),
+    "--time": dict(type=float, help="observation time in seconds (default 2x/c)"),
+    "--nmax": dict(type=int, help="largest chain length (default 8)"),
+    "--out": dict(help="CSV output path (default stdout)"),
+}
+_CONFIG_FLAGS = ("--config", "--set")
+
+#: Subcommand -> (handler, help, the flags it reads besides --out).
+COMMANDS = {
+    "scales": (cmd_scales, "derived single-atom scales", _CONFIG_FLAGS),
+    "coupling": (
+        cmd_coupling, "J/gamma_a vs q_a*a sweep",
+        _CONFIG_FLAGS + ("--points", "--range"),
+    ),
+    "damping": (
+        cmd_damping, "collective rate vs q_a*a sweep",
+        _CONFIG_FLAGS + ("--points", "--range", "--state", "--oracle"),
+    ),
+    "nscaling": (
+        cmd_nscaling, "symmetric rate vs chain length",
+        _CONFIG_FLAGS + ("--range",),
+    ),
+    "angles": (
+        cmd_angles, "symmetric rate vs polarization angle",
+        _CONFIG_FLAGS + ("--points",),
+    ),
+    "emission": (
+        cmd_emission, "far-field intensity vs lattice constant",
+        _CONFIG_FLAGS + ("--points", "--range", "--state", "--obs-x", "--time"),
+    ),
+    "figure": (
+        cmd_figure, "reproduce a numbered reference figure as CSV", ("number",)
+    ),
+    "verify": (cmd_verify, "closed form vs quadrature oracle suite", ("--nmax",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,69 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, state=False, oracle=False, emission=False):
-        p.add_argument("--config", help="JSON chain configuration file")
-        p.add_argument(
-            "--set", action="append", metavar="KEY=VALUE",
-            help="override a config key (repeatable)",
-        )
-        p.add_argument("--points", type=int, help="grid point count")
-        p.add_argument("--range", metavar="LO:HI", help="grid range")
-        p.add_argument("--out", help="CSV output path (default stdout)")
-        if state:
-            p.add_argument(
-                "--state", help="collective state: sym, alt or +/- pattern"
-            )
-        if oracle:
-            p.add_argument(
-                "--oracle", action="store_true",
-                help="add quadrature cross-check columns",
-            )
-        if emission:
-            p.add_argument(
-                "--obs-x", dest="obs_x", type=float,
-                help="observation distance in Angstrom (default 1e6)",
-            )
-            p.add_argument(
-                "--time", type=float,
-                help="observation time in seconds (default 2x/c)",
-            )
-
-    p = sub.add_parser("scales", help="derived single-atom scales")
-    common(p)
-    p.set_defaults(func=cmd_scales)
-
-    p = sub.add_parser("coupling", help="J/gamma_a vs q_a*a sweep")
-    common(p)
-    p.set_defaults(func=cmd_coupling)
-
-    p = sub.add_parser("damping", help="collective rate vs q_a*a sweep")
-    common(p, state=True, oracle=True)
-    p.set_defaults(func=cmd_damping)
-
-    p = sub.add_parser("nscaling", help="symmetric rate vs chain length")
-    common(p)
-    p.set_defaults(func=cmd_nscaling)
-
-    p = sub.add_parser("angles", help="symmetric rate vs polarization angle")
-    common(p)
-    p.set_defaults(func=cmd_angles)
-
-    p = sub.add_parser("emission", help="far-field intensity vs lattice constant")
-    common(p, state=True, emission=True)
-    p.set_defaults(func=cmd_emission)
-
-    p = sub.add_parser("figure", help="reproduce a numbered reference figure as CSV")
-    p.add_argument("number", type=int)
-    p.add_argument("--out", help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_figure)
-
-    p = sub.add_parser("verify", help="closed form vs quadrature oracle suite")
-    p.add_argument("--nmax", type=int, help="largest chain length (default 8)")
-    p.add_argument("--out", help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_verify)
-
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*flags, "--out"):
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

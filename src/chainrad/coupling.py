@@ -14,12 +14,10 @@ dipole-dipole interaction (3/4)(1 - 3 cos^2 phi)/x^3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .scales import ChainConfig, derive_scales
-from .sweeps import SweepTable
+from .sweeps import SweepTable, phi_columns
 
 #: Below this x the sin/cos bracket is evaluated by its Laurent series.
 BRACKET_SERIES_THRESHOLD = 1e-3
@@ -51,41 +49,6 @@ def transfer_electrostatic(x: float, phi: float) -> float:
     return 0.75 * (1.0 - 3.0 * c2) / x**3
 
 
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Excitation-hopping matrix of the chain.
-
-    ``diagonal`` is the common transition frequency omega_a (rad/s);
-    ``off_diag`` holds the pair couplings J_nm in 1/s with zero diagonal.
-    """
-
-    dim: int
-    diagonal: float
-    off_diag: np.ndarray
-
-    def __post_init__(self):
-        if self.off_diag.shape != (self.dim, self.dim):
-            raise ValueError("off_diag shape does not match dim")
-
-
-def coupling_matrix(config: ChainConfig) -> CouplingMatrix:
-    """Full N x N coupling matrix with J_nm = gamma_a * J(q_a a |n-m|, phi).
-
-    No nearest-neighbor truncation is applied here; entries depend on
-    |n - m| only.
-    """
-    scales = derive_scales(config)
-    n = config.n_atoms
-    x0 = scales.q_a * config.lattice_const
-    by_bond = np.array([0.0] + [
-        scales.gamma_a * transfer_exact(k * x0, config.polarization_angle)
-        for k in range(1, n)
-    ])
-    sites = np.arange(n)
-    off = by_bond[np.abs(sites[:, None] - sites[None, :])]
-    return CouplingMatrix(dim=n, diagonal=scales.omega_a, off_diag=off)
-
-
 def coupling_sweep(
     x_min: float, x_max: float, n_points: int, phi_list
 ) -> SweepTable:
@@ -98,9 +61,9 @@ def coupling_sweep(
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     phi_list = list(phi_list)
-    columns = ["x"]
-    columns += [f"J_exact_phi{round(math.degrees(p))}" for p in phi_list]
-    columns += [f"J_approx_phi{round(math.degrees(p))}" for p in phi_list]
+    columns = (
+        ["x"] + phi_columns("J_exact", phi_list) + phi_columns("J_approx", phi_list)
+    )
     grid = np.linspace(x_min, x_max, n_points)
     rows = []
     for x in grid:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import SignState, symmetric_state
-from .sweeps import SweepTable
+from .sweeps import SweepTable, phi_columns
 
 #: Below this x, sin x/x - 1 and cos x/x^2 - sin x/x^3 + 1/3 are summed
 #: as alternating Taylor series. The direct forms cancel catastrophically
@@ -154,6 +154,11 @@ def damping_general(state: SignState, x: float, phi: float) -> DampingResult:
     )
 
 
+def relative_error(closed: float, quadrature: float) -> float:
+    """Closed-form vs quadrature mismatch, relative to the larger rate."""
+    return abs(closed - quadrature) / max(abs(closed), abs(quadrature), 1e-300)
+
+
 def _golden_rule_integrand(y: float, coeffs, x: float, cos2phi: float) -> float:
     # |sum_n C_n z^n|^2 with z = e^{iy}, by Horner's rule: |z| = 1, so the
     # common factor z drops out of the modulus and two trig calls suffice
@@ -212,7 +217,7 @@ def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     phi_list = list(phi_list)
-    columns = ["N"] + [f"gamma_phi{round(math.degrees(p))}" for p in phi_list]
+    columns = ["N"] + phi_columns("gamma", phi_list)
     kernels = [
         [f_kernel_minus_one(k * x, p) for k in range(1, n_max)] for p in phi_list
     ]
@@ -249,11 +254,9 @@ def x_sweep(
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     phi_list = list(phi_list)
-    columns = ["x"] + [f"gamma_phi{round(math.degrees(p))}" for p in phi_list]
+    columns = ["x"] + phi_columns("gamma", phi_list)
     if oracle:
-        columns += [
-            f"gamma_quadrature_phi{round(math.degrees(p))}" for p in phi_list
-        ]
+        columns += phi_columns("gamma_quadrature", phi_list)
     rows = []
     max_rel_err = 0.0
     for x in np.linspace(x_min, x_max, n_points):
@@ -267,8 +270,7 @@ def x_sweep(
             ]
             row += quads
             for cf, qd in zip(closed, quads):
-                denom = max(abs(cf), abs(qd), 1e-300)
-                max_rel_err = max(max_rel_err, abs(cf - qd) / denom)
+                max_rel_err = max(max_rel_err, relative_error(cf, qd))
         rows.append(tuple(row))
     footer = [f"max_rel_err={max_rel_err:.3e}"] if oracle else []
     return SweepTable(columns=columns, rows=rows, footer=footer)

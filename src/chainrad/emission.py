@@ -18,15 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scales import (
-    ANGSTROM,
-    ELEMENTARY_CHARGE,
-    EPSILON_0,
-    SPEED_OF_LIGHT,
-    AtomicScales,
-    ChainConfig,
-    derive_scales,
-)
+from .scales import ANGSTROM, ELEMENTARY_CHARGE, EPSILON_0, SPEED_OF_LIGHT, AtomicScales
 from .states import SignState
 from .sweeps import SweepTable
 
@@ -71,26 +63,6 @@ def _geometry(n: int, a: float, phi: float, obs_x: float) -> EmissionGeometry:
         dist_n=dist,
         retard_n=dist / SPEED_OF_LIGHT,
         unit_n=unit,
-    )
-
-
-def build_geometry(config: ChainConfig, obs_x: float) -> EmissionGeometry:
-    """Derive the per-atom angles, distances and retardation times.
-
-    Warns when the observation point is not comfortably in the far zone
-    (obs_x < 10 lambda_a), where the pure 1/r field is not justified.
-    """
-    if not obs_x > 0:
-        raise ValueError(f"obs_x must be > 0, got {obs_x}")
-    scales = derive_scales(config)
-    if obs_x < 10.0 * scales.lambda_a:
-        warnings.warn(
-            f"observation distance {obs_x:.3e} m is inside 10 lambda_a "
-            f"({10 * scales.lambda_a:.3e} m); far-zone fields assumed anyway",
-            stacklevel=2,
-        )
-    return _geometry(
-        config.n_atoms, config.lattice_const, config.polarization_angle, obs_x
     )
 
 
@@ -142,68 +114,6 @@ def total_intensity(
     field = amplitude @ geom.unit_n
     # the 1/2 turns the 32 pi^2 field prefactor into I_0/2
     return 0.5 * geom.obs_x**2 / n * float(np.vdot(field, field).real)
-
-
-def two_atom_intensity(
-    symmetric: bool, a: float, phi: float, obs_x: float, t: float,
-    scales: AtomicScales,
-) -> float:
-    """Closed two-atom form of the scaled intensity.
-
-    I/I_0 = (1/4) { sin^2 phi_1 e^{-gamma (t - x/c)}
-                    + (x^2 sin^2 phi_2/(x^2+a^2)) e^{-gamma (t - d2/c)}
-                    +/- (x^2 sin phi_1 sin phi_2/(x^2+a^2))
-                        2 cos[omega (x - d2)/c]
-                        e^{-gamma (t - (x + d2)/(2c))} }.
-    """
-    if not obs_x > 0:
-        raise ValueError(f"obs_x must be > 0, got {obs_x}")
-    if a < 0:
-        raise ValueError(f"lattice constant must be >= 0, got {a}")
-    d2 = math.hypot(obs_x, a)
-    t1 = obs_x / SPEED_OF_LIGHT
-    t2 = d2 / SPEED_OF_LIGHT
-    if t < t2:
-        raise CausalityError(f"t={t!r} s precedes retardation time {t2!r} s")
-    phi1 = math.pi / 2.0 - phi
-    alpha = math.atan2(obs_x, a)
-    phi2 = math.pi - phi - alpha
-    gamma = scales.gamma_a
-    sign = 1.0 if symmetric else -1.0
-    weight = obs_x**2 / (obs_x**2 + a**2)
-    return 0.25 * (
-        math.sin(phi1) ** 2 * math.exp(-gamma * (t - t1))
-        + weight * math.sin(phi2) ** 2 * math.exp(-gamma * (t - t2))
-        + sign * weight * math.sin(phi1) * math.sin(phi2)
-        * 2.0 * math.cos(scales.omega_a * (t1 - t2))
-        * math.exp(-gamma * (t - 0.5 * (t1 + t2)))
-    )
-
-
-def two_atom_asymptotic(
-    symmetric: bool, a: float, phi: float, obs_x: float, t: float,
-    scales: AtomicScales,
-) -> float:
-    """x >> a limit of the two-atom intensity.
-
-    I/I_0 = (cos^2 phi / 4) e^{-gamma (t - x/c)}
-            { 1 + e^{gamma a^2/(2 c x)}
-              +/- 2 cos(omega a^2/(2 c x)) e^{gamma a^2/(4 c x)} }.
-
-    The amplitude replacement sin phi_2 -> cos phi drops O(a/x * tan phi)
-    corrections, so accuracy degrades away from phi = 0.
-    """
-    if not obs_x > 0:
-        raise ValueError(f"obs_x must be > 0, got {obs_x}")
-    gamma = scales.gamma_a
-    u = a * a / (2.0 * SPEED_OF_LIGHT * obs_x)
-    sign = 1.0 if symmetric else -1.0
-    brace = (
-        1.0
-        + math.exp(gamma * u)
-        + sign * 2.0 * math.cos(scales.omega_a * u) * math.exp(gamma * u / 2.0)
-    )
-    return 0.25 * math.cos(phi) ** 2 * math.exp(-gamma * (t - obs_x / SPEED_OF_LIGHT)) * brace
 
 
 @dataclass

@@ -14,6 +14,11 @@ from dataclasses import dataclass, fields
 
 ANGSTROM = 1e-10  # m
 
+#: Longest chain any command accepts. A rate costs O(N^2) in the bond
+#: autocorrelation and ``nscaling`` O(N_max^2) in Python multiply-adds,
+#: so a mistyped length is rejected before it starts hours of work.
+MAX_ATOMS = 10_000
+
 # CODATA 2022 values, written out so every derived number and CSV header
 # stays the same whatever CODATA edition the installed scipy ships.
 HBAR = 1.0545718176461565e-34  # J s
@@ -41,7 +46,7 @@ class ChainConfig:
     Parameters
     ----------
     n_atoms : int
-        Number of atoms N on the chain.
+        Number of atoms N on the chain, 1 <= N <= ``MAX_ATOMS``.
     lattice_const : float
         Lattice constant a in meters.
     transition_energy : float
@@ -69,8 +74,10 @@ class ChainConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.n_atoms < 1:
-            raise ConfigError(f"n_atoms must be >= 1, got {self.n_atoms}")
+        if not 1 <= self.n_atoms <= MAX_ATOMS:
+            raise ConfigError(
+                f"n_atoms must be in 1..{MAX_ATOMS}, got {self.n_atoms}"
+            )
         if not self.lattice_const > 0:
             raise ConfigError(f"lattice_const must be > 0, got {self.lattice_const}")
         if not self.transition_energy > 0:

@@ -7,6 +7,7 @@ formatting, metadata emitted as sorted ``# key=value`` comment lines.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,11 @@ def format_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return format(float(v), _FLOAT_FMT)
+
+
+def phi_columns(prefix: str, phi_list) -> list[str]:
+    """Column names ``<prefix>_phi<deg>``, one per polarization angle."""
+    return [f"{prefix}_phi{round(math.degrees(p))}" for p in phi_list]
 
 
 @dataclass

@@ -4,7 +4,8 @@ The library evaluates each quantity one way: rates through the bond
 autocorrelation, emission as one rank-one amplitude sum. The pairwise
 double sums here are the textbook forms those collapse from; tests
 compare the two. The mpmath references recompute the same sums at 50
-digits, for states where double-precision cancellation is severe.
+digits, for states where double-precision cancellation is severe. The
+two-atom closed forms are the emission references the paper prints.
 """
 
 import math
@@ -13,6 +14,8 @@ import numpy as np
 from mpmath import mp, mpf
 
 from chainrad.damping import f_kernel_minus_one
+from chainrad.emission import CausalityError
+from chainrad.scales import SPEED_OF_LIGHT
 from chainrad.states import alternating_state, symmetric_state
 
 
@@ -132,3 +135,63 @@ def total_intensity_mp(coeffs, geom, scales, t: float) -> float:
                 field[d] += amp * mpf(geom.unit_n[k][d])
         power = sum(abs(f) ** 2 for f in field)
         return float(mpf(geom.obs_x) ** 2 / (2 * n) * power)
+
+
+def two_atom_intensity(
+    symmetric: bool, a: float, phi: float, obs_x: float, t: float, scales
+) -> float:
+    """Closed two-atom form of the scaled intensity.
+
+    I/I_0 = (1/4) { sin^2 phi_1 e^{-gamma (t - x/c)}
+                    + (x^2 sin^2 phi_2/(x^2+a^2)) e^{-gamma (t - d2/c)}
+                    +/- (x^2 sin phi_1 sin phi_2/(x^2+a^2))
+                        2 cos[omega (x - d2)/c]
+                        e^{-gamma (t - (x + d2)/(2c))} }.
+    """
+    if not obs_x > 0:
+        raise ValueError(f"obs_x must be > 0, got {obs_x}")
+    if a < 0:
+        raise ValueError(f"lattice constant must be >= 0, got {a}")
+    d2 = math.hypot(obs_x, a)
+    t1 = obs_x / SPEED_OF_LIGHT
+    t2 = d2 / SPEED_OF_LIGHT
+    if t < t2:
+        raise CausalityError(f"t={t!r} s precedes retardation time {t2!r} s")
+    phi1 = math.pi / 2.0 - phi
+    alpha = math.atan2(obs_x, a)
+    phi2 = math.pi - phi - alpha
+    gamma = scales.gamma_a
+    sign = 1.0 if symmetric else -1.0
+    weight = obs_x**2 / (obs_x**2 + a**2)
+    return 0.25 * (
+        math.sin(phi1) ** 2 * math.exp(-gamma * (t - t1))
+        + weight * math.sin(phi2) ** 2 * math.exp(-gamma * (t - t2))
+        + sign * weight * math.sin(phi1) * math.sin(phi2)
+        * 2.0 * math.cos(scales.omega_a * (t1 - t2))
+        * math.exp(-gamma * (t - 0.5 * (t1 + t2)))
+    )
+
+
+def two_atom_asymptotic(
+    symmetric: bool, a: float, phi: float, obs_x: float, t: float, scales
+) -> float:
+    """x >> a limit of the two-atom intensity.
+
+    I/I_0 = (cos^2 phi / 4) e^{-gamma (t - x/c)}
+            { 1 + e^{gamma a^2/(2 c x)}
+              +/- 2 cos(omega a^2/(2 c x)) e^{gamma a^2/(4 c x)} }.
+
+    The amplitude replacement sin phi_2 -> cos phi drops O(a/x * tan phi)
+    corrections, so accuracy degrades away from phi = 0.
+    """
+    if not obs_x > 0:
+        raise ValueError(f"obs_x must be > 0, got {obs_x}")
+    gamma = scales.gamma_a
+    u = a * a / (2.0 * SPEED_OF_LIGHT * obs_x)
+    sign = 1.0 if symmetric else -1.0
+    brace = (
+        1.0
+        + math.exp(gamma * u)
+        + sign * 2.0 * math.cos(scales.omega_a * u) * math.exp(gamma * u / 2.0)
+    )
+    return 0.25 * math.cos(phi) ** 2 * math.exp(-gamma * (t - obs_x / SPEED_OF_LIGHT)) * brace

@@ -19,15 +19,10 @@ from chainrad.damping import (
     f_kernel,
 )
 from chainrad.coupling import transfer_electrostatic, transfer_exact
-from chainrad.emission import (
-    _geometry,
-    emission_sweep,
-    total_intensity,
-    two_atom_asymptotic,
-    two_atom_intensity,
-)
+from chainrad.emission import _geometry, emission_sweep, total_intensity
 from chainrad.scales import ANGSTROM, config_from_dict, derive_scales
 from chainrad.states import alternating_state, enumerate_sign_states, symmetric_state
+from oracles import two_atom_asymptotic, two_atom_intensity
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 

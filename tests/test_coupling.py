@@ -6,12 +6,10 @@ import pytest
 from chainrad.coupling import (
     BRACKET_SERIES_THRESHOLD,
     _bracket,
-    coupling_matrix,
     coupling_sweep,
     transfer_electrostatic,
     transfer_exact,
 )
-from chainrad.scales import ANGSTROM, ChainConfig, derive_scales
 
 # frozen high-precision values of the exact coupling at x = 0.5
 J_HALF_PARALLEL = -13.407543974309691
@@ -74,40 +72,6 @@ class TestTransferElectrostatic:
         exact = transfer_exact(x, 0.0)
         approx = transfer_electrostatic(x, 0.0)
         assert abs(exact - approx) / abs(approx) <= 1e-4
-
-
-class TestCouplingMatrix:
-    def make_config(self, n):
-        return ChainConfig(
-            n_atoms=n,
-            lattice_const=1000 * ANGSTROM,
-            transition_energy=1.0,
-            dipole_moment=1.0,
-        )
-
-    def test_single_atom(self):
-        mat = coupling_matrix(self.make_config(1))
-        assert mat.dim == 1
-        assert mat.off_diag.shape == (1, 1)
-        assert mat.off_diag[0, 0] == 0.0
-
-    def test_two_atom_off_diagonal(self):
-        config = self.make_config(2)
-        scales = derive_scales(config)
-        x = scales.q_a * config.lattice_const
-        mat = coupling_matrix(config)
-        assert mat.off_diag[0, 1] == pytest.approx(
-            scales.gamma_a * transfer_exact(x, 0.0), rel=1e-14
-        )
-        assert mat.diagonal == scales.omega_a
-
-    def test_symmetric_and_translation_invariant(self):
-        mat = coupling_matrix(self.make_config(6))
-        assert np.array_equal(mat.off_diag, mat.off_diag.T)
-        assert np.all(np.diag(mat.off_diag) == 0.0)
-        for k in range(1, 6):
-            band = np.diag(mat.off_diag, k)
-            assert np.all(band == band[0])
 
 
 class TestCouplingSweep:

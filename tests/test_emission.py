@@ -7,16 +7,19 @@ from scipy import constants as const
 from chainrad.emission import (
     CausalityError,
     _geometry,
-    build_geometry,
     emission_sweep,
     reference_intensity,
     total_intensity,
-    two_atom_asymptotic,
-    two_atom_intensity,
 )
 from chainrad.scales import ANGSTROM, config_from_dict, derive_scales
 from chainrad.states import SignState, alternating_state, symmetric_state
-from oracles import sign_coeffs, total_intensity_mp, total_intensity_pairwise
+from oracles import (
+    sign_coeffs,
+    total_intensity_mp,
+    total_intensity_pairwise,
+    two_atom_asymptotic,
+    two_atom_intensity,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -46,7 +49,7 @@ class TestGeometry:
     def test_two_atom_angles(self):
         phi = 0.3
         a = 2000 * ANGSTROM
-        geom = build_geometry(reference_config(a_angstrom=2000, phi_deg=math.degrees(phi)), OBS_X)
+        geom = _geometry(2, a, phi, OBS_X)
         assert geom.phi_n[0] == pytest.approx(math.pi / 2 - phi, rel=1e-14)
         alpha = math.atan(OBS_X / a)
         assert geom.phi_n[1] == pytest.approx(math.pi - phi - alpha, rel=1e-14)
@@ -75,13 +78,9 @@ class TestGeometry:
         assert np.all(geom.phi_n == geom.phi_n[0])
         assert np.all(geom.retard_n == geom.retard_n[0])
 
-    def test_near_zone_warning(self):
-        with pytest.warns(UserWarning, match="far-zone"):
-            build_geometry(reference_config(), 2e4 * ANGSTROM)
-
     def test_nonpositive_observation_point(self):
         with pytest.raises(ValueError):
-            build_geometry(reference_config(), 0.0)
+            _geometry(2, 1000 * ANGSTROM, 0.0, 0.0)
 
 
 class TestTotalIntensity:

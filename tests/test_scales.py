@@ -5,6 +5,7 @@ import pytest
 
 from chainrad.scales import (
     ANGSTROM,
+    MAX_ATOMS,
     ChainConfig,
     ConfigError,
     config_from_dict,
@@ -111,11 +112,16 @@ class TestChainConfig:
             ("polarization_angle", math.nan),
             ("polarization_angle", -math.inf),
             ("gamma_override", math.inf),
+            ("n_atoms", 10_001),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):
         with pytest.raises(ConfigError):
             make_config(**{field: value})
+
+    def test_longest_chain_accepted(self):
+        assert MAX_ATOMS == 10_000
+        assert make_config(n_atoms=10_000).n_atoms == 10_000
 
     @pytest.mark.parametrize(
         "angle,folded",
