@@ -2,6 +2,7 @@
 
 from .scales import (
     AtomicScales,
+    CausalityError,
     ChainConfig,
     ConfigError,
     config_from_dict,
@@ -29,14 +30,22 @@ from .damping import (
     f_kernel,
     n_scaling_sweep,
 )
-from .emission import (
-    CausalityError,
-    EmissionGeometry,
-    IntensityTrace,
-    emission_sweep,
-    total_intensity,
-)
 from .sweeps import SweepTable
+
+#: Names served by the emission module, the one that needs numpy at
+#: import; it is loaded on first access (PEP 562), so the other commands
+#: never import numpy.
+_EMISSION_NAMES = frozenset(
+    {"EmissionGeometry", "IntensityTrace", "emission_sweep", "total_intensity"}
+)
+
+
+def __getattr__(name):
+    if name in _EMISSION_NAMES:
+        from . import emission
+
+        return getattr(emission, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __version__ = "0.1.0"
 

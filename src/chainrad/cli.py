@@ -10,14 +10,13 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .scales import (
     ANGSTROM,
     CODATA,
     MAX_ATOMS,
     SPEED_OF_LIGHT,
+    CausalityError,
     ChainConfig,
     ConfigError,
     config_from_dict,
@@ -30,22 +29,21 @@ from .coupling import coupling_sweep
 from .damping import (
     QuadratureAccuracyError,
     angle_sweep,
-    damping_general,
+    bond_autocorrelation,
+    closed_form_rate,
     damping_quadrature_oracle,
     f_kernel,
     n_scaling_sweep,
     relative_error,
     x_sweep,
 )
-from .emission import CausalityError, emission_sweep
 from .states import (
-    MAX_ENUM_ATOMS,
     SignState,
     alternating_state,
     enumerate_sign_states,
     symmetric_state,
 )
-from .sweeps import SweepTable, format_value, phi_columns
+from .sweeps import SweepTable, format_value, linspace, phi_columns
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,6 +54,13 @@ EXIT_CAUSALITY = 5
 #: ``verify`` fails (exit 4) when any closed-form rate is further than
 #: this from its quadrature, relative to the larger of the two.
 VERIFY_TOL = 1e-8
+
+#: Longest chain ``verify`` accepts. Its work doubles with every atom:
+#: --nmax 10, 11 and 12 take about 2, 5 and 10 s.
+VERIFY_MAX_N = 12
+
+#: Largest --points any command accepts, checked before a grid exists.
+MAX_POINTS = 100_000
 
 DEFAULT_CONFIG = {
     "n_atoms": 2,
@@ -107,8 +112,8 @@ def _points(args, default: int) -> int:
     """The --points value, or the command's default when it is not given."""
     if args.points is None:
         return default
-    if args.points < 1:
-        raise UsageError(f"--points must be >= 1, got {args.points}")
+    if not 1 <= args.points <= MAX_POINTS:
+        raise UsageError(f"--points must be in 1..{MAX_POINTS}, got {args.points}")
     return args.points
 
 
@@ -165,10 +170,15 @@ def _emit(table: SweepTable, args) -> None:
 def _f_kernel_sweep(x_min, x_max, n_points, phi_list) -> SweepTable:
     columns = ["x"] + phi_columns("F", phi_list)
     rows = [
-        (float(x), *(f_kernel(float(x), p) for p in phi_list))
-        for x in np.linspace(x_min, x_max, n_points)
+        (x, *(f_kernel(x, p) for p in phi_list))
+        for x in linspace(x_min, x_max, n_points)
     ]
     return SweepTable(columns=columns, rows=rows)
+
+
+def _angle_grid(n_points: int) -> list[float]:
+    """Polarization angles 0..90 degrees, in radians."""
+    return [math.radians(d) for d in linspace(0.0, 90.0, n_points)]
 
 
 def cmd_scales(args) -> int:
@@ -238,7 +248,7 @@ def cmd_nscaling(args) -> int:
 
 def cmd_angles(args) -> int:
     config = _load_config(args)
-    grid = np.radians(np.linspace(0.0, 90.0, _points(args, 181)))
+    grid = _angle_grid(_points(args, 181))
     table = angle_sweep(config.n_atoms, dimensionless_separation(config), grid)
     table.metadata = _base_metadata(config, "angles")
     _emit(table, args)
@@ -246,6 +256,10 @@ def cmd_angles(args) -> int:
 
 
 def cmd_emission(args) -> int:
+    import numpy as np  # emission is the one command that needs arrays
+
+    from .emission import emission_sweep
+
     config = _load_config(args)
     state = parse_state(args.state or "sym", config.n_atoms)
     scales = derive_scales(config)
@@ -283,6 +297,10 @@ def cmd_emission(args) -> int:
 
 def _emission_figure(state: SignState, phi: float) -> SweepTable:
     """Two-atom emission trace at the reference parameter set, t = 2x/c."""
+    import numpy as np
+
+    from .emission import emission_sweep
+
     config = config_from_dict(EMISSION_CONFIG)
     obs_x = EMISSION_OBS_X_ANGSTROM * ANGSTROM
     t = 2.0 * obs_x / SPEED_OF_LIGHT
@@ -311,7 +329,7 @@ FIGURES = {
     7: lambda: n_scaling_sweep(200, 0.001, _PHI_0_90),
     8: lambda: n_scaling_sweep(200, 0.1, _PHI_0_90),
     9: lambda: n_scaling_sweep(200, 1.0, _PHI_0_90),
-    10: lambda: angle_sweep(100, 0.1, np.radians(np.linspace(0.0, 90.0, 181))),
+    10: lambda: angle_sweep(100, 0.1, _angle_grid(181)),
     11: lambda: x_sweep(symmetric_state(2), 0.01, 20.0, 1000, _PHI_0_90),
     12: lambda: x_sweep(alternating_state(2), 0.01, 20.0, 1000, _PHI_0_90),
     13: lambda: x_sweep(symmetric_state(3), 0.01, 20.0, 1000, _PHI_0_90),
@@ -340,8 +358,8 @@ def cmd_figure(args) -> int:
 def cmd_verify(args) -> int:
     """Closed form vs quadrature over all sign states, N <= n_max."""
     n_max = 8 if args.nmax is None else args.nmax
-    if not 1 <= n_max <= MAX_ENUM_ATOMS:
-        raise UsageError(f"--nmax must be in 1..{MAX_ENUM_ATOMS}, got {n_max}")
+    if not 1 <= n_max <= VERIFY_MAX_N:
+        raise UsageError(f"--nmax must be in 1..{VERIFY_MAX_N}, got {n_max}")
     x_grid = (0.1, 0.5, 1.0, 3.0, 10.0)
     phi_grid = (0.0, math.pi / 4, math.pi / 2)
     rows = []
@@ -354,9 +372,10 @@ def cmd_verify(args) -> int:
         for state in enumerate_sign_states(n):
             if state.coeffs[0] == -1:
                 continue
+            autocorr = bond_autocorrelation(state)
             for x in x_grid:
                 for phi in phi_grid:
-                    cf = damping_general(state, x, phi).rate_ratio
+                    cf = closed_form_rate(state, autocorr, x, phi).rate_ratio
                     qd = damping_quadrature_oracle(state, x, phi).rate_ratio
                     max_err = max(max_err, relative_error(cf, qd))
         rows.append((n, 2**n, max_err))

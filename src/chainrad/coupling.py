@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .sweeps import SweepTable, phi_columns
+from .sweeps import SweepTable, linspace, phi_columns
 
 #: Below this x the sin/cos bracket is evaluated by its Laurent series.
 BRACKET_SERIES_THRESHOLD = 1e-3
@@ -64,10 +62,8 @@ def coupling_sweep(
     columns = (
         ["x"] + phi_columns("J_exact", phi_list) + phi_columns("J_approx", phi_list)
     )
-    grid = np.linspace(x_min, x_max, n_points)
     rows = []
-    for x in grid:
-        x = float(x)
+    for x in linspace(x_min, x_max, n_points):
         row = [x]
         row += [transfer_exact(x, p) for p in phi_list]
         row += [transfer_electrostatic(x, p) for p in phi_list]

@@ -18,13 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scales import ANGSTROM, ELEMENTARY_CHARGE, EPSILON_0, SPEED_OF_LIGHT, AtomicScales
+from .scales import (
+    ANGSTROM,
+    ELEMENTARY_CHARGE,
+    EPSILON_0,
+    SPEED_OF_LIGHT,
+    AtomicScales,
+    CausalityError,
+)
 from .states import SignState
 from .sweeps import SweepTable
-
-
-class CausalityError(ValueError):
-    """Intensity requested before the light from some atom can arrive."""
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,10 @@ class ConfigError(ValueError):
     """A chain configuration failed validation or could not be parsed."""
 
 
+class CausalityError(ValueError):
+    """Intensity requested before the light from some atom can arrive."""
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """Physical description of the emitter chain.

@@ -8,17 +8,37 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
-
-import numpy as np
 
 _FLOAT_FMT = ".12g"
 
 
 def format_value(v) -> str:
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, numbers.Integral):
         return str(int(v))
     return format(float(v), _FLOAT_FMT)
+
+
+def linspace(lo: float, hi: float, num: int) -> list[float]:
+    """``num`` evenly spaced floats from lo to hi, bit-equal to np.linspace.
+
+    Point i is i*step + lo (i/(num - 1)*(hi - lo) + lo when the step
+    underflows to zero) and the last point is hi itself, in the same
+    operations numpy uses, so the sweeps need no numpy import.
+    """
+    if num < 2:
+        # numpy's one point is 0*(hi - lo) + lo: lo, but +0.0 for lo = -0.0
+        return [0.0 * (hi - lo) + lo] * num
+    div = num - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        grid = [i / div * delta + lo for i in range(num)]
+    else:
+        grid = [i * step + lo for i in range(num)]
+    grid[-1] = hi
+    return grid
 
 
 def phi_columns(prefix: str, phi_list) -> list[str]:
@@ -42,7 +62,10 @@ class SweepTable:
                     f"row width {len(row)} != {len(self.columns)} columns"
                 )
 
-    def column(self, name: str) -> np.ndarray:
+    def column(self, name: str):
+        """One column as a float numpy array."""
+        import numpy as np  # only callers that want arrays pay for numpy
+
         idx = self.columns.index(name)
         return np.array([row[idx] for row in self.rows], dtype=float)
 

@@ -6,15 +6,18 @@ double sums here are the textbook forms those collapse from; tests
 compare the two. The mpmath references recompute the same sums at 50
 digits, for states where double-precision cancellation is severe. The
 two-atom closed forms are the emission references the paper prints.
+The adaptive scipy quadrature of the golden-rule integral is the
+reference for the library's fixed Gauss-Legendre oracle.
 """
 
 import math
 
 import numpy as np
 from mpmath import mp, mpf
+from scipy.integrate import quad
 
 from chainrad.damping import f_kernel_minus_one
-from chainrad.emission import CausalityError
+from chainrad.scales import CausalityError
 from chainrad.scales import SPEED_OF_LIGHT
 from chainrad.states import alternating_state, symmetric_state
 
@@ -62,6 +65,30 @@ def golden_rule_integrand_per_term(y: float, coeffs, x: float, cos2phi: float) -
         im += c * math.sin((k + 1) * y)
     weight = (1.0 + cos2phi) - (y * y) / (x * x) * (3.0 * cos2phi - 1.0)
     return (re * re + im * im) * weight
+
+
+def golden_rule_integrand_horner(y: float, coeffs, x: float, cos2phi: float) -> float:
+    """The golden-rule integrand at one point, |sum_n C_n z^n|^2 with
+    z = e^{iy} by Horner's rule in Python complex arithmetic."""
+    z = complex(math.cos(y), math.sin(y))
+    p = 0j
+    for c in reversed(coeffs):
+        p = p * z + c
+    weight = (1.0 + cos2phi) - (y * y) / (x * x) * (3.0 * cos2phi - 1.0)
+    return (p.real * p.real + p.imag * p.imag) * weight
+
+
+def damping_quad(coeffs, x: float, phi: float, tol: float = 1e-10) -> float:
+    """The golden-rule rate by scipy's adaptive quadrature (QUADPACK qags),
+    as the library computed it before its fixed Gauss-Legendre rule."""
+    n = len(coeffs)
+    cos2phi = math.cos(phi) ** 2
+    # the integrand oscillates on scale 1/N; give quad room to subdivide
+    value, _ = quad(
+        golden_rule_integrand_horner, 0.0, x, args=(coeffs, x, cos2phi),
+        epsabs=tol * x / 10.0, epsrel=1e-13, limit=max(100, 20 * n * (1 + int(x))),
+    )
+    return 2.0 * value * 3.0 / (8.0 * x * n)
 
 
 def pair_correlations(coeffs) -> np.ndarray:

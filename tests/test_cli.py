@@ -39,6 +39,34 @@ def run_fresh(*args):
     )
 
 
+def first_ops_loading(ops, package):
+    """Run the CLI ops in turn in one fresh process; map each op after
+    which a new ``package`` module is loaded (the first op also answers
+    for ``import chainrad.cli``) to the first modules it added."""
+    code = f"""
+import contextlib, io, json, sys
+
+def loaded():
+    return {{m for m in sys.modules if m.split(".")[0] == {package!r}}}
+
+seen = loaded()
+from chainrad.cli import main
+
+found = {{}}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    assert rc == 0, (argv, rc)
+    if loaded() - seen:
+        found[" ".join(argv)] = sorted(loaded() - seen)[:3]
+        seen = loaded()
+print(json.dumps(found))
+"""
+    done = run_fresh("-c", code, json.dumps(ops))
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 def read_csv(path):
     meta, columns, rows, footer = {}, None, [], []
     for line in path.read_text().splitlines():
@@ -149,16 +177,29 @@ class TestCommands:
         ]
 
     def test_cli_import_loads_no_scipy(self):
+        # nor numpy: only the emission builders and the oracle import it
         code = (
             "import sys, chainrad.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'scipy')))"
         )
         done = run_fresh("-c", code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    def test_non_emission_commands_load_no_numpy(self):
+        ops = [[name] for name in ("scales", "coupling", "damping", "nscaling", "angles")]
+        ops += [["figure", str(k)] for k in range(2, 15)]
+        assert first_ops_loading(ops, "numpy") == {}
+
+    def test_no_command_loads_scipy(self):
+        ops = [[name] for name in COMMANDS if name not in ("figure", "verify")]
+        ops += [["figure", str(k)] for k in SUPPORTED_FIGURES]
+        ops += [["verify", "--nmax", "2"], ["damping", "--oracle", "--points", "5"]]
+        assert first_ops_loading(ops, "scipy") == {}
+
     def test_verify_runs_in_fresh_process(self):
-        # the quadrature oracle imports scipy on first use
+        # the quadrature oracle imports numpy on first use
         done = run_fresh("-m", "chainrad.cli", "verify", "--nmax", "2")
         assert done.returncode == EXIT_OK, done.stderr
         assert "# max_rel_err=" in done.stdout
@@ -212,6 +253,13 @@ class TestExitCodes:
             ["verify", "--nmax", "0"],
             # rejected before any work: 21 would enumerate 2^20 states first
             ["verify", "--nmax", "21"],
+            # verify's own cap: 12 takes about 10 s, and each step doubles it
+            ["verify", "--nmax", "13"],
+            # checked before a grid exists
+            ["coupling", "--points", "100001"],
+            ["damping", "--points", "100001"],
+            ["angles", "--points", "100001"],
+            ["emission", "--points", "100001"],
         ],
     )
     def test_invalid_flag_values_are_usage_errors(self, argv, capsys):

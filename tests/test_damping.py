@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 from scipy.integrate import quad
 
+from chainrad import damping
 from chainrad.damping import (
     F_SERIES_THRESHOLD,
     QuadratureAccuracyError,
@@ -12,6 +15,7 @@ from chainrad.damping import (
     _golden_rule_integrand,
     _sinc_minus_one,
     angle_sweep,
+    bond_autocorrelation,
     damping_general,
     damping_quadrature_oracle,
     f_kernel,
@@ -23,6 +27,7 @@ from oracles import (
     damping_autocorrelation_mp,
     damping_bond_count,
     damping_pairwise,
+    damping_quad,
     golden_rule_integrand_per_term,
     sign_coeffs,
 )
@@ -158,6 +163,13 @@ class TestAutocorrelationForm:
         assert 4e-5 < want < 1e-4
         assert abs(got - want) <= 1e-11 * want
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(coeffs=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=1000))
+    def test_bitmask_autocorrelation_matches_numpy(self, coeffs):
+        c = np.array(coeffs)
+        want = np.correlate(c, c, "full")[len(coeffs):].tolist()
+        assert bond_autocorrelation(SignState(tuple(coeffs))) == want
+
 
 class TestQuadratureOracle:
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
@@ -200,6 +212,33 @@ class TestQuadratureOracle:
                 got = _golden_rule_integrand(float(y), coeffs, x, cos2phi)
                 want = golden_rule_integrand_per_term(float(y), coeffs, x, cos2phi)
                 assert abs(got - want) <= 1e-14 * n * n, (y, got, want)
+
+    @pytest.mark.parametrize("kind", ["sym", "alt", "random"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("x", [0.1, 3.0, 10.0, 40.0])
+    def test_gauss_legendre_matches_adaptive_quadrature(self, kind, n, x):
+        coeffs = sign_coeffs(kind, n)
+        for phi in (0.0, 0.7, math.pi / 2):
+            got = damping_quadrature_oracle(SignState(coeffs), x, phi).rate_ratio
+            want = damping_quad(coeffs, x, phi)
+            assert abs(got - want) <= 1e-12 * abs(want), (phi, got, want)
+
+    def test_blocks_cover_every_panel(self, monkeypatch):
+        # 47 panels at N = 7, x = 40; blocks of 5 leave a partial last one
+        state = SignState(sign_coeffs("random", 7))
+        whole = damping_quadrature_oracle(state, 40.0, 0.7).rate_ratio
+        monkeypatch.setattr(damping, "ORACLE_BLOCK_PANELS", 5)
+        blocked = damping_quadrature_oracle(state, 40.0, 0.7).rate_ratio
+        assert abs(blocked - whole) <= 1e-14 * whole
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 4, math.pi / 2])
+    def test_matches_mpmath_at_verify_worst_point(self, phi):
+        # +--+-++- at x = 0.1 is verify's worst row: a rate of ~1e-6 that
+        # the closed form reaches only to ~7e-12 (it cancels ~1e4 there)
+        state = SignState((1, -1, -1, 1, -1, 1, 1, -1))
+        got = damping_quadrature_oracle(state, 0.1, phi).rate_ratio
+        want = damping_autocorrelation_mp(state.coeffs, 0.1, phi)
+        assert abs(got - want) <= 1e-14 * want
 
     @pytest.mark.parametrize("n", [7, 64])
     def test_horner_integrand_matches_mpmath_at_large_y(self, n):
