@@ -30,10 +30,10 @@ from .damping import (
     QuadratureAccuracyError,
     angle_sweep,
     bond_autocorrelation,
+    bond_kernels,
     closed_form_rate,
-    damping_quadrature_oracle,
-    f_kernel,
     n_scaling_sweep,
+    quadrature_rates,
     relative_error,
     x_sweep,
 )
@@ -55,8 +55,9 @@ EXIT_CAUSALITY = 5
 #: this from its quadrature, relative to the larger of the two.
 VERIFY_TOL = 1e-8
 
-#: Longest chain ``verify`` accepts. Its work doubles with every atom:
-#: --nmax 10, 11 and 12 take about 2, 5 and 10 s.
+#: Longest chain ``verify`` accepts. Its work doubles with every atom: as
+#: fresh processes on a 2-vCPU host, --nmax 10, 11 and 12 take about 0.55,
+#: 0.65 and 1.1 s, most of it numpy's import up to 11.
 VERIFY_MAX_N = 12
 
 #: Largest --points any command accepts, checked before a grid exists.
@@ -169,8 +170,9 @@ def _emit(table: SweepTable, args) -> None:
 
 def _f_kernel_sweep(x_min, x_max, n_points, phi_list) -> SweepTable:
     columns = ["x"] + phi_columns("F", phi_list)
+    # F = 1 + (F - 1) of a two-atom chain's one bond, for every phi at once
     rows = [
-        (x, *(f_kernel(x, p) for p in phi_list))
+        (x, *(1.0 + g for (g,) in bond_kernels(x, 2, phi_list)))
         for x in linspace(x_min, x_max, n_points)
     ]
     return SweepTable(columns=columns, rows=rows)
@@ -369,14 +371,15 @@ def cmd_verify(args) -> int:
         # C and -C have the same A_k and an integrand whose re and im only
         # flip sign, so both methods give them bitwise-equal rates: the
         # half with C_1 = +1 stands for all 2^n states
-        for state in enumerate_sign_states(n):
-            if state.coeffs[0] == -1:
-                continue
-            autocorr = bond_autocorrelation(state)
-            for x in x_grid:
-                for phi in phi_grid:
-                    cf = closed_form_rate(state, autocorr, x, phi).rate_ratio
-                    qd = damping_quadrature_oracle(state, x, phi).rate_ratio
+        states = [s for s in enumerate_sign_states(n) if s.coeffs[0] == 1]
+        autocorrs = [bond_autocorrelation(state) for state in states]
+        for x in x_grid:
+            # one kernel per (x, phi) and one oracle batch per x serve every state
+            kernels = bond_kernels(x, n, phi_grid)
+            quads = quadrature_rates(states, x, phi_grid)
+            for state, autocorr, state_quads in zip(states, autocorrs, quads):
+                for phi, kernel, qd in zip(phi_grid, kernels, state_quads):
+                    cf = closed_form_rate(state, autocorr, kernel, x, phi).rate_ratio
                     max_err = max(max_err, relative_error(cf, qd))
         rows.append((n, 2**n, max_err))
         worst = max(worst, max_err)

@@ -14,8 +14,9 @@ which depends on the state only through the bond autocorrelation
 A_k = sum_n C_n C_{n+k}, the signed count of bonds of length k.
 
 The same rate follows from the golden-rule integral over photon
-emission directions; :func:`damping_quadrature_oracle` evaluates that
-integral numerically and is kept deliberately independent of the
+emission directions; :func:`quadrature_rates` evaluates that integral
+numerically for a batch of states (:func:`damping_quadrature_oracle` is
+its one-state case) and is kept deliberately independent of the
 closed-form path so the two can cross-check each other.
 
 Only :func:`damping_general` and the oracle import numpy, on first use;
@@ -27,8 +28,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
+from .frozen import Frozen
 from .states import SignState, symmetric_state
 from .sweeps import SweepTable, linspace, phi_columns
 
@@ -50,20 +51,34 @@ ORACLE_CHECK_NODES = 16
 #: to N - 1, so each panel spans about one period of the fastest term.
 ORACLE_PANEL_SPAN = 6.0
 
-#: Panels evaluated per numpy block, which bounds the oracle's memory.
+#: State-panels evaluated per numpy block, which bounds the oracle's memory.
 ORACLE_BLOCK_PANELS = 1024
+
+#: Most oracle work a sweep may start, in Horner steps: every node of
+#: both rules costs one step per atom, so a point costs about
+#: N * (N x / ORACLE_PANEL_SPAN) * (ORACLE_NODES + ORACLE_CHECK_NODES).
+#: A sweep over budget is refused before any work; the budget is about
+#: 2 s of oracle work on a 2-vCPU host.
+ORACLE_NODE_BUDGET = 1e9
 
 
 class QuadratureAccuracyError(ArithmeticError):
     """The oracle integral did not reach the requested tolerance."""
 
-    def __init__(self, achieved: float, requested: float, estimate: float):
+    def __init__(
+        self, achieved: float, requested: float, estimate: float,
+        state: SignState, x: float, phi: float,
+    ):
         self.achieved = achieved
         self.requested = requested
         self.estimate = estimate
+        self.state = state
+        self.x = x
+        self.phi = phi
         super().__init__(
             f"quadrature error estimate {achieved:.3e} exceeds requested "
-            f"{requested:.3e} (value estimate {estimate!r})"
+            f"{requested:.3e} at state {state}, x={x!r}, phi={phi!r} "
+            f"(value estimate {estimate!r})"
         )
 
 
@@ -97,19 +112,34 @@ def _g_plus_third(x: float) -> float:
     return total
 
 
+def bond_kernels(x: float, n: int, phi_list) -> list[list[float]]:
+    """F(k x, phi) - 1 for the bonds k = 1, ..., n - 1, one list per phi.
+
+    The two series in k x do not depend on phi, so they are evaluated
+    once per bond and combined for each phi as
+    1.5 (s (1 - cos^2 phi) + g (1 - 3 cos^2 phi)): a sweep over many
+    polarizations pays one pair of series per bond length.
+    """
+    if x < 0:
+        raise ValueError(f"bond length must be >= 0, got x={x}")
+    series = [(_sinc_minus_one(k * x), _g_plus_third(k * x)) for k in range(1, n)]
+    kernels = []
+    for phi in phi_list:
+        c2 = math.cos(phi) ** 2
+        a, b = 1.0 - c2, 1.0 - 3.0 * c2
+        kernels.append([1.5 * (s * a + g * b) for s, g in series])
+    return kernels
+
+
 def f_kernel_minus_one(x: float, phi: float) -> float:
     """F(x, phi) - 1, cancellation-safe near x = 0 where F -> 1.
 
     The collective-rate formulas subtract the bond sum against the
     single-atom term; keeping F - 1 explicit avoids losing the tiny
-    rates of nearly dark states to roundoff.
+    rates of nearly dark states to roundoff. This is the one-bond,
+    one-angle case of :func:`bond_kernels`, so both agree bit for bit.
     """
-    if x < 0:
-        raise ValueError(f"bond length must be >= 0, got x={x}")
-    c2 = math.cos(phi) ** 2
-    return 1.5 * (
-        _sinc_minus_one(x) * (1.0 - c2) + _g_plus_third(x) * (1.0 - 3.0 * c2)
-    )
+    return bond_kernels(x, 2, (phi,))[0][0]
 
 
 def f_kernel(x: float, phi: float) -> float:
@@ -117,21 +147,31 @@ def f_kernel(x: float, phi: float) -> float:
     return 1.0 + f_kernel_minus_one(x, phi)
 
 
-@dataclass(frozen=True)
-class DampingResult:
-    """A computed collective rate gamma/gamma_a and how it was obtained."""
+class DampingResult(Frozen):
+    """A computed collective rate gamma/gamma_a and how it was obtained.
 
-    rate_ratio: float
-    method: str  # "closed_form" or "quadrature"
-    state: SignState
-    x: float
-    phi: float
+    ``method`` is "closed_form" or "quadrature". A rate below zero by at
+    most 1e-12 is roundoff and is stored as 0; a lower one raises
+    ValueError.
+    """
 
-    def __post_init__(self):
-        if self.rate_ratio < -1e-12:
-            raise ValueError(f"negative decay rate {self.rate_ratio}")
-        if self.rate_ratio < 0.0:
-            object.__setattr__(self, "rate_ratio", 0.0)
+    __slots__ = ("rate_ratio", "method", "state", "x", "phi")
+
+    def __init__(
+        self, rate_ratio: float, method: str, state: SignState, x: float, phi: float
+    ):
+        if rate_ratio < -1e-12:
+            raise ValueError(f"negative decay rate {rate_ratio}")
+        if rate_ratio < 0.0:
+            rate_ratio = 0.0
+        # one is built per rate, so the fields are set directly rather
+        # than through Frozen.__init__'s loop
+        _set = object.__setattr__
+        _set(self, "rate_ratio", rate_ratio)
+        _set(self, "method", method)
+        _set(self, "state", state)
+        _set(self, "x", x)
+        _set(self, "phi", phi)
 
 
 def _rate_from_autocorr(total: int, autocorr, f_minus_one, n: int) -> float:
@@ -162,21 +202,19 @@ def bond_autocorrelation(state: SignState) -> list[int]:
 
 
 def closed_form_rate(
-    state: SignState, autocorr, x: float, phi: float
+    state: SignState, autocorr, kernel, x: float, phi: float
 ) -> DampingResult:
-    """The closed-form rate of ``state`` from its bond autocorrelation.
+    """The closed-form rate of ``state`` at separation x and angle phi.
 
-    ``autocorr`` holds A_k for k = 1, ..., N - 1; a sweep computes it once
-    per state and passes it to every grid point.
+    ``autocorr`` holds A_k and ``kernel`` F(k x, phi) - 1, for
+    k = 1, ..., N - 1: a sweep computes A_k once per state and the kernel
+    once per (x, phi), and shares them.
     """
     if not x > 0:
         raise ValueError(f"separation must be > 0, got x={x}")
-    n = state.n
-    kernel = [f_kernel_minus_one(k * x, phi) for k in range(1, n)]
-    return DampingResult(
-        rate_ratio=_rate_from_autocorr(sum(state.coeffs), autocorr, kernel, n),
-        method="closed_form", state=state, x=x, phi=phi,
-    )
+    # positional: keywords cost a measurable share of a short chain's rate
+    rate = _rate_from_autocorr(sum(state.coeffs), autocorr, kernel, state.n)
+    return DampingResult(rate, "closed_form", state, x, phi)
 
 
 def damping_general(state: SignState, x: float, phi: float) -> DampingResult:
@@ -197,7 +235,8 @@ def damping_general(state: SignState, x: float, phi: float) -> DampingResult:
 
     c = np.array(state.coeffs)
     autocorr = np.correlate(c, c, "full")[state.n:].tolist()
-    return closed_form_rate(state, autocorr, x, phi)
+    kernel = bond_kernels(x, state.n, (phi,))[0]
+    return closed_form_rate(state, autocorr, kernel, x, phi)
 
 
 def relative_error(closed: float, quadrature: float) -> float:
@@ -205,19 +244,31 @@ def relative_error(closed: float, quadrature: float) -> float:
     return abs(closed - quadrature) / max(abs(closed), abs(quadrature), 1e-300)
 
 
-def _golden_rule_integrand(y, coeffs, x: float, cos2phi: float):
-    """The golden-rule integrand at the points y (a float or numpy array)."""
+def _power_spectrum(y, coeffs):
+    """|sum_n C_n e^{i n y}|^2 at the points y, for each row of ``coeffs``.
+
+    ``coeffs`` is one state's C_n, or an array of states (the last axis
+    runs over the atoms); the result has shape coeffs.shape[:-1] + y.shape.
+    """
     import numpy as np
 
-    # |sum_n C_n z^n|^2 with z = e^{iy}, by Horner's rule: |z| = 1, so the
-    # common factor z drops out of the modulus
+    # by Horner's rule over z = e^{iy}: |z| = 1, so the common factor z
+    # drops out of the modulus
     z = np.exp(1j * np.asarray(y, dtype=float))
-    p = np.full_like(z, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
+    c = np.asarray(coeffs, dtype=complex)
+    lead = c.shape[:-1]
+    c = np.moveaxis(c, -1, 0).reshape(c.shape[-1:] + lead + (1,) * z.ndim)
+    p = np.empty(lead + z.shape, dtype=complex)
+    p[...] = c[-1]
+    for c_n in c[-2::-1]:
         p *= z
-        p += c
-    weight = (1.0 + cos2phi) - (y * y) / (x * x) * (3.0 * cos2phi - 1.0)
-    return (p.real * p.real + p.imag * p.imag) * weight
+        p += c_n
+    return p.real * p.real + p.imag * p.imag
+
+
+def _angular_weight(y, x: float, cos2phi: float):
+    """The golden-rule weight (1 + cos^2 phi) - (y^2/x^2)(3 cos^2 phi - 1)."""
+    return (1.0 + cos2phi) - (y * y) / (x * x) * (3.0 * cos2phi - 1.0)
 
 
 @functools.cache
@@ -231,15 +282,27 @@ def _panel_rule():
     return 0.5 * (np.concatenate([t_hi, t_lo]) + 1.0), 0.5 * w_hi, 0.5 * w_lo
 
 
-def damping_quadrature_oracle(
-    state: SignState, x: float, phi: float, tol: float = ORACLE_TOL
-) -> DampingResult:
-    """Rate from direct numerical integration of the golden-rule integral.
+def _oracle_work(n: int, xs) -> float:
+    """Horner steps the oracle takes for an n-atom state over the points xs.
+
+    An upper bound: a point's ceil(N x / ORACLE_PANEL_SPAN) panels are
+    counted as N x / ORACLE_PANEL_SPAN + 1, in floats, so the sum is
+    finite, or inf, for any finite x instead of overflowing.
+    """
+    nodes = ORACLE_NODES + ORACLE_CHECK_NODES
+    return sum(n * nodes * (n * x / ORACLE_PANEL_SPAN + 1.0) for x in xs)
+
+
+def quadrature_rates(
+    states, x: float, phi_list, tol: float = ORACLE_TOL
+) -> list[list[float]]:
+    """Golden-rule rates of equal-length sign states at x, for each phi.
 
     Integrates (3/(8 x N)) int_{-x}^{x} dy |sum_n C_n e^{-i n y}|^2
     [(1 + cos^2 phi) - (y^2/x^2)(3 cos^2 phi - 1)]; the prefactor is
     fixed by the single-atom normalization (N = 1 gives exactly 1).
-    The integrand is even in y, so only [0, x] is integrated.
+    The integrand is even in y, so only [0, x] is integrated. Returns
+    one list per state, holding one rate per phi.
 
     The integrand is a trigonometric polynomial of degree N - 1 times a
     quadratic in y, so a composite Gauss-Legendre rule with
@@ -248,35 +311,68 @@ def damping_quadrature_oracle(
     ORACLE_CHECK_NODES on the same panels, but no less than the rounding
     floor QUADPACK puts under its estimates, 50 eps times the integral of
     |f| (the integrand is non-negative, so that is the value itself).
-    QuadratureAccuracyError is raised when the estimate, scaled like the
-    rate, exceeds ``tol``.
+    QuadratureAccuracyError, naming the first state and phi in order,
+    is raised when an estimate, scaled like the rate, exceeds ``tol``.
+
+    The states share the nodes: |sum_n C_n z^n|^2 is evaluated once for
+    all of them, by Horner's rule over a (states x nodes) array, and
+    weighted for each phi. Blocks hold at most ORACLE_BLOCK_PANELS
+    state-panels, which bounds memory. A state's panels share one block
+    unless there are more of them, and each state's panels are reduced by
+    their own matrix-vector product and sum, so each rate is bitwise the
+    same whichever states it is batched with. The oracle stays
+    independent of A_k and the kernel.
     """
     import numpy as np
 
     if not x > 0:
         raise ValueError(f"separation must be > 0, got x={x}")
+    n = states[0].n
+    if any(state.n != n for state in states):
+        raise ValueError("the states of one batch must have the same length")
     nodes, w_hi, w_lo = _panel_rule()
-    cos2phi = math.cos(phi) ** 2
-    panels = max(1, math.ceil(state.n * x / ORACLE_PANEL_SPAN))
+    cos2 = [math.cos(phi) ** 2 for phi in phi_list]
+    panels = max(1, math.ceil(n * x / ORACLE_PANEL_SPAN))
     width = x / panels
-    value = check = 0.0
-    for first in range(0, panels, ORACLE_BLOCK_PANELS):
-        edges = width * np.arange(first, min(first + ORACLE_BLOCK_PANELS, panels))
-        f = _golden_rule_integrand(
-            edges[:, None] + width * nodes, state.coeffs, x, cos2phi
-        )
-        value += float((f[:, :ORACLE_NODES] @ w_hi).sum()) * width
-        check += float((f[:, ORACLE_NODES:] @ w_lo).sum()) * width
-    scale = 2.0 * 3.0 / (8.0 * x * state.n)
-    ratio = value * scale
-    floor = 50.0 * sys.float_info.epsilon * abs(value)
-    err_ratio = max(abs(value - check), floor) * scale
-    if err_ratio > tol:
+    coeffs = np.array([state.coeffs for state in states], dtype=complex)
+    value = np.zeros((len(states), len(cos2)))
+    check = np.zeros_like(value)
+    step = min(panels, ORACLE_BLOCK_PANELS)  # panels per block
+    batch = ORACLE_BLOCK_PANELS // step  # states per block
+    for start in range(0, len(states), batch):
+        rows = slice(start, start + batch)
+        for first in range(0, panels, step):
+            edges = width * np.arange(first, min(first + step, panels))
+            y = edges[:, None] + width * nodes
+            power = _power_spectrum(y, coeffs[rows])
+            for j, cos2phi in enumerate(cos2):
+                f = power * _angular_weight(y, x, cos2phi)
+                hi = (f[..., :ORACLE_NODES] @ w_hi).sum(axis=-1)
+                lo = (f[..., ORACLE_NODES:] @ w_lo).sum(axis=-1)
+                value[rows, j] += hi * width
+                check[rows, j] += lo * width
+    scale = 2.0 * 3.0 / (8.0 * x * n)
+    rates = value * scale
+    floor = 50.0 * sys.float_info.epsilon * np.abs(value)
+    errors = np.maximum(np.abs(value - check), floor) * scale
+    over = np.argwhere(errors > tol)
+    if len(over):
+        i, j = over[0]
         raise QuadratureAccuracyError(
-            achieved=err_ratio, requested=tol, estimate=ratio
+            achieved=float(errors[i, j]), requested=tol,
+            estimate=float(rates[i, j]), state=states[i], x=x, phi=phi_list[j],
         )
+    return rates.tolist()
+
+
+def damping_quadrature_oracle(
+    state: SignState, x: float, phi: float, tol: float = ORACLE_TOL
+) -> DampingResult:
+    """Rate from direct numerical integration of the golden-rule integral:
+    the one-state, one-phi case of :func:`quadrature_rates`."""
+    rate = quadrature_rates([state], x, [phi], tol)[0][0]
     return DampingResult(
-        rate_ratio=ratio, method="quadrature", state=state, x=x, phi=phi
+        rate_ratio=rate, method="quadrature", state=state, x=x, phi=phi
     )
 
 
@@ -291,9 +387,7 @@ def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     phi_list = list(phi_list)
     columns = ["N"] + phi_columns("gamma", phi_list)
-    kernels = [
-        [f_kernel_minus_one(k * x, p) for k in range(1, n_max)] for p in phi_list
-    ]
+    kernels = bond_kernels(x, n_max, phi_list)
     rows = [
         (n, *(_rate_from_autocorr(n, range(n - 1, 0, -1), g, n) for g in kernels))
         for n in range(1, n_max + 1)
@@ -302,14 +396,17 @@ def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
 
 
 def angle_sweep(n: int, x: float, phi_grid) -> SweepTable:
-    """Symmetric-state rate vs polarization angle."""
+    """Symmetric-state rate vs polarization angle; the kernel's series are
+    evaluated once per bond length and shared by every angle."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     state = symmetric_state(n)
     autocorr = bond_autocorrelation(state)
+    phis = [float(p) for p in phi_grid]
+    kernels = bond_kernels(x, n, phis)
     rows = [
-        (math.degrees(p), closed_form_rate(state, autocorr, x, p).rate_ratio)
-        for p in map(float, phi_grid)
+        (math.degrees(p), closed_form_rate(state, autocorr, g, x, p).rate_ratio)
+        for p, g in zip(phis, kernels)
     ]
     return SweepTable(columns=["phi_deg", "gamma"], rows=rows)
 
@@ -321,12 +418,24 @@ def x_sweep(
     """Rate of a fixed state vs dimensionless separation.
 
     With ``oracle=True`` a quadrature column is added per polarization
-    and the footer records the worst closed-form/quadrature mismatch.
+    and the footer records the worst closed-form/quadrature mismatch; a
+    grid whose oracle work exceeds ORACLE_NODE_BUDGET is refused with
+    ValueError before any work. Each x shares one kernel evaluation, and
+    one oracle batch, among all polarizations.
     """
     if not 0 < x_min < x_max:
         raise ValueError(f"need 0 < x_min < x_max, got [{x_min}, {x_max}]")
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
+    grid = linspace(x_min, x_max, n_points)
+    work = _oracle_work(state.n, grid) if oracle else 0.0
+    if work > ORACLE_NODE_BUDGET:
+        raise ValueError(
+            f"the quadrature oracle over {n_points} points up to x={x_max:g} "
+            f"at N={state.n} needs about {work:.2e} Horner steps, over its "
+            f"budget of {ORACLE_NODE_BUDGET:.0e}; use fewer points, a smaller "
+            f"x range or a shorter chain"
+        )
     phi_list = list(phi_list)
     columns = ["x"] + phi_columns("gamma", phi_list)
     if oracle:
@@ -334,14 +443,15 @@ def x_sweep(
     autocorr = bond_autocorrelation(state)
     rows = []
     max_rel_err = 0.0
-    for x in linspace(x_min, x_max, n_points):
-        closed = [closed_form_rate(state, autocorr, x, p).rate_ratio for p in phi_list]
+    for x in grid:
+        kernels = bond_kernels(x, state.n, phi_list)
+        closed = [
+            closed_form_rate(state, autocorr, g, x, p).rate_ratio
+            for g, p in zip(kernels, phi_list)
+        ]
         row = [x] + closed
         if oracle:
-            quads = [
-                damping_quadrature_oracle(state, x, p).rate_ratio
-                for p in phi_list
-            ]
+            quads = quadrature_rates([state], x, phi_list)[0]
             row += quads
             for cf, qd in zip(closed, quads):
                 max_rel_err = max(max_rel_err, relative_error(cf, qd))

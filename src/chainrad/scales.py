@@ -8,9 +8,9 @@ transition dipoles, degrees for the polarization angle.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
+
+from .frozen import Frozen
 
 ANGSTROM = 1e-10  # m
 
@@ -43,8 +43,7 @@ class CausalityError(ValueError):
     """Intensity requested before the light from some atom can arrive."""
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(Frozen):
     """Physical description of the emitter chain.
 
     Parameters
@@ -66,42 +65,51 @@ class ChainConfig:
         value when given.
     """
 
-    n_atoms: int
-    lattice_const: float
-    transition_energy: float
-    dipole_moment: float
-    polarization_angle: float = 0.0
-    gamma_override: float | None = None
+    __slots__ = (
+        "n_atoms", "lattice_const", "transition_energy", "dipole_moment",
+        "polarization_angle", "gamma_override",
+    )
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __init__(
+        self,
+        n_atoms: int,
+        lattice_const: float,
+        transition_energy: float,
+        dipole_moment: float,
+        polarization_angle: float = 0.0,
+        gamma_override: float | None = None,
+    ):
+        values = (
+            n_atoms, lattice_const, transition_energy, dipole_moment,
+            polarization_angle, gamma_override,
+        )
+        for name, value in zip(self.__slots__, values):
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        if not 1 <= self.n_atoms <= MAX_ATOMS:
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if not 1 <= n_atoms <= MAX_ATOMS:
+            raise ConfigError(f"n_atoms must be in 1..{MAX_ATOMS}, got {n_atoms}")
+        if not lattice_const > 0:
+            raise ConfigError(f"lattice_const must be > 0, got {lattice_const}")
+        if not transition_energy > 0:
             raise ConfigError(
-                f"n_atoms must be in 1..{MAX_ATOMS}, got {self.n_atoms}"
+                f"transition_energy must be > 0, got {transition_energy}"
             )
-        if not self.lattice_const > 0:
-            raise ConfigError(f"lattice_const must be > 0, got {self.lattice_const}")
-        if not self.transition_energy > 0:
-            raise ConfigError(
-                f"transition_energy must be > 0, got {self.transition_energy}"
-            )
-        if not self.dipole_moment > 0:
-            raise ConfigError(f"dipole_moment must be > 0, got {self.dipole_moment}")
-        if self.gamma_override is not None and not self.gamma_override > 0:
-            raise ConfigError(f"gamma_override must be > 0, got {self.gamma_override}")
-        phi = math.fmod(self.polarization_angle, math.pi)
+        if not dipole_moment > 0:
+            raise ConfigError(f"dipole_moment must be > 0, got {dipole_moment}")
+        if gamma_override is not None and not gamma_override > 0:
+            raise ConfigError(f"gamma_override must be > 0, got {gamma_override}")
+        phi = math.fmod(polarization_angle, math.pi)
         if phi < 0:
             phi += math.pi
         if phi > math.pi / 2:
             phi = math.pi - phi
-        object.__setattr__(self, "polarization_angle", phi)
+        super().__init__(
+            n_atoms, lattice_const, transition_energy, dipole_moment, phi,
+            gamma_override,
+        )
 
 
-@dataclass(frozen=True)
-class AtomicScales:
+class AtomicScales(Frozen):
     """Single-atom scales derived from a :class:`ChainConfig`.
 
     All fields are SI: omega_a in rad/s, q_a in 1/m, lambda_a in m,
@@ -109,11 +117,17 @@ class AtomicScales:
     from the config override instead of the radiative formula.
     """
 
-    omega_a: float
-    q_a: float
-    lambda_a: float
-    gamma_a: float
-    gamma_overridden: bool = False
+    __slots__ = ("omega_a", "q_a", "lambda_a", "gamma_a", "gamma_overridden")
+
+    def __init__(
+        self,
+        omega_a: float,
+        q_a: float,
+        lambda_a: float,
+        gamma_a: float,
+        gamma_overridden: bool = False,
+    ):
+        super().__init__(omega_a, q_a, lambda_a, gamma_a, gamma_overridden)
 
 
 def _in_range(name: str, value: float) -> float:
@@ -215,6 +229,8 @@ def config_from_dict(data: dict) -> ChainConfig:
 
 def config_from_json(path) -> ChainConfig:
     """Load a ChainConfig from a JSON file."""
+    import json  # only --config reads JSON; the other commands skip its import
+
     try:
         with open(path) as fh:
             data = json.load(fh)

@@ -2,25 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+
+from .frozen import Frozen
 
 #: enumerate_sign_states refuses larger chains (2^n blowup guard).
 MAX_ENUM_ATOMS = 20
 
 
-@dataclass(frozen=True)
-class SignState:
+class SignState(Frozen):
     """A collective state (1/sqrt(N)) sum_i C_i |...e_i...> with C_i = +/-1."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if len(self.coeffs) < 1:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if len(coeffs) < 1:
             raise ValueError("state needs at least one atom")
-        if any(c not in (1, -1) for c in self.coeffs):
-            raise ValueError(f"coefficients must be +1 or -1, got {self.coeffs}")
-        assert sum(c * c for c in self.coeffs) == len(self.coeffs)
+        if any(c not in (1, -1) for c in coeffs):
+            raise ValueError(f"coefficients must be +1 or -1, got {coeffs}")
+        super().__init__(coeffs)
 
     @property
     def n(self) -> int:

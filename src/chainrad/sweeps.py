@@ -9,7 +9,6 @@ from __future__ import annotations
 import io
 import math
 import numbers
-from dataclasses import dataclass, field
 
 _FLOAT_FMT = ".12g"
 
@@ -46,21 +45,27 @@ def phi_columns(prefix: str, phi_list) -> list[str]:
     return [f"{prefix}_phi{round(math.degrees(p))}" for p in phi_list]
 
 
-@dataclass
 class SweepTable:
-    """Ordered rows of (grid point -> computed values)."""
+    """Ordered rows of (grid point -> computed values).
 
-    columns: list[str]
-    rows: list[tuple]
-    metadata: dict = field(default_factory=dict)
-    footer: list[str] = field(default_factory=list)
+    ``metadata`` becomes the ``# key=value`` header and ``footer`` the
+    ``# line`` trailer; both start empty when not given.
+    """
 
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row width {len(row)} != {len(self.columns)} columns"
-                )
+    def __init__(
+        self,
+        columns: list[str],
+        rows: list[tuple],
+        metadata: dict | None = None,
+        footer: list[str] | None = None,
+    ):
+        for row in rows:
+            if len(row) != len(columns):
+                raise ValueError(f"row width {len(row)} != {len(columns)} columns")
+        self.columns = columns
+        self.rows = rows
+        self.metadata = {} if metadata is None else metadata
+        self.footer = [] if footer is None else footer
 
     def column(self, name: str):
         """One column as a float numpy array."""

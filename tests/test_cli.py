@@ -177,11 +177,14 @@ class TestCommands:
         ]
 
     def test_cli_import_loads_no_scipy(self):
-        # nor numpy: only the emission builders and the oracle import it
+        # nor numpy: only the emission builders and the oracle import it;
+        # nor dataclasses (which imports inspect) or json (only --config
+        # reads it), each a sizeable share of a cold start
+        heavy = ("numpy", "scipy", "dataclasses", "inspect", "json")
         code = (
-            "import sys, chainrad.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('numpy', 'scipy')))"
+            "import sys; before = set(sys.modules); import chainrad.cli; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            f"if m.split('.')[0] in {heavy!r}))"
         )
         done = run_fresh("-c", code)
         assert done.returncode == 0, done.stderr
@@ -260,6 +263,9 @@ class TestExitCodes:
             ["damping", "--points", "100001"],
             ["angles", "--points", "100001"],
             ["emission", "--points", "100001"],
+            # the oracle's work grows as points * N^2 * x: over its budget
+            ["damping", "--set", "n_atoms=10000", "--oracle"],
+            ["damping", "--range", "0.01:1e6", "--oracle"],
         ],
     )
     def test_invalid_flag_values_are_usage_errors(self, argv, capsys):
@@ -298,6 +304,14 @@ class TestExitCodes:
     )
     def test_non_finite_config_is_config_error(self, argv):
         assert main(argv) == EXIT_CONFIG
+
+    def test_oracle_budget_checked_before_any_work(self, capsys, monkeypatch):
+        from chainrad import damping
+
+        monkeypatch.setattr(damping, "quadrature_rates", None)  # never reached
+        argv = ["damping", "--set", "n_atoms=300", "--oracle", "--points", "1000"]
+        assert main(argv) == EXIT_USAGE
+        assert "over its budget" in capsys.readouterr().err
 
     def test_nscaling_rejects_n_atoms(self, capsys):
         # the header would record an n_atoms the sweep never used

@@ -11,18 +11,24 @@ from chainrad import damping
 from chainrad.damping import (
     F_SERIES_THRESHOLD,
     QuadratureAccuracyError,
+    _angular_weight,
     _g_plus_third,
-    _golden_rule_integrand,
+    _power_spectrum,
     _sinc_minus_one,
     angle_sweep,
     bond_autocorrelation,
+    bond_kernels,
+    closed_form_rate,
     damping_general,
     damping_quadrature_oracle,
     f_kernel,
+    f_kernel_minus_one,
     n_scaling_sweep,
+    quadrature_rates,
     x_sweep,
 )
 from chainrad.states import SignState, alternating_state, enumerate_sign_states, symmetric_state
+from chainrad.sweeps import linspace
 from oracles import (
     damping_autocorrelation_mp,
     damping_bond_count,
@@ -34,6 +40,27 @@ from oracles import (
 
 # fixed mixed-sign state for the oracle/closed-form cross-check
 RANDOM_STATE_N7 = SignState(coeffs=(1, 1, -1, 1, -1, -1, 1))
+
+
+# the grid `chainrad verify` runs every sign state on
+VERIFY_X = (0.1, 0.5, 1.0, 3.0, 10.0)
+VERIFY_PHI = (0.0, math.pi / 4, math.pi / 2)
+
+
+def golden_rule_integrand(y, coeffs, x, cos2phi):
+    """The oracle's integrand: its Horner power spectrum times the weight."""
+    return _power_spectrum(y, coeffs) * _angular_weight(y, x, cos2phi)
+
+
+def per_point_rate(state, x, phi):
+    """closed_form_rate at one point, with each bond's kernel written out as
+    F - 1 = 1.5 (s (1 - c2) + g (1 - 3 c2)), one bond at a time."""
+    c2 = math.cos(phi) ** 2
+    kernel = [
+        1.5 * (_sinc_minus_one(k * x) * (1.0 - c2) + _g_plus_third(k * x) * (1.0 - 3.0 * c2))
+        for k in range(1, state.n)
+    ]
+    return closed_form_rate(state, bond_autocorrelation(state), kernel, x, phi).rate_ratio
 
 
 class TestFKernel:
@@ -57,6 +84,16 @@ class TestFKernel:
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
             f_kernel(-0.1, 0.0)
+        with pytest.raises(ValueError):
+            bond_kernels(-0.1, 3, [0.0])
+
+    @pytest.mark.parametrize("x", [0.01, 0.7, 1.4999, 1.5, 4.0, 37.0])
+    def test_bond_kernels_match_one_bond_kernel(self, x):
+        phis = [0.0, 0.3, math.pi / 4, 1.2, math.pi / 2]
+        kernels = bond_kernels(x, 12, phis)
+        assert kernels == [
+            [f_kernel_minus_one(k * x, p) for k in range(1, 12)] for p in phis
+        ]
 
     def test_series_direct_agreement_at_threshold(self):
         x0 = F_SERIES_THRESHOLD
@@ -209,7 +246,7 @@ class TestQuadratureOracle:
         coeffs = sign_coeffs(kind, n)
         for cos2phi in (0.0, 0.5, 1.0):
             for y in np.linspace(0.0, x, 97):
-                got = _golden_rule_integrand(float(y), coeffs, x, cos2phi)
+                got = golden_rule_integrand(float(y), coeffs, x, cos2phi)
                 want = golden_rule_integrand_per_term(float(y), coeffs, x, cos2phi)
                 assert abs(got - want) <= 1e-14 * n * n, (y, got, want)
 
@@ -255,7 +292,7 @@ class TestQuadratureOracle:
                     3 * mpf(cos2phi) - 1
                 )
                 want = float(abs(amp) ** 2 * weight)
-            got = _golden_rule_integrand(y, coeffs, x, cos2phi)
+            got = golden_rule_integrand(y, coeffs, x, cos2phi)
             assert abs(got - want) <= 1e-14 * n * n, (y, got, want)
 
 
@@ -273,6 +310,55 @@ class TestSignFlip:
                         method(state, x, phi).rate_ratio
                         == method(flipped, x, phi).rate_ratio
                     ), (method.__name__, state)
+
+
+class TestBatchedOracle:
+    """quadrature_rates over many states gives each state bitwise the rate
+    that damping_quadrature_oracle gives it alone."""
+
+    @staticmethod
+    def one_by_one(states, x):
+        return [
+            [damping_quadrature_oracle(state, x, phi).rate_ratio for phi in VERIFY_PHI]
+            for state in states
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_batch_equals_per_state_loop(self, n):
+        states = enumerate_sign_states(n)
+        for x in VERIFY_X:
+            assert quadrature_rates(states, x, VERIFY_PHI) == self.one_by_one(states, x), x
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_partial_last_block(self, n, monkeypatch):
+        # 3 state-panels per block: at one panel per state (x <= 1) the
+        # 2^n states leave a partial last block, and at x = 10 (9 or 10
+        # panels) each state's panels are split over blocks of 3
+        monkeypatch.setattr(damping, "ORACLE_BLOCK_PANELS", 3)
+        states = enumerate_sign_states(n)
+        assert len(states) % 3 != 0
+        for x in VERIFY_X:
+            assert quadrature_rates(states, x, VERIFY_PHI) == self.one_by_one(states, x), x
+
+    def test_small_blocks_agree_with_default(self, monkeypatch):
+        states = enumerate_sign_states(6)
+        whole = quadrature_rates(states, 10.0, VERIFY_PHI)
+        monkeypatch.setattr(damping, "ORACLE_BLOCK_PANELS", 3)
+        blocked = quadrature_rates(states, 10.0, VERIFY_PHI)
+        for got, want in zip(np.ravel(blocked), np.ravel(whole)):
+            assert abs(got - want) <= 1e-14 * want
+
+    def test_error_names_the_failing_point(self):
+        states = [RANDOM_STATE_N7, symmetric_state(7)]
+        with pytest.raises(QuadratureAccuracyError) as info:
+            quadrature_rates(states, 1.3, [0.7, 0.2], tol=1e-30)
+        # the first state and phi in order
+        assert (info.value.state, info.value.x, info.value.phi) == (RANDOM_STATE_N7, 1.3, 0.7)
+        assert "state ++-+--+, x=1.3, phi=0.7" in str(info.value)
+
+    def test_states_of_one_batch_share_a_length(self):
+        with pytest.raises(ValueError):
+            quadrature_rates([symmetric_state(2), symmetric_state(3)], 1.0, [0.0])
 
 
 class TestSignAverage:
@@ -328,6 +414,38 @@ class TestSweeps:
         table = angle_sweep(5, 0.5, grid)
         gammas = table.column("gamma")
         assert gammas[0] == pytest.approx(gammas[1], rel=1e-13)
+
+    def test_angle_sweep_bitwise_per_point(self):
+        grid = [math.radians(d) for d in linspace(0.0, 90.0, 181)]
+        state = symmetric_state(100)
+        rates = [row[1] for row in angle_sweep(100, 0.1, grid).rows]
+        assert rates == [per_point_rate(state, 0.1, p) for p in grid]
+
+    def test_x_sweep_bitwise_per_point(self):
+        state = SignState(sign_coeffs("random", 9))
+        phis = [0.0, math.pi / 2]
+        for x, *rates in x_sweep(state, 0.01, 20.0, 200, phis).rows:
+            assert rates == [per_point_rate(state, x, p) for p in phis], x
+
+    @pytest.mark.parametrize("x", [0.001, 0.1, 1.0])
+    def test_nscaling_bitwise_per_point(self, x):
+        phis = [0.0, math.pi / 2]
+        for n, *rates in n_scaling_sweep(64, x, phis).rows:
+            assert rates == [per_point_rate(symmetric_state(n), x, p) for p in phis], n
+
+    def test_x_sweep_oracle_over_budget_refused(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(damping, "quadrature_rates", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="budget"):
+            x_sweep(symmetric_state(2), 0.01, 1e6, 1000, [0.0], oracle=True)
+        with pytest.raises(ValueError, match="budget"):
+            x_sweep(alternating_state(10_000), 0.01, 20.0, 1000, [0.0], oracle=True)
+        # an inf work estimate is over budget too, not an OverflowError
+        with pytest.raises(ValueError, match="budget"):
+            x_sweep(symmetric_state(2), 0.01, 1e308, 3, [0.0], oracle=True)
+        assert calls == []
+        # without the oracle the same grids are cheap and run
+        assert len(x_sweep(symmetric_state(2), 0.01, 1e6, 1000, [0.0]).rows) == 1000
 
     def test_x_sweep_oracle_columns_and_footer(self):
         table = x_sweep(alternating_state(2), 0.5, 2.0, 4, [0.0], oracle=True)
