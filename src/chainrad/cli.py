@@ -1,7 +1,7 @@
 """Command-line front end: sweeps, reference-figure CSVs, oracle verification.
 
-Exit codes: 0 success, 2 usage, 3 config, 4 numerical accuracy,
-5 causality.
+Exit codes: 0 success, 2 usage (out-of-range arithmetic included), 3 config,
+4 numerical accuracy, 5 causality.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .damping import (
     angle_sweep,
     bond_autocorrelation,
     bond_kernels,
-    closed_form_rate,
+    closed_form_rates,
     n_scaling_sweep,
     quadrature_rates,
     relative_error,
@@ -372,14 +372,14 @@ def cmd_verify(args) -> int:
         # flip sign, so both methods give them bitwise-equal rates: the
         # half with C_1 = +1 stands for all 2^n states
         states = [s for s in enumerate_sign_states(n) if s.coeffs[0] == 1]
+        totals = [sum(state.coeffs) for state in states]
         autocorrs = [bond_autocorrelation(state) for state in states]
         for x in x_grid:
-            # one kernel per (x, phi) and one oracle batch per x serve every state
-            kernels = bond_kernels(x, n, phi_grid)
+            # one batch per method and x serves every state and phi
+            closed = closed_form_rates(totals, autocorrs, x, phi_grid)
             quads = quadrature_rates(states, x, phi_grid)
-            for state, autocorr, state_quads in zip(states, autocorrs, quads):
-                for phi, kernel, qd in zip(phi_grid, kernels, state_quads):
-                    cf = closed_form_rate(state, autocorr, kernel, x, phi).rate_ratio
+            for closed_row, quad_row in zip(closed, quads):
+                for cf, qd in zip(closed_row, quad_row):
                     max_err = max(max_err, relative_error(cf, qd))
         rows.append((n, 2**n, max_err))
         worst = max(worst, max_err)
@@ -496,6 +496,9 @@ def main(argv=None) -> int:
         return EXIT_CAUSALITY
     except ValueError as exc:
         print(f"chainrad: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (OverflowError, ZeroDivisionError) as exc:
+        print(f"chainrad: the inputs left double-precision range: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -11,7 +11,8 @@ with F(0) = 1. The closed-form rate for a sign state {C_n} is
     gamma/gamma_a = 1 + (2/N) sum_{n<m} C_n C_m F(q_a a (m - n), phi),
 
 which depends on the state only through the bond autocorrelation
-A_k = sum_n C_n C_{n+k}, the signed count of bonds of length k.
+A_k = sum_n C_n C_{n+k}, the signed count of bonds of length k. Every
+rate in the package comes from :func:`closed_form_rates`.
 
 The same rate follows from the golden-rule integral over photon
 emission directions; :func:`quadrature_rates` evaluates that integral
@@ -30,7 +31,7 @@ import math
 import sys
 
 from .frozen import Frozen
-from .states import SignState, symmetric_state
+from .states import SignState
 from .sweeps import SweepTable, linspace, phi_columns
 
 #: Below this x, sin x/x - 1 and cos x/x^2 - sin x/x^3 + 1/3 are summed
@@ -147,6 +148,13 @@ def f_kernel(x: float, phi: float) -> float:
     return 1.0 + f_kernel_minus_one(x, phi)
 
 
+def _nonnegative(rate: float) -> float:
+    """``rate``, or 0 for roundoff down to -1e-12; lower raises ValueError."""
+    if rate < -1e-12:
+        raise ValueError(f"negative decay rate {rate}")
+    return 0.0 if rate < 0.0 else rate
+
+
 class DampingResult(Frozen):
     """A computed collective rate gamma/gamma_a and how it was obtained.
 
@@ -160,30 +168,14 @@ class DampingResult(Frozen):
     def __init__(
         self, rate_ratio: float, method: str, state: SignState, x: float, phi: float
     ):
-        if rate_ratio < -1e-12:
-            raise ValueError(f"negative decay rate {rate_ratio}")
-        if rate_ratio < 0.0:
-            rate_ratio = 0.0
         # one is built per rate, so the fields are set directly rather
         # than through Frozen.__init__'s loop
         _set = object.__setattr__
-        _set(self, "rate_ratio", rate_ratio)
+        _set(self, "rate_ratio", _nonnegative(rate_ratio))
         _set(self, "method", method)
         _set(self, "state", state)
         _set(self, "x", x)
         _set(self, "phi", phi)
-
-
-def _rate_from_autocorr(total: int, autocorr, f_minus_one, n: int) -> float:
-    """(sum_n C_n)^2/N + (2/N) sum_k A_k (F(k x, phi) - 1).
-
-    ``total`` is sum_n C_n; ``autocorr`` and ``f_minus_one`` hold A_k and
-    F(k x, phi) - 1 for k = 1, 2, ..., summed in that order.
-    """
-    acc = 0.0
-    for a_k, g_k in zip(autocorr, f_minus_one):
-        acc += a_k * g_k
-    return float(total) ** 2 / n + 2.0 * acc / n
 
 
 def bond_autocorrelation(state: SignState) -> list[int]:
@@ -201,20 +193,32 @@ def bond_autocorrelation(state: SignState) -> list[int]:
     ]
 
 
-def closed_form_rate(
-    state: SignState, autocorr, kernel, x: float, phi: float
-) -> DampingResult:
-    """The closed-form rate of ``state`` at separation x and angle phi.
+def closed_form_rates(totals, autocorrs, x: float, phi_list) -> list[list[float]]:
+    """(sum_n C_n)^2/N + (2/N) sum_k A_k (F(k x, phi) - 1) for each state and phi.
 
-    ``autocorr`` holds A_k and ``kernel`` F(k x, phi) - 1, for
-    k = 1, ..., N - 1: a sweep computes A_k once per state and the kernel
-    once per (x, phi), and shares them.
+    A state is its sum_n C_n in ``totals`` and its A_k, k = 1, ..., N - 1,
+    in ``autocorrs``; like :func:`quadrature_rates`, one list per state
+    holds one rate per phi. The kernel is built once, up to the longest
+    chain, and each state sums its own N - 1 bonds in k order. Negative
+    rates follow the rule of :class:`DampingResult`.
     """
     if not x > 0:
         raise ValueError(f"separation must be > 0, got x={x}")
-    # positional: keywords cost a measurable share of a short chain's rate
-    rate = _rate_from_autocorr(sum(state.coeffs), autocorr, kernel, state.n)
-    return DampingResult(rate, "closed_form", state, x, phi)
+    kernels = bond_kernels(x, max(map(len, autocorrs)) + 1, phi_list)
+    rates = []
+    for total, autocorr in zip(totals, autocorrs):
+        n = len(autocorr) + 1
+        square = float(total) ** 2 / n
+        row = []
+        for kernel in kernels:
+            acc = 0.0
+            for a_k, g_k in zip(autocorr, kernel):
+                acc += a_k * g_k
+            rate = square + 2.0 * acc / n
+            # only a negative rate pays the helper's call
+            row.append(rate if rate >= 0.0 else _nonnegative(rate))
+        rates.append(row)
+    return rates
 
 
 def damping_general(state: SignState, x: float, phi: float) -> DampingResult:
@@ -228,15 +232,16 @@ def damping_general(state: SignState, x: float, phi: float) -> DampingResult:
     bond length. The all-plus state has A_k = N - k, the number of bonds
     of length k.
 
-    A single rate correlates with numpy, which beats
-    :func:`bond_autocorrelation` on long chains.
+    A single rate correlates with numpy: on a 2-vCPU host one A_k takes
+    10-12 us at N = 100 against 17-29 us by :func:`bond_autocorrelation`,
+    but 0.6-0.7 ms at N = 1000 against 0.3-0.4 ms.
     """
     import numpy as np
 
     c = np.array(state.coeffs)
     autocorr = np.correlate(c, c, "full")[state.n:].tolist()
-    kernel = bond_kernels(x, state.n, (phi,))[0]
-    return closed_form_rate(state, autocorr, kernel, x, phi)
+    rate = closed_form_rates((sum(state.coeffs),), (autocorr,), x, (phi,))[0][0]
+    return DampingResult(rate, "closed_form", state, x, phi)
 
 
 def relative_error(closed: float, quadrature: float) -> float:
@@ -387,11 +392,9 @@ def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     phi_list = list(phi_list)
     columns = ["N"] + phi_columns("gamma", phi_list)
-    kernels = bond_kernels(x, n_max, phi_list)
-    rows = [
-        (n, *(_rate_from_autocorr(n, range(n - 1, 0, -1), g, n) for g in kernels))
-        for n in range(1, n_max + 1)
-    ]
+    sizes = range(1, n_max + 1)
+    rates = closed_form_rates(sizes, [range(n - 1, 0, -1) for n in sizes], x, phi_list)
+    rows = [(n, *row) for n, row in zip(sizes, rates)]
     return SweepTable(columns=columns, rows=rows)
 
 
@@ -400,14 +403,9 @@ def angle_sweep(n: int, x: float, phi_grid) -> SweepTable:
     evaluated once per bond length and shared by every angle."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    state = symmetric_state(n)
-    autocorr = bond_autocorrelation(state)
     phis = [float(p) for p in phi_grid]
-    kernels = bond_kernels(x, n, phis)
-    rows = [
-        (math.degrees(p), closed_form_rate(state, autocorr, g, x, p).rate_ratio)
-        for p, g in zip(phis, kernels)
-    ]
+    (rates,) = closed_form_rates((n,), (range(n - 1, 0, -1),), x, phis)
+    rows = [(math.degrees(p), rate) for p, rate in zip(phis, rates)]
     return SweepTable(columns=["phi_deg", "gamma"], rows=rows)
 
 
@@ -440,15 +438,11 @@ def x_sweep(
     columns = ["x"] + phi_columns("gamma", phi_list)
     if oracle:
         columns += phi_columns("gamma_quadrature", phi_list)
-    autocorr = bond_autocorrelation(state)
+    totals, autocorrs = (sum(state.coeffs),), (bond_autocorrelation(state),)
     rows = []
     max_rel_err = 0.0
     for x in grid:
-        kernels = bond_kernels(x, state.n, phi_list)
-        closed = [
-            closed_form_rate(state, autocorr, g, x, p).rate_ratio
-            for g, p in zip(kernels, phi_list)
-        ]
+        (closed,) = closed_form_rates(totals, autocorrs, x, phi_list)
         row = [x] + closed
         if oracle:
             quads = quadrature_rates([state], x, phi_list)[0]

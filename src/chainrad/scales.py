@@ -221,7 +221,7 @@ def config_from_dict(data: dict) -> ChainConfig:
                 else None
             ),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad config value: {exc}") from exc

@@ -1,5 +1,6 @@
 import contextlib
 import gzip
+import hashlib
 import importlib.util
 import io
 import json
@@ -230,6 +231,16 @@ class TestExitCodes:
     def test_invalid_config_value(self):
         assert main(["scales", "--set", "n_atoms=0"]) == EXIT_CONFIG
 
+    def test_infinite_chain_length_in_config_file(self, tmp_path, capsys):
+        # JSON reads 1e400 as inf, which int() cannot convert
+        inf = tmp_path / "inf.json"
+        inf.write_text(
+            '{"n_atoms": 1e400, "lattice_const_angstrom": 1000,'
+            ' "transition_energy_ev": 1, "dipole_e_angstrom": 1}'
+        )
+        assert main(["scales", "--config", str(inf)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("chainrad: config error: ")
+
     def test_bad_state_token(self):
         assert main(["damping", "--state", "++-"]) == EXIT_USAGE
 
@@ -266,6 +277,13 @@ class TestExitCodes:
             # the oracle's work grows as points * N^2 * x: over its budget
             ["damping", "--set", "n_atoms=10000", "--oracle"],
             ["damping", "--range", "0.01:1e6", "--oracle"],
+            # finite inputs whose powers or quotients leave the float range
+            ["coupling", "--range", "1:1e300"],
+            ["damping", "--range", "1:1e300", "--points", "2"],
+            ["coupling", "--range", "1e-300:1"],
+            ["angles", "--set", "lattice_const_angstrom=1e300"],
+            ["nscaling", "--set", "lattice_const_angstrom=1e300"],
+            ["emission", "--obs-x", "1e300", "--points", "3"],
         ],
     )
     def test_invalid_flag_values_are_usage_errors(self, argv, capsys):
@@ -399,6 +417,10 @@ def _recorded_ops() -> dict:
 
 RECORDED_OPS = _recorded_ops()
 
+#: sha256 of ``angles --set n_atoms=100``, the one pure-Python rate output
+#: whose perfbench/expected recording is stale.
+ANGLES_N100_SHA256 = "cb12c625641df105e1d77d2c42ca34611664db02abbf963128205ecb037632b8"
+
 
 class TestRecordedOutputs:
     @pytest.mark.parametrize("name", sorted(RECORDED_OPS))
@@ -408,6 +430,12 @@ class TestRecordedOutputs:
             assert main(RECORDED_OPS[name]) == EXIT_OK
         recorded = REPO / "perfbench" / "expected" / f"{name}.csv.gz"
         assert out.getvalue().encode() == gzip.decompress(recorded.read_bytes())
+
+    def test_angles_n100_digest(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["angles", "--set", "n_atoms=100"]) == EXIT_OK
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ANGLES_N100_SHA256
 
 
 # --- CLI fuzzing: every argv ends in a documented exit code -------------
@@ -419,12 +447,15 @@ _FLAGS = {
 # Values bound the work: at most 50 points, 8 atoms, verify --nmax 3 and
 # nscaling N_max 50. "{tmp}" is replaced by a temporary directory.
 _VALUES = {
-    "--config": st.sampled_from(["{tmp}/chain.json", "{tmp}/missing.json", "{tmp}"]),
+    "--config": st.sampled_from(
+        ["{tmp}/chain.json", "{tmp}/missing.json", "{tmp}", "{tmp}/inf.json"]
+    ),
     "--set": st.sampled_from([
         "n_atoms=1", "n_atoms=3", "n_atoms=8", "n_atoms=0", "n_atoms=-2",
         "n_atoms=2.5", "n_atoms=", "lattice_const_angstrom=300",
         "lattice_const_angstrom=0", "lattice_const_angstrom=inf",
-        "lattice_const_angstrom=1e-300", "transition_energy_ev=2",
+        "lattice_const_angstrom=1e-300", "lattice_const_angstrom=1e300",
+        "transition_energy_ev=2",
         "transition_energy_ev=1e300", "transition_energy_ev=1e-310",
         "transition_energy_ev=nan",
         "dipole_e_angstrom=1e200", "dipole_e_angstrom=-1",
@@ -434,11 +465,11 @@ _VALUES = {
     "--points": st.one_of(st.integers(-2, 50).map(str), st.just("ten")),
     "--range": st.sampled_from([
         "0.5:2", "0.01:20", "1:50", "1:12", "1:1", "1e3:1e5", "5:1", "0:3",
-        "-1:3", "1:inf", "nan:2", "a:b", "7", "1:2:3",
+        "-1:3", "1:inf", "nan:2", "a:b", "7", "1:2:3", "1:1e300", "1e-300:1",
     ]),
     "--out": st.sampled_from(["{tmp}/out.csv", "{tmp}/no_such_dir/out.csv"]),
     "--state": st.sampled_from(["sym", "alt", "+", "+-", "+-+", "++--", "+0", ""]),
-    "--obs-x": st.sampled_from(["1e6", "1e3", "0", "-5", "inf", "nan", "far"]),
+    "--obs-x": st.sampled_from(["1e6", "1e3", "0", "-5", "inf", "nan", "far", "1e300"]),
     "--time": st.sampled_from(["1e-3", "1e-15", "0", "-1", "nan", "1e300", "now"]),
     "--nmax": st.one_of(st.integers(-1, 3).map(str), st.just("2.5")),
 }
@@ -473,13 +504,17 @@ def fuzz_dir(tmp_path_factory):
         {"n_atoms": 3, "lattice_const_angstrom": 500,
          "transition_energy_ev": 2.0, "dipole_e_angstrom": 1.0}
     ))
+    (path / "inf.json").write_text(
+        '{"n_atoms": 1e400, "lattice_const_angstrom": 500,'
+        ' "transition_energy_ev": 2.0, "dipole_e_angstrom": 1.0}'
+    )
     return path
 
 
 class TestFuzz:
     @given(argv=cli_argv())
     @settings(
-        max_examples=60, deadline=None, derandomize=True,
+        max_examples=100, deadline=None, derandomize=True,
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_every_argv_ends_in_documented_exit_code(self, fuzz_dir, argv):

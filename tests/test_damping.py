@@ -18,7 +18,7 @@ from chainrad.damping import (
     angle_sweep,
     bond_autocorrelation,
     bond_kernels,
-    closed_form_rate,
+    closed_form_rates,
     damping_general,
     damping_quadrature_oracle,
     f_kernel,
@@ -53,14 +53,15 @@ def golden_rule_integrand(y, coeffs, x, cos2phi):
 
 
 def per_point_rate(state, x, phi):
-    """closed_form_rate at one point, with each bond's kernel written out as
+    """The closed-form rate at one point, written out as
+    (sum C)^2/N + (2/N) sum_k A_k (F - 1) with each bond's kernel
     F - 1 = 1.5 (s (1 - c2) + g (1 - 3 c2)), one bond at a time."""
     c2 = math.cos(phi) ** 2
-    kernel = [
-        1.5 * (_sinc_minus_one(k * x) * (1.0 - c2) + _g_plus_third(k * x) * (1.0 - 3.0 * c2))
-        for k in range(1, state.n)
-    ]
-    return closed_form_rate(state, bond_autocorrelation(state), kernel, x, phi).rate_ratio
+    acc = 0.0
+    for k, a_k in enumerate(bond_autocorrelation(state), start=1):
+        g_k = 1.5 * (_sinc_minus_one(k * x) * (1.0 - c2) + _g_plus_third(k * x) * (1.0 - 3.0 * c2))
+        acc += a_k * g_k
+    return float(sum(state.coeffs)) ** 2 / state.n + 2.0 * acc / state.n
 
 
 class TestFKernel:
@@ -359,6 +360,54 @@ class TestBatchedOracle:
     def test_states_of_one_batch_share_a_length(self):
         with pytest.raises(ValueError):
             quadrature_rates([symmetric_state(2), symmetric_state(3)], 1.0, [0.0])
+
+
+class TestClosedFormRates:
+    """closed_form_rates over many states gives each state bitwise the rate
+    that damping_general gives it alone."""
+
+    @staticmethod
+    def batch(states, x):
+        totals = [sum(state.coeffs) for state in states]
+        autocorrs = [bond_autocorrelation(state) for state in states]
+        return closed_form_rates(totals, autocorrs, x, VERIFY_PHI)
+
+    @staticmethod
+    def one_by_one(states, x):
+        return [
+            [damping_general(state, x, phi).rate_ratio for phi in VERIFY_PHI]
+            for state in states
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_batch_equals_one_state_calls(self, n):
+        states = enumerate_sign_states(n)
+        for x in VERIFY_X:
+            assert self.batch(states, x) == self.one_by_one(states, x), x
+
+    def test_mixed_lengths_share_the_longest_kernel(self):
+        # each state reads only its own N - 1 bonds of the shared kernel
+        states = [s for n in (3, 6, 1, 2, 5, 4) for s in enumerate_sign_states(n)]
+        for x in VERIFY_X:
+            assert self.batch(states, x) == self.one_by_one(states, x), x
+
+    def test_negative_rate_refused(self):
+        # sum C = 0 and A_1 = 5 is no sign state: its rate is 5 (F - 1) < 0
+        with pytest.raises(ValueError, match="negative decay rate"):
+            closed_form_rates([0], [[5]], 1.0, [0.0])
+
+    def test_zero_separation_rejected_by_every_caller(self):
+        state = symmetric_state(3)
+        with pytest.raises(ValueError, match="separation must be > 0"):
+            closed_form_rates([3], [[2, 1]], 0.0, [0.0])
+        with pytest.raises(ValueError, match="separation must be > 0"):
+            n_scaling_sweep(3, 0.0, [0.0])
+        with pytest.raises(ValueError, match="separation must be > 0"):
+            angle_sweep(3, 0.0, [0.0])
+        with pytest.raises(ValueError, match="separation must be > 0"):
+            damping_general(state, 0.0, 0.0)
+        with pytest.raises(ValueError, match="x_min"):
+            x_sweep(state, 0.0, 1.0, 5, [0.0])
 
 
 class TestSignAverage:
