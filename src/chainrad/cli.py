@@ -4,8 +4,6 @@ Exit codes: 0 success, 2 usage (out-of-range arithmetic included), 3 config,
 4 numerical accuracy, 5 causality.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import sys
@@ -279,8 +277,9 @@ def cmd_emission(args) -> int:
         math.log10(lo), math.log10(hi), _points(args, 2000)
     ) * ANGSTROM
     if args.time is None:
-        # latest retardation over the grid, so the default is always causal
-        t = math.hypot(obs_x, (config.n_atoms - 1) * float(a_grid[-1])) / SPEED_OF_LIGHT
+        # latest retardation over the grid, so the default is always causal;
+        # the largest point is the last one only for an ascending --range
+        t = math.hypot(obs_x, (config.n_atoms - 1) * float(a_grid.max())) / SPEED_OF_LIGHT
     elif math.isfinite(args.time):
         t = args.time
     else:
@@ -459,14 +458,28 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with a ``command`` from COMMANDS, only its subparser.
+
+    A run names its command first, so it need not build the other seven.
+    The one-subparser form keeps the full command list as its metavar, so
+    every usage line it prints matches the full parser's. The full parser
+    does not set it: with no command given, argparse names the missing
+    argument by its metavar, and that message must stay ``command``.
+    """
     parser = argparse.ArgumentParser(
         prog="chainrad",
         description="Collective radiative properties of a finite emitter chain",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, flags) in COMMANDS.items():
+    if command in COMMANDS:
+        names = [command]
+        metavar = "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = list(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        func, help_text, flags = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         for flag in (*flags, "--out"):
             p.add_argument(flag, **_FLAGS[flag])
@@ -475,7 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse usage errors (2), --help/--version (0)

@@ -11,8 +11,6 @@ Dropping the radiative terms (x << 1) leaves the electrostatic resonance
 dipole-dipole interaction (3/4)(1 - 3 cos^2 phi)/x^3.
 """
 
-from __future__ import annotations
-
 import math
 
 from .sweeps import SweepTable, linspace, phi_columns

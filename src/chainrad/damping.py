@@ -24,8 +24,6 @@ Only :func:`damping_general` and the oracle import numpy, on first use;
 the sweeps run on Python floats and integers.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import sys
@@ -317,7 +315,9 @@ def quadrature_rates(
     floor QUADPACK puts under its estimates, 50 eps times the integral of
     |f| (the integrand is non-negative, so that is the value itself).
     QuadratureAccuracyError, naming the first state and phi in order,
-    is raised when an estimate, scaled like the rate, exceeds ``tol``.
+    is raised when an estimate, scaled like the rate, exceeds ``tol``;
+    OverflowError, when a rate or an estimate is not finite (an x so
+    small that x^2 underflows).
 
     The states share the nodes: |sum_n C_n z^n|^2 is evaluated once for
     all of them, by Horner's rule over a (states x nodes) array, and
@@ -344,22 +344,27 @@ def quadrature_rates(
     check = np.zeros_like(value)
     step = min(panels, ORACLE_BLOCK_PANELS)  # panels per block
     batch = ORACLE_BLOCK_PANELS // step  # states per block
-    for start in range(0, len(states), batch):
-        rows = slice(start, start + batch)
-        for first in range(0, panels, step):
-            edges = width * np.arange(first, min(first + step, panels))
-            y = edges[:, None] + width * nodes
-            power = _power_spectrum(y, coeffs[rows])
-            for j, cos2phi in enumerate(cos2):
-                f = power * _angular_weight(y, x, cos2phi)
-                hi = (f[..., :ORACLE_NODES] @ w_hi).sum(axis=-1)
-                lo = (f[..., ORACLE_NODES:] @ w_lo).sum(axis=-1)
-                value[rows, j] += hi * width
-                check[rows, j] += lo * width
-    scale = 2.0 * 3.0 / (8.0 * x * n)
-    rates = value * scale
-    floor = 50.0 * sys.float_info.epsilon * np.abs(value)
-    errors = np.maximum(np.abs(value - check), floor) * scale
+    # an x whose square underflows gives nan and inf, rejected below
+    # rather than warned about
+    with np.errstate(all="ignore"):
+        for start in range(0, len(states), batch):
+            rows = slice(start, start + batch)
+            for first in range(0, panels, step):
+                edges = width * np.arange(first, min(first + step, panels))
+                y = edges[:, None] + width * nodes
+                power = _power_spectrum(y, coeffs[rows])
+                for j, cos2phi in enumerate(cos2):
+                    f = power * _angular_weight(y, x, cos2phi)
+                    hi = (f[..., :ORACLE_NODES] @ w_hi).sum(axis=-1)
+                    lo = (f[..., ORACLE_NODES:] @ w_lo).sum(axis=-1)
+                    value[rows, j] += hi * width
+                    check[rows, j] += lo * width
+        scale = 2.0 * 3.0 / (8.0 * x * n)
+        rates = value * scale
+        floor = 50.0 * sys.float_info.epsilon * np.abs(value)
+        errors = np.maximum(np.abs(value - check), floor) * scale
+    if not (np.isfinite(rates).all() and np.isfinite(errors).all()):
+        raise OverflowError(f"the quadrature oracle is not finite at x={x!r}")
     over = np.argwhere(errors > tol)
     if len(over):
         i, j = over[0]

@@ -10,8 +10,6 @@ intensities are reported relative to
     I_0(x) = mu^2 omega_a^4 / (16 pi^2 epsilon_0 c^3 x^2).
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 from dataclasses import dataclass

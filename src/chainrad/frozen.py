@@ -6,8 +6,6 @@ configuration layers need only fixed fields, a write guard, equality,
 hashing and a repr, which this base class gives them.
 """
 
-from __future__ import annotations
-
 
 class Frozen:
     """Base of the immutable records.

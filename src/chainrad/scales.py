@@ -6,8 +6,6 @@ eV for transition energies, Angstrom for lengths, e*Angstrom for
 transition dipoles, degrees for the polarization angle.
 """
 
-from __future__ import annotations
-
 import math
 
 from .frozen import Frozen

@@ -1,7 +1,5 @@
 """Single-excitation collective states with +/-1 coefficient patterns."""
 
-from __future__ import annotations
-
 from itertools import product
 
 from .frozen import Frozen

@@ -4,19 +4,22 @@ CSV output is fully deterministic: fixed column order, fixed float
 formatting, metadata emitted as sorted ``# key=value`` comment lines.
 """
 
-from __future__ import annotations
-
 import io
 import math
-import numbers
+import operator
 
 _FLOAT_FMT = ".12g"
 
 
 def format_value(v) -> str:
-    if isinstance(v, numbers.Integral):
-        return str(int(v))
-    return format(float(v), _FLOAT_FMT)
+    """One CSV cell: integers (bool and numpy's included) exactly, any
+    other number as a float in ``_FLOAT_FMT``."""
+    if isinstance(v, float):  # numpy's float64 too
+        return format(v, _FLOAT_FMT)
+    try:
+        return str(operator.index(v))
+    except TypeError:
+        return format(float(v), _FLOAT_FMT)
 
 
 def linspace(lo: float, hi: float, num: int) -> list[float]:
@@ -75,13 +78,20 @@ class SweepTable:
         return np.array([row[idx] for row in self.rows], dtype=float)
 
     def write_csv(self, stream) -> None:
-        for key in sorted(self.metadata):
-            stream.write(f"# {key}={self.metadata[key]}\n")
-        stream.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            stream.write(",".join(format_value(v) for v in row) + "\n")
-        for line in self.footer:
-            stream.write(f"# {line}\n")
+        """Build the whole CSV text and write it in one call."""
+        lines = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]
+        lines.append(",".join(self.columns))
+        # a float cell skips format_value's call: most cells are floats
+        lines += [
+            ",".join([
+                format(v, _FLOAT_FMT) if isinstance(v, float) else format_value(v)
+                for v in row
+            ])
+            for row in self.rows
+        ]
+        lines += [f"# {line}" for line in self.footer]
+        lines.append("")  # so the text ends in a newline
+        stream.write("\n".join(lines))
 
     def to_csv(self) -> str:
         buf = io.StringIO()

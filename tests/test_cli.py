@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from chainrad.cli import (
     EXIT_USAGE,
     SUPPORTED_FIGURES,
     UsageError,
+    build_parser,
     main,
     parse_state,
 )
@@ -158,6 +160,24 @@ class TestCommands:
         assert columns == ["a_angstrom", "intensity_ratio"]
         assert len(rows) == 50
 
+    def test_emission_default_time_is_causal_for_descending_range(self):
+        def lines(lo_hi):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                rc = main(["emission", "--range", lo_hi, "--points", "3",
+                           "--set", "n_atoms=3"])
+            assert rc == EXIT_OK, lo_hi
+            text = out.getvalue().splitlines()
+            return [l for l in text if l.startswith("#")], [
+                l for l in text if not l.startswith("#")
+            ]
+
+        up_header, up_rows = lines("1e3:1e7")
+        down_header, down_rows = lines("1e7:1e3")
+        # the same default t (the header's t_s), and the same rows reversed
+        assert down_header == up_header
+        assert down_rows == up_rows[:1] + up_rows[:0:-1]
+
     def test_nscaling_range_sets_n_max(self, tmp_path):
         out = tmp_path / "nscaling.csv"
         assert main(["nscaling", "--range", "1:12", "--out", str(out)]) == EXIT_OK
@@ -180,8 +200,12 @@ class TestCommands:
     def test_cli_import_loads_no_scipy(self):
         # nor numpy: only the emission builders and the oracle import it;
         # nor dataclasses (which imports inspect) or json (only --config
-        # reads it), each a sizeable share of a cold start
-        heavy = ("numpy", "scipy", "dataclasses", "inspect", "json")
+        # reads it), each a sizeable share of a cold start; nor numbers or
+        # __future__, which only a type check and the annotations needed
+        heavy = (
+            "numpy", "scipy", "dataclasses", "inspect", "json", "numbers",
+            "__future__",
+        )
         code = (
             "import sys; before = set(sys.modules); import chainrad.cli; "
             "print(sorted(m for m in set(sys.modules) - before "
@@ -284,6 +308,8 @@ class TestExitCodes:
             ["angles", "--set", "lattice_const_angstrom=1e300"],
             ["nscaling", "--set", "lattice_const_angstrom=1e300"],
             ["emission", "--obs-x", "1e300", "--points", "3"],
+            # x = 1e-300 squares to zero in the oracle's integrand
+            ["damping", "--range", "1e-300:1", "--oracle", "--points", "5"],
         ],
     )
     def test_invalid_flag_values_are_usage_errors(self, argv, capsys):
@@ -336,6 +362,16 @@ class TestExitCodes:
         assert main(["nscaling", "--set", "n_atoms=5"]) == EXIT_USAGE
         assert "--range 1:N_max" in capsys.readouterr().err
 
+    def test_non_finite_oracle_is_refused_without_warning(self, capsys):
+        # before any row is written: no footer can hide a nan
+        argv = ["damping", "--range", "1e-300:1", "--oracle", "--points", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("chainrad: the inputs left double-precision range: ")
+
     def test_zero_time_is_not_replaced_by_default(self):
         rc = main(
             ["emission", "--points", "10", "--set", "gamma_override_hz=1e8",
@@ -349,6 +385,83 @@ class TestExitCodes:
              "--time", "1e-15"]
         )
         assert rc == EXIT_CAUSALITY
+
+
+def parse_outcome(run, argv):
+    """(exit code, stdout, stderr) of ``run(argv)``; SystemExit gives the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def full_parser(argv):
+    """Parse with every subcommand built: the reference that main's
+    one-subparser parse must match."""
+    build_parser().parse_args(argv)
+
+
+ALL_COMMANDS = "{" + ",".join(COMMANDS) + "}"
+
+
+class TestParser:
+    """``main`` builds only the subparser its argv names, and says exactly
+    what the full parser would."""
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unknown_flag_prints_full_usage(self, command):
+        # figure needs its number first, or argparse reports that instead
+        argv = [command, *(["2"] if command == "figure" else []), "--bogus"]
+        code, out, err = parse_outcome(main, argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        usage, message = err.split("chainrad: error: ")
+        assert usage.startswith("usage: chainrad [-h] [--version]")
+        assert ALL_COMMANDS in usage
+        assert message == "unrecognized arguments: --bogus\n"
+        assert (code, out, err) == parse_outcome(full_parser, argv)
+
+    @pytest.mark.parametrize(
+        "argv, code, stream, text",
+        [
+            ([], EXIT_USAGE, 2, "the following arguments are required: command\n"),
+            (["nope"], EXIT_USAGE, 2, "invalid choice: 'nope'"),
+            (["figure"], EXIT_USAGE, 2, "the following arguments are required: number\n"),
+            (["--version"], EXIT_OK, 1, f"{chainrad.__version__}\n"),
+            *(([c, "--help"], EXIT_OK, 1, f"usage: chainrad {c} [-h]") for c in COMMANDS),
+        ],
+    )
+    def test_outcome_matches_full_parser(self, argv, code, stream, text):
+        outcome = parse_outcome(main, argv)
+        assert outcome == parse_outcome(full_parser, argv)
+        assert outcome[0] == code
+        assert text in outcome[stream]
+        assert outcome[3 - stream] == ""  # the other stream stays empty
+
+    def test_one_command_parser_knows_only_that_command(self):
+        assert build_parser("scales").parse_args(["scales"]).command == "scales"
+        assert parse_outcome(build_parser("scales").parse_args, ["coupling"])[0] == 2
+        assert build_parser("nope").parse_args(["coupling"]).command == "coupling"
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        # the console script calls main() with no arguments, and that run
+        # too builds only the subparser it names
+        from chainrad import cli
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(
+            cli, "build_parser", lambda command=None: built.append(command) or real(command)
+        )
+        monkeypatch.setattr(sys, "argv", ["chainrad", "--version"])
+        assert main() == EXIT_OK
+        assert capsys.readouterr().out == f"{chainrad.__version__}\n"
+        monkeypatch.setattr(sys, "argv", ["chainrad", "figure", "99"])
+        assert main() == EXIT_USAGE
+        assert "unsupported figure 99" in capsys.readouterr().err
+        assert built == ["--version", "figure"]
 
 
 class TestFigures:

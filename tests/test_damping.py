@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,14 @@ class TestBatchedOracle:
     def test_states_of_one_batch_share_a_length(self):
         with pytest.raises(ValueError):
             quadrature_rates([symmetric_state(2), symmetric_state(3)], 1.0, [0.0])
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-310])
+    def test_non_finite_result_raises_without_warning(self, x):
+        # x^2 underflows to zero, so the angular weight divides by it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="not finite"):
+                quadrature_rates([symmetric_state(2)], x, [0.0, math.pi / 2])
 
 
 class TestClosedFormRates:

@@ -1,8 +1,12 @@
+import io
+import math
+import numbers
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainrad.sweeps import format_value, linspace
+from chainrad.sweeps import SweepTable, format_value, linspace
 
 _bounded = st.floats(min_value=-1e300, max_value=1e300)
 
@@ -31,3 +35,65 @@ class TestFormatValue:
 
     def test_floats(self):
         assert format_value(0.1) == format_value(np.float64(0.1)) == "0.1"
+
+
+def reference_cell(v) -> str:
+    """The CSV cell rule as first written, on ``numbers.Integral``."""
+    if isinstance(v, numbers.Integral):
+        return str(int(v))
+    return format(float(v), ".12g")
+
+
+#: one of each cell type a row holds: int, bool, numpy integers and
+#: floats, and float, with the special float values
+MIXED_CELLS = [
+    0, -7, 12345678901234567890, True, False, np.int64(-3), np.int32(9),
+    np.int64(10**15), np.uint64(2**64 - 1),
+    np.uint8(200), np.bool_(True), np.float64(0.1), np.float64(-0.0),
+    np.float32(0.1), 0.1, 1.0, 1e-300, 5e-324, 1.0 / 3.0, -2.5e17, math.nan,
+    math.inf, -math.inf, -0.0, 0.0,
+]
+
+
+class TestCsvWriter:
+    def test_format_value_matches_reference_rule(self):
+        for v in MIXED_CELLS:
+            assert format_value(v) == reference_cell(v), repr(v)
+
+    def test_to_csv_is_the_per_cell_rule(self):
+        cells = MIXED_CELLS + [0] * (-len(MIXED_CELLS) % 4)
+        rows = [tuple(cells[i:i + 4]) for i in range(0, len(cells), 4)]
+        rows += [(np.float64(2.0), math.nan, -0.0, np.int64(1))]
+        metadata = {"tool": "chainrad", "b.key": "2", "a.key": "x=y", "Z": "upper"}
+        footer = ["max_rel_err=1.000e-12", "tolerance=1e-08"]
+        table = SweepTable(
+            columns=["c0", "c1", "c2", "c3"], rows=rows, metadata=metadata,
+            footer=footer,
+        )
+        want = "".join(
+            [f"# {key}={metadata[key]}\n" for key in sorted(metadata)]
+            + ["c0,c1,c2,c3\n"]
+            + [",".join(reference_cell(v) for v in row) + "\n" for row in rows]
+            + [f"# {line}\n" for line in footer]
+        )
+        assert table.to_csv() == want
+        # the special values and big integers reach the text as cells
+        cells = {c for line in want.splitlines()[5:-2] for c in line.split(",")}
+        assert {"nan", "inf", "-inf", "-0", "1000000000000000"} <= cells
+
+    def test_write_csv_writes_once(self):
+        class Stream(io.StringIO):
+            calls = 0
+
+            def write(self, text):
+                Stream.calls += 1
+                return super().write(text)
+
+        table = SweepTable(columns=["x", "y"], rows=[(1, 0.5), (2, 0.25)])
+        stream = Stream()
+        table.write_csv(stream)
+        assert Stream.calls == 1
+        assert stream.getvalue() == table.to_csv() == "x,y\n1,0.5\n2,0.25\n"
+
+    def test_empty_table(self):
+        assert SweepTable(columns=["x"], rows=[]).to_csv() == "x\n"
