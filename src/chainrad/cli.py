@@ -1,11 +1,12 @@
 """Command-line front end: sweeps, reference-figure CSVs, oracle verification.
 
-Exit codes: 0 success, 2 usage (out-of-range arithmetic included), 3 config,
-4 numerical accuracy, 5 causality.
+Exit codes: 0 success, 2 usage (out-of-range arithmetic and unwritable
+output included), 3 config, 4 numerical accuracy, 5 causality.
 """
 
 import argparse
 import math
+import os
 import sys
 
 from . import __version__
@@ -54,8 +55,9 @@ EXIT_CAUSALITY = 5
 VERIFY_TOL = 1e-8
 
 #: Longest chain ``verify`` accepts. Its work doubles with every atom: as
-#: fresh processes on a 2-vCPU host, --nmax 10, 11 and 12 take about 0.55,
-#: 0.65 and 1.1 s, most of it numpy's import up to 11.
+#: fresh processes on a 2-vCPU host (medians of 8), --nmax 8, 10, 11 and 12
+#: take about 0.17, 0.23, 0.40 and 0.74 s, of which start-up and numpy's
+#: import are about 0.15 s.
 VERIFY_MAX_N = 12
 
 #: Largest --points any command accepts, checked before a grid exists.
@@ -78,6 +80,13 @@ EMISSION_OBS_X_ANGSTROM = 1e6
 
 class UsageError(ValueError):
     pass
+
+
+class OutputError(UsageError):
+    """The CSV could not be written: a closed pipe, a full device, no stdout."""
+
+    def __init__(self, exc):
+        super().__init__(f"cannot write output: {exc}")
 
 
 def parse_state(token: str, n: int) -> SignState:
@@ -160,10 +169,21 @@ def _emit(table: SweepTable, args) -> None:
             fh = open(args.out, "w", newline="")
         except OSError as exc:
             raise UsageError(f"cannot write --out {args.out}: {exc}") from exc
-        with fh:
-            table.write_csv(fh)
+        try:
+            with fh:
+                table.write_csv(fh)
+        except OSError as exc:
+            raise OutputError(exc) from exc
+    elif sys.stdout is None:  # started with stdout closed
+        raise OutputError("stdout is closed")
     else:
-        table.write_csv(sys.stdout)
+        # flushed here, so a write error is this command's exit 2 also
+        # for an in-process caller, not a failure at interpreter exit
+        try:
+            table.write_csv(sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise OutputError(exc) from exc
 
 
 def _f_kernel_sweep(x_min, x_max, n_points, phi_list) -> SweepTable:
@@ -517,5 +537,42 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def entry() -> None:
+    """Run :func:`main` as a process: the console script and ``python -m``.
+
+    numpy's OpenBLAS starts a thread per core at import, which costs a cold
+    run more than the CLI's few small matrix-vector products gain from it,
+    so unless the user set ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``
+    the one-thread default is set before anything can import numpy. After
+    ``main`` the output is flushed, and a failed flush is exit 2 like any
+    other write error; the process then leaves by ``os._exit``, skipping
+    interpreter finalization, which nothing here needs.
+    """
+    if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        # a CSV that failed in _emit fails here again and was reported
+        # there; only a run that succeeded has a failure left to report
+        if code == EXIT_OK:
+            code = EXIT_USAGE
+            _flush_stderr(f"chainrad: {OutputError(exc)}\n")
+    _flush_stderr()
+    os._exit(code)
+
+
+def _flush_stderr(text: str = "") -> None:
+    """Write ``text`` to stderr and flush it; a failing stderr has no one to tell."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+            sys.stderr.flush()
+        except OSError:
+            pass
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -446,8 +446,9 @@ class TestParser:
         assert build_parser("nope").parse_args(["coupling"]).command == "coupling"
 
     def test_main_reads_sys_argv(self, monkeypatch, capsys):
-        # the console script calls main() with no arguments, and that run
-        # too builds only the subparser it names
+        # entry(), the console script's and python -m's function, calls
+        # main() with no arguments, and that run too builds only the
+        # subparser it names
         from chainrad import cli
 
         built = []
@@ -462,6 +463,146 @@ class TestParser:
         assert main() == EXIT_USAGE
         assert "unsupported figure 99" in capsys.readouterr().err
         assert built == ["--version", "figure"]
+
+
+def run_cli(*argv, buffered=True, stdout=subprocess.PIPE, shell_redirect=""):
+    """Run ``python -m chainrad.cli argv`` in a fresh process; stdout as
+    bytes. ``buffered=False`` sets PYTHONUNBUFFERED, so every write reaches
+    the fd at once; ``shell_redirect`` (such as ``>&-``) is applied to the
+    command by /bin/sh."""
+    env = dict(os.environ, PYTHONPATH=str(Path(chainrad.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cmd = [sys.executable, "-m", "chainrad.cli", *argv]
+    if shell_redirect:
+        cmd = ["/bin/sh", "-c", f'exec "$@" {shell_redirect}', "sh", *cmd]
+    return subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def in_process_bytes(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    return out.getvalue().encode()
+
+
+class TestEntry:
+    """``entry()`` runs ``main()`` as a process: a one-thread BLAS default,
+    a final flush, and ``os._exit`` without interpreter finalization."""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("number", ["2", "16"])
+    def test_fresh_output_is_the_in_process_output(self, number, buffered, tmp_path):
+        # os._exit drops whatever is still buffered, so a missed flush
+        # would truncate the CSV
+        expected = in_process_bytes(["figure", number])
+        done = run_cli("figure", number, buffered=buffered)
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        assert done.stdout == expected
+        out = tmp_path / "fig.csv"
+        done = run_cli("figure", number, "--out", str(out), buffered=buffered)
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, b"", b"")
+        assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "preset, expected",
+        [
+            ({}, "1"),
+            ({"OPENBLAS_NUM_THREADS": "4"}, "4"),
+            ({"OMP_NUM_THREADS": "3"}, None),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}, "2"),
+        ],
+    )
+    def test_blas_default_only_when_unset(self, monkeypatch, preset, expected):
+        from chainrad import cli
+
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in preset.items():
+            monkeypatch.setenv(var, value)
+        seen, exits = [], []
+        monkeypatch.setattr(
+            cli, "main",
+            lambda: seen.append(os.environ.get("OPENBLAS_NUM_THREADS")) or EXIT_ACCURACY,
+        )
+        monkeypatch.setattr(cli.os, "_exit", exits.append)
+        cli.entry()
+        assert seen == [expected]  # set before main, so before numpy loads
+        assert exits == [EXIT_ACCURACY]  # main's code, unchanged
+        assert os.environ.get("OMP_NUM_THREADS") == preset.get("OMP_NUM_THREADS")
+
+    @pytest.mark.parametrize("code", [EXIT_OK, EXIT_USAGE])
+    def test_failed_final_flush_is_reported_once(self, monkeypatch, capsys, code):
+        from chainrad import cli
+
+        class Full(io.StringIO):
+            def flush(self):
+                raise OSError(28, "No space left on device")
+
+        exits = []
+        monkeypatch.setattr(cli, "main", lambda: code)
+        monkeypatch.setattr(cli.os, "_exit", exits.append)
+        monkeypatch.setattr(sys, "stdout", Full())
+        cli.entry()
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert exits == [EXIT_USAGE]
+            assert err == "chainrad: cannot write output: [Errno 28] No space left on device\n"
+        else:  # a CSV that failed in _emit was reported there
+            assert (exits, err) == ([code], "")
+
+    def test_unwritable_out_file_is_usage_error(self, capsys):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        assert main(["scales", "--out", "/dev/full"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "chainrad: cannot write output: [Errno 28] No space left on device\n"
+        )
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["scales"], ["figure", "2"]], ids=" ".join)
+    @pytest.mark.parametrize("target", ["closed_pipe", "dev_full", "closed_stdout"])
+    def test_unwritable_stdout_is_usage_error(self, target, argv, buffered):
+        # figure 2's CSV outgrows the stdout buffer, scales' fits in it
+        if target == "closed_pipe":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                done = run_cli(*argv, buffered=buffered, stdout=write_end)
+            finally:
+                os.close(write_end)
+            reason = "[Errno 32] Broken pipe"
+        elif target == "dev_full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            done = run_cli(*argv, buffered=buffered, shell_redirect="> /dev/full")
+            reason = "[Errno 28] No space left on device"
+        else:
+            done = run_cli(*argv, buffered=buffered, shell_redirect=">&-")
+            reason = "stdout is closed"
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.decode() == f"chainrad: cannot write output: {reason}\n"
+
+    def test_package_import_loads_no_submodule(self):
+        done = run_fresh(
+            "-c",
+            "import sys, chainrad; "
+            "print(sorted(m for m in sys.modules if m.startswith('chainrad.')))",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_public_names_resolve_to_their_modules(self):
+        import importlib
+
+        for module, names in chainrad._PUBLIC.items():
+            source = importlib.import_module(f"chainrad.{module}")
+            for name in names:
+                assert getattr(chainrad, name) is getattr(source, name)
+        assert set(chainrad.__all__) <= set(dir(chainrad))
+        with pytest.raises(AttributeError):
+            chainrad.no_such_name
 
 
 class TestFigures:
