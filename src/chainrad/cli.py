@@ -174,16 +174,30 @@ def _emit(table: SweepTable, args) -> None:
                 table.write_csv(fh)
         except OSError as exc:
             raise OutputError(exc) from exc
-    elif sys.stdout is None:  # started with stdout closed
-        raise OutputError("stdout is closed")
     else:
-        # flushed here, so a write error is this command's exit 2 also
-        # for an in-process caller, not a failure at interpreter exit
+        _write_stdout(table.write_csv)
+
+
+def _write_stdout(write) -> None:
+    """``write(sys.stdout)``, flushed: a write error is this command's exit 2,
+    also in process, not a failure at interpreter exit."""
+    if sys.stdout is None:  # started with stdout closed
+        raise OutputError("stdout is closed")
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise OutputError(exc) from exc
+
+
+def _write_stderr(text: str) -> None:
+    """Write and flush ``text`` to stderr, which has no one to tell if it fails."""
+    if sys.stderr is not None:
         try:
-            table.write_csv(sys.stdout)
-            sys.stdout.flush()
-        except OSError as exc:
-            raise OutputError(exc) from exc
+            sys.stderr.write(text)
+            sys.stderr.flush()
+        except OSError:
+            pass
 
 
 def _f_kernel_sweep(x_min, x_max, n_points, phi_list) -> SweepTable:
@@ -415,9 +429,8 @@ def cmd_verify(args) -> int:
     )
     _emit(table, args)
     if worst > VERIFY_TOL:
-        print(
-            f"verify FAILED: max relative error {worst:.3e} > {VERIFY_TOL:.0e}",
-            file=sys.stderr,
+        _write_stderr(
+            f"verify FAILED: max relative error {worst:.3e} > {VERIFY_TOL:.0e}\n"
         )
         return EXIT_ACCURACY
     return EXIT_OK
@@ -478,6 +491,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but --help and --version (argparse's only stdout text) that
+    cannot be written are exit 2 like a CSV, not skipped in silence."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stderr:
+            _write_stderr(message)
+        else:
+            _write_stdout(lambda out: out.write(message))
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser; with a ``command`` from COMMANDS, only its subparser.
 
@@ -487,7 +511,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     does not set it: with no command given, argparse names the missing
     argument by its metavar, and that message must stay ``command``.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chainrad",
         description="Collective radiative properties of a finite emitter chain",
     )
@@ -513,28 +537,21 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # argparse usage errors (2), --help/--version (0)
         return exc.code
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"chainrad: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ConfigError as exc:
-        print(f"chainrad: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, message = EXIT_CONFIG, f"config error: {exc}"
     except QuadratureAccuracyError as exc:
-        print(f"chainrad: accuracy error: {exc}", file=sys.stderr)
-        return EXIT_ACCURACY
+        code, message = EXIT_ACCURACY, f"accuracy error: {exc}"
     except CausalityError as exc:
-        print(f"chainrad: causality error: {exc}", file=sys.stderr)
-        return EXIT_CAUSALITY
-    except ValueError as exc:
-        print(f"chainrad: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_CAUSALITY, f"causality error: {exc}"
+    except ValueError as exc:  # UsageError and OutputError too
+        code, message = EXIT_USAGE, exc
     except (OverflowError, ZeroDivisionError) as exc:
-        print(f"chainrad: the inputs left double-precision range: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"the inputs left double-precision range: {exc}"
+    _write_stderr(f"chainrad: {message}\n")
+    return code
 
 
 def entry() -> None:
@@ -559,19 +576,9 @@ def entry() -> None:
         # there; only a run that succeeded has a failure left to report
         if code == EXIT_OK:
             code = EXIT_USAGE
-            _flush_stderr(f"chainrad: {OutputError(exc)}\n")
-    _flush_stderr()
+            _write_stderr(f"chainrad: {OutputError(exc)}\n")
+    _write_stderr("")
     os._exit(code)
-
-
-def _flush_stderr(text: str = "") -> None:
-    """Write ``text`` to stderr and flush it; a failing stderr has no one to tell."""
-    if sys.stderr is not None:
-        try:
-            sys.stderr.write(text)
-            sys.stderr.flush()
-        except OSError:
-            pass
 
 
 if __name__ == "__main__":

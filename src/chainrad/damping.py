@@ -20,8 +20,8 @@ numerically for a batch of states (:func:`damping_quadrature_oracle` is
 its one-state case) and is kept deliberately independent of the
 closed-form path so the two can cross-check each other.
 
-Only :func:`damping_general` and the oracle import numpy, on first use;
-the sweeps run on Python floats and integers.
+Only the oracle imports numpy, on first use; every closed-form rate runs
+on Python floats and integers.
 """
 
 import functools
@@ -81,34 +81,29 @@ class QuadratureAccuracyError(ArithmeticError):
         )
 
 
-def _sinc_minus_one(x: float) -> float:
-    """sin x/x - 1 = sum_{k>=1} (-1)^k x^(2k)/(2k+1)!."""
+def _kernel_parts(x: float) -> tuple[float, float]:
+    """(sin x/x - 1, cos x/x^2 - sin x/x^3 + 1/3), the phi-free parts of
+    F - 1; below F_SERIES_THRESHOLD, summed as sum_{k>=1} (-1)^k x^(2k)/(2k+1)!
+    and sum_{k>=2} (-1)^(k+1) x^(2k-2) 2k/(2k+1)!."""
     if x >= F_SERIES_THRESHOLD:
-        return math.sin(x) / x - 1.0
+        sin = math.sin(x)
+        return sin / x - 1.0, math.cos(x) / x**2 - sin / x**3 + 1.0 / 3.0
     x2 = x * x
-    total = 0.0
+    s = 0.0
     term = 1.0
     for k in range(1, 30):
         term *= -x2 / ((2 * k) * (2 * k + 1))
-        total += term
-        if abs(term) < 1e-18 * max(abs(total), 1e-30):
+        s += term
+        if abs(term) < 1e-18 * max(abs(s), 1e-30):
             break
-    return total
-
-
-def _g_plus_third(x: float) -> float:
-    """cos x/x^2 - sin x/x^3 + 1/3 = sum_{k>=2} (-1)^(k+1) x^(2k-2) 2k/(2k+1)!."""
-    if x >= F_SERIES_THRESHOLD:
-        return math.cos(x) / x**2 - math.sin(x) / x**3 + 1.0 / 3.0
-    x2 = x * x
-    total = 0.0
+    g = 0.0
     term = -2.0 / 6.0  # k = 1 term of the full series, -1/3
     for k in range(2, 30):
         term *= -x2 * (2 * k) / ((2 * k - 2) * (2 * k) * (2 * k + 1))
-        total += term
-        if abs(term) < 1e-18 * max(abs(total), 1e-30):
+        g += term
+        if abs(term) < 1e-18 * max(abs(g), 1e-30):
             break
-    return total
+    return s, g
 
 
 def bond_kernels(x: float, n: int, phi_list) -> list[list[float]]:
@@ -121,7 +116,7 @@ def bond_kernels(x: float, n: int, phi_list) -> list[list[float]]:
     """
     if x < 0:
         raise ValueError(f"bond length must be >= 0, got x={x}")
-    series = [(_sinc_minus_one(k * x), _g_plus_third(k * x)) for k in range(1, n)]
+    series = [_kernel_parts(k * x) for k in range(1, n)]
     kernels = []
     for phi in phi_list:
         c2 = math.cos(phi) ** 2
@@ -226,18 +221,11 @@ def damping_general(state: SignState, x: float, phi: float) -> DampingResult:
     (sum_n C_n)^2/N + (2/N) sum_k A_k (F(k x, phi) - 1): the constant part
     collapses exactly, so nearly dark states keep their tiny rates
     instead of dissolving into cancellation noise. A_k = sum_n C_n C_{n+k}
-    is correlated in exact integers, and the kernel is evaluated once per
-    bond length. The all-plus state has A_k = N - k, the number of bonds
-    of length k.
-
-    A single rate correlates with numpy: on a 2-vCPU host one A_k takes
-    10-12 us at N = 100 against 17-29 us by :func:`bond_autocorrelation`,
-    but 0.6-0.7 ms at N = 1000 against 0.3-0.4 ms.
+    is correlated in exact integers by :func:`bond_autocorrelation`, and
+    the kernel is evaluated once per bond length. The all-plus state has
+    A_k = N - k, the number of bonds of length k.
     """
-    import numpy as np
-
-    c = np.array(state.coeffs)
-    autocorr = np.correlate(c, c, "full")[state.n:].tolist()
+    autocorr = bond_autocorrelation(state)
     rate = closed_form_rates((sum(state.coeffs),), (autocorr,), x, (phi,))[0][0]
     return DampingResult(rate, "closed_form", state, x, phi)
 

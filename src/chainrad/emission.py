@@ -12,10 +12,10 @@ intensities are reported relative to
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from .frozen import Frozen
 from .scales import (
     ANGSTROM,
     ELEMENTARY_CHARGE,
@@ -28,19 +28,22 @@ from .states import SignState
 from .sweeps import SweepTable
 
 
-@dataclass(frozen=True)
-class EmissionGeometry:
+class EmissionGeometry(Frozen):
     """Per-atom observation geometry for a chain observed at (obs_x, 0, 0).
 
-    All lengths in meters, times in seconds, angles in radians.
+    All lengths in meters, times in seconds, angles in radians: the
+    arrays hold R_n (``atom_z``), the dipole angle seen from atom n
+    (``phi_n``), |r - R_n| (``dist_n``), dist_n / c (``retard_n``) and
+    the N x 3 unit vectors (r - R_n)/|r - R_n| (``unit_n``).
     """
 
-    obs_x: float
-    atom_z: np.ndarray    # R_n
-    phi_n: np.ndarray     # dipole angle seen from atom n
-    dist_n: np.ndarray    # |r - R_n|
-    retard_n: np.ndarray  # dist_n / c
-    unit_n: np.ndarray    # N x 3 unit vectors (r - R_n)/|r - R_n|
+    __slots__ = ("obs_x", "atom_z", "phi_n", "dist_n", "retard_n", "unit_n")
+
+    def __init__(
+        self, obs_x: float, atom_z: np.ndarray, phi_n: np.ndarray,
+        dist_n: np.ndarray, retard_n: np.ndarray, unit_n: np.ndarray,
+    ):
+        super().__init__(obs_x, atom_z, phi_n, dist_n, retard_n, unit_n)
 
 
 def _geometry(n: int, a: float, phi: float, obs_x: float) -> EmissionGeometry:
@@ -117,12 +120,14 @@ def total_intensity(
     return 0.5 * geom.obs_x**2 / n * float(np.vdot(field, field).real)
 
 
-@dataclass
-class IntensityTrace:
-    """Scaled-intensity trace over a lattice-constant (or time) grid."""
+class IntensityTrace(Frozen):
+    """Scaled-intensity trace over a lattice-constant (or time) grid, with
+    I_0(x) in W/m^2 as ``reference_intensity``."""
 
-    table: SweepTable
-    reference_intensity: float  # I_0(x) in W/m^2
+    __slots__ = ("table", "reference_intensity")
+
+    def __init__(self, table: SweepTable, reference_intensity: float):
+        super().__init__(table, reference_intensity)
 
 
 def emission_sweep(

@@ -1,9 +1,9 @@
-"""Immutable records without ``dataclasses``.
+"""Immutable records without ``dataclasses``: the one record base.
 
 Importing ``dataclasses`` pulls in ``inspect``, which cost a cold CLI start
-more than chainrad's own modules together. The records of the rate and
-configuration layers need only fixed fields, a write guard, equality,
-hashing and a repr, which this base class gives them.
+more than chainrad's own modules together. Every record, of the
+configuration, rate and emission layers alike, needs only fixed fields, a
+write guard, equality, hashing and a repr, which this base class gives.
 """
 
 

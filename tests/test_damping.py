@@ -13,9 +13,8 @@ from chainrad.damping import (
     F_SERIES_THRESHOLD,
     QuadratureAccuracyError,
     _angular_weight,
-    _g_plus_third,
+    _kernel_parts,
     _power_spectrum,
-    _sinc_minus_one,
     angle_sweep,
     bond_autocorrelation,
     bond_kernels,
@@ -60,7 +59,8 @@ def per_point_rate(state, x, phi):
     c2 = math.cos(phi) ** 2
     acc = 0.0
     for k, a_k in enumerate(bond_autocorrelation(state), start=1):
-        g_k = 1.5 * (_sinc_minus_one(k * x) * (1.0 - c2) + _g_plus_third(k * x) * (1.0 - 3.0 * c2))
+        s, g = _kernel_parts(k * x)
+        g_k = 1.5 * (s * (1.0 - c2) + g * (1.0 - 3.0 * c2))
         acc += a_k * g_k
     return float(sum(state.coeffs)) ** 2 / state.n + 2.0 * acc / state.n
 
@@ -100,11 +100,14 @@ class TestFKernel:
     def test_series_direct_agreement_at_threshold(self):
         x0 = F_SERIES_THRESHOLD
         below = x0 * (1 - 1e-15)  # series branch
-        assert _sinc_minus_one(below) == pytest.approx(
-            math.sin(x0) / x0 - 1.0, rel=1e-10
-        )
-        assert _g_plus_third(below) == pytest.approx(
+        s, g = _kernel_parts(below)
+        assert s == pytest.approx(math.sin(x0) / x0 - 1.0, rel=1e-10)
+        assert g == pytest.approx(
             math.cos(x0) / x0**2 - math.sin(x0) / x0**3 + 1.0 / 3.0, rel=1e-10
+        )
+        assert _kernel_parts(x0) == (
+            math.sin(x0) / x0 - 1.0,
+            math.cos(x0) / x0**2 - math.sin(x0) / x0**3 + 1.0 / 3.0,
         )
 
     @pytest.mark.parametrize("x", [0.3, 1.0, 4.0])

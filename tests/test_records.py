@@ -7,6 +7,8 @@ import pickle
 import pytest
 
 from chainrad.damping import DampingResult
+from chainrad.emission import EmissionGeometry, IntensityTrace, _geometry
+from chainrad.frozen import Frozen
 from chainrad.scales import ANGSTROM, AtomicScales, ChainConfig, ConfigError
 from chainrad.states import SignState, symmetric_state
 from chainrad.sweeps import SweepTable
@@ -113,6 +115,23 @@ class TestDampingResult:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError, match="negative decay rate"):
             self.make(-2e-12)
+
+
+class TestEmissionRecords:
+    def test_frozen_with_named_fields(self):
+        geometry = _geometry(3, 1000 * ANGSTROM, 0.2, 1e6 * ANGSTROM)
+        table = SweepTable(columns=["x"], rows=[(1.0,)])
+        trace = IntensityTrace(table=table, reference_intensity=2.5)
+        assert isinstance(geometry, EmissionGeometry) and isinstance(geometry, Frozen)
+        assert geometry.atom_z.tolist() == [0.0, 1000 * ANGSTROM, 2000 * ANGSTROM]
+        assert isinstance(trace, Frozen)
+        assert (trace.table, trace.reference_intensity) == (table, 2.5)
+        assert trace == IntensityTrace(table, 2.5)
+        for record in (geometry, trace):
+            with pytest.raises(AttributeError):
+                setattr(record, type(record).__slots__[0], None)
+            with pytest.raises(AttributeError):
+                record.new_field = 1
 
 
 class TestSweepTable:
