@@ -21,9 +21,7 @@ _PUBLIC = {
         "damping_general", "damping_quadrature_oracle", "f_kernel",
         "n_scaling_sweep",
     ),
-    "emission": (
-        "EmissionGeometry", "IntensityTrace", "emission_sweep", "total_intensity",
-    ),
+    "emission": ("IntensityTrace", "emission_sweep", "total_intensity"),
     "sweeps": ("SweepTable",),
 }
 _SOURCE = {name: module for module, names in _PUBLIC.items() for name in names}

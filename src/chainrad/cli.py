@@ -292,7 +292,7 @@ def cmd_angles(args) -> int:
 def cmd_emission(args) -> int:
     import numpy as np  # emission is the one command that needs arrays
 
-    from .emission import emission_sweep
+    from .emission import emission_sweep, latest_retardation
 
     config = _load_config(args)
     state = parse_state(args.state or "sym", config.n_atoms)
@@ -311,9 +311,10 @@ def cmd_emission(args) -> int:
         math.log10(lo), math.log10(hi), _points(args, 2000)
     ) * ANGSTROM
     if args.time is None:
-        # latest retardation over the grid, so the default is always causal;
-        # the largest point is the last one only for an ascending --range
-        t = math.hypot(obs_x, (config.n_atoms - 1) * float(a_grid.max())) / SPEED_OF_LIGHT
+        # latest retardation over the grid, by the sweep's own rule, so the
+        # default is always causal; the largest point is the last one only
+        # for an ascending --range
+        t = latest_retardation(config.n_atoms, float(a_grid.max()), obs_x)
     elif math.isfinite(args.time):
         t = args.time
     else:
@@ -493,7 +494,13 @@ COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """argparse, but --help and --version (argparse's only stdout text) that
-    cannot be written are exit 2 like a CSV, not skipped in silence."""
+    cannot be written are exit 2 like a CSV, not skipped in silence, and
+    usage lines go to stderr only."""
+
+    def print_usage(self, file=None):
+        # error() passes sys.stderr, which is None when the process started
+        # with stderr closed, and argparse reads a None file as stdout
+        _write_stderr(self.format_usage())
 
     def _print_message(self, message, file=None):
         if file is sys.stderr:

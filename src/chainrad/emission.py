@@ -11,7 +11,6 @@ intensities are reported relative to
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -28,46 +27,11 @@ from .states import SignState
 from .sweeps import SweepTable
 
 
-class EmissionGeometry(Frozen):
-    """Per-atom observation geometry for a chain observed at (obs_x, 0, 0).
-
-    All lengths in meters, times in seconds, angles in radians: the
-    arrays hold R_n (``atom_z``), the dipole angle seen from atom n
-    (``phi_n``), |r - R_n| (``dist_n``), dist_n / c (``retard_n``) and
-    the N x 3 unit vectors (r - R_n)/|r - R_n| (``unit_n``).
-    """
-
-    __slots__ = ("obs_x", "atom_z", "phi_n", "dist_n", "retard_n", "unit_n")
-
-    def __init__(
-        self, obs_x: float, atom_z: np.ndarray, phi_n: np.ndarray,
-        dist_n: np.ndarray, retard_n: np.ndarray, unit_n: np.ndarray,
-    ):
-        super().__init__(obs_x, atom_z, phi_n, dist_n, retard_n, unit_n)
-
-
-def _geometry(n: int, a: float, phi: float, obs_x: float) -> EmissionGeometry:
-    """Geometry arrays for n atoms at spacing a >= 0 (coincident allowed)."""
-    if not obs_x > 0:
-        raise ValueError(f"obs_x must be > 0, got {obs_x}")
-    if a < 0:
-        raise ValueError(f"lattice constant must be >= 0, got {a}")
-    atom_z = a * np.arange(n, dtype=float)
-    dist = np.hypot(obs_x, atom_z)
-    # alpha = arctan(obs_x / R); atan2 gives pi/2 at R = 0
-    alpha = np.arctan2(obs_x, atom_z)
-    phi_n = math.pi - phi - alpha
-    unit = np.column_stack(
-        [np.full(n, obs_x), np.zeros(n), -atom_z]
-    ) / dist[:, None]
-    return EmissionGeometry(
-        obs_x=obs_x,
-        atom_z=atom_z,
-        phi_n=phi_n,
-        dist_n=dist,
-        retard_n=dist / SPEED_OF_LIGHT,
-        unit_n=unit,
-    )
+def latest_retardation(n: int, a: float, obs_x: float) -> float:
+    """|r - R_N|/c in seconds, when the last (farthest) atom's light reaches
+    (obs_x, 0, 0): bitwise the last atom's dist / c in ``total_intensity``.
+    Every causality check and the CLI's default time use this one rule."""
+    return float(np.hypot(obs_x, (n - 1) * a) / SPEED_OF_LIGHT)
 
 
 def reference_intensity(scales: AtomicScales, mu_e_angstrom: float, obs_x: float) -> float:
@@ -79,9 +43,12 @@ def reference_intensity(scales: AtomicScales, mu_e_angstrom: float, obs_x: float
 
 
 def total_intensity(
-    state: SignState, geom: EmissionGeometry, scales: AtomicScales, t: float
+    state: SignState, a: float, phi: float, obs_x: float, scales: AtomicScales,
+    t: float,
 ) -> float:
-    """Scaled intensity I(r, t)/I_0(x) for an arbitrary sign state.
+    """Scaled intensity I(r, t)/I_0(x) for an arbitrary sign state on a
+    chain of spacing a >= 0 (coincident atoms allowed), polarization phi,
+    observed at (obs_x, 0, 0) at time t.
 
     The pair correlations C_i C_j / N are rank one, so the per-atom and
     pairwise interference terms collapse into one squared amplitude sum,
@@ -89,35 +56,40 @@ def total_intensity(
         I/I_0 = (x^2/2N) |sum_n C_n (sin phi_n/d_n)
                           e^{-gamma (t - t_n)/2} e^{i omega (t_n - t_0)} u_n|^2,
 
-    each atom carrying its own retardation t_n in both the decay envelope
-    and the phase. Only phase differences enter, so they are taken
-    relative to t_0, the first atom's retardation.
+    with d_n = |r - R_n|, t_n = d_n/c and u_n = (r - R_n)/d_n: each atom
+    carries its own retardation in both the decay envelope and the phase.
+    Only phase differences enter, so they are taken relative to t_0, the
+    first atom's retardation.
     """
-    n = len(geom.atom_z)
-    if state.n != n:
-        raise ValueError(f"state has {state.n} atoms, geometry has {n}")
-    t_max = float(np.max(geom.retard_n))
-    if t < t_max:
+    if not obs_x > 0:
+        raise ValueError(f"obs_x must be > 0, got {obs_x}")
+    if not (math.isfinite(a) and a >= 0):
+        raise ValueError(f"lattice constant must be finite and >= 0, got {a}")
+    if not math.isfinite(t):
+        raise ValueError(f"observation time must be finite, got {t}")
+    n = state.n
+    t_last = latest_retardation(n, a, obs_x)
+    if t < t_last:
         raise CausalityError(
-            f"t={t!r} s precedes the latest retardation time {t_max!r} s"
+            f"t={t!r} s precedes the latest retardation time {t_last!r} s"
         )
-    if n >= 2:
-        qa_a = scales.q_a * (geom.atom_z[1] - geom.atom_z[0])
-        if qa_a < 1.0:
-            warnings.warn(
-                f"q_a*a = {qa_a:.3g} < 1: the independent-atom decay model "
-                "is outside its validity regime",
-                stacklevel=2,
-            )
-    tn = geom.retard_n
+    atom_z = a * np.arange(n, dtype=float)
+    dist = np.hypot(obs_x, atom_z)
+    # alpha = arctan(obs_x / R); atan2 gives pi/2 at R = 0
+    alpha = np.arctan2(obs_x, atom_z)
+    phi_n = math.pi - phi - alpha
+    unit = np.column_stack(
+        [np.full(n, obs_x), np.zeros(n), -atom_z]
+    ) / dist[:, None]
+    tn = dist / SPEED_OF_LIGHT
     amplitude = (
-        np.array(state.coeffs) * np.sin(geom.phi_n) / geom.dist_n
+        np.array(state.coeffs) * np.sin(phi_n) / dist
         * np.exp(-0.5 * scales.gamma_a * (t - tn))
         * np.exp(1j * (scales.omega_a * (tn - tn[0])))
     )
-    field = amplitude @ geom.unit_n
+    field = amplitude @ unit
     # the 1/2 turns the 32 pi^2 field prefactor into I_0/2
-    return 0.5 * geom.obs_x**2 / n * float(np.vdot(field, field).real)
+    return 0.5 * obs_x**2 / n * float(np.vdot(field, field).real)
 
 
 class IntensityTrace(Frozen):
@@ -147,20 +119,17 @@ def emission_sweep(
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size == 0:
         raise ValueError("empty lattice-constant grid")
-    n = state.n
     for a in a_grid:
-        t_last = math.hypot(obs_x, (n - 1) * a) / SPEED_OF_LIGHT
+        t_last = latest_retardation(state.n, float(a), obs_x)
         if t < t_last:
             raise CausalityError(
                 f"grid point a={a / ANGSTROM:.6g} A violates causality: "
                 f"t={t!r} s < retardation {t_last!r} s"
             )
-    rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for a in a_grid:
-            geom = _geometry(n, float(a), phi, obs_x)
-            rows.append((a / ANGSTROM, total_intensity(state, geom, scales, t)))
+    rows = [
+        (a / ANGSTROM, total_intensity(state, float(a), phi, obs_x, scales, t))
+        for a in a_grid
+    ]
     table = SweepTable(
         columns=["a_angstrom", "intensity_ratio"],
         rows=rows,

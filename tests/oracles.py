@@ -11,14 +11,14 @@ reference for the library's fixed Gauss-Legendre oracle.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from mpmath import mp, mpf
 from scipy.integrate import quad
 
 from chainrad.damping import f_kernel_minus_one
-from chainrad.scales import CausalityError
-from chainrad.scales import SPEED_OF_LIGHT
+from chainrad.scales import SPEED_OF_LIGHT, CausalityError
 from chainrad.states import alternating_state, symmetric_state
 
 
@@ -95,6 +95,27 @@ def pair_correlations(coeffs) -> np.ndarray:
     """Initial-time pair correlations <B_i^dag(0) B_j(0)> = C_i C_j / N."""
     c = np.array(coeffs, dtype=float)
     return np.outer(c, c) / len(coeffs)
+
+
+def emission_geometry(n: int, a: float, phi: float, obs_x: float) -> SimpleNamespace:
+    """Per-atom observation geometry of n atoms at spacing a, observed at
+    (obs_x, 0, 0), with the numpy calls ``total_intensity`` makes inline:
+    R_n (``atom_z``), the dipole angle seen from atom n (``phi_n``),
+    |r - R_n| (``dist_n``), dist_n / c (``retard_n``) and the N x 3 unit
+    vectors (r - R_n)/|r - R_n| (``unit_n``)."""
+    atom_z = a * np.arange(n, dtype=float)
+    dist = np.hypot(obs_x, atom_z)
+    unit = np.column_stack(
+        [np.full(n, obs_x), np.zeros(n), -atom_z]
+    ) / dist[:, None]
+    return SimpleNamespace(
+        obs_x=obs_x,
+        atom_z=atom_z,
+        phi_n=math.pi - phi - np.arctan2(obs_x, atom_z),
+        dist_n=dist,
+        retard_n=dist / SPEED_OF_LIGHT,
+        unit_n=unit,
+    )
 
 
 def total_intensity_pairwise(coeffs, geom, scales, t: float) -> float:

@@ -178,6 +178,21 @@ class TestCommands:
         assert down_header == up_header
         assert down_rows == up_rows[:1] + up_rows[:0:-1]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--range", "1e3:213024"],
+            ["--set", "n_atoms=7", "--range", "1e3:396099"],
+        ],
+    )
+    def test_emission_default_time_is_causal_to_the_last_bit(self, argv):
+        # grids whose default time, taken by math.hypot, fell one ulp short
+        # of the np.hypot retardation the intensity sum checks against
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["emission", *argv, "--points", "5"]) == EXIT_OK
+        assert len([l for l in out.getvalue().splitlines() if l[:1].isdigit()]) == 5
+
     def test_nscaling_range_sets_n_max(self, tmp_path):
         out = tmp_path / "nscaling.csv"
         assert main(["nscaling", "--range", "1:12", "--out", str(out)]) == EXIT_OK
@@ -468,6 +483,13 @@ class TestParser:
         assert outcome[0] == code
         assert text in outcome[stream]
         assert outcome[3 - stream] == ""  # the other stream stays empty
+
+    def test_usage_never_reaches_stdout_with_stderr_closed(self, monkeypatch, capsys):
+        # argparse's error() prints usage to sys.stderr, and to stdout when
+        # sys.stderr is None (a process started with stderr closed)
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(["damping", "--bogus"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_one_command_parser_knows_only_that_command(self):
         assert build_parser("scales").parse_args(["scales"]).command == "scales"

@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from chainrad.damping import DampingResult
-from chainrad.emission import EmissionGeometry, IntensityTrace, _geometry
+from chainrad.emission import IntensityTrace
 from chainrad.frozen import Frozen
 from chainrad.scales import ANGSTROM, AtomicScales, ChainConfig, ConfigError
 from chainrad.states import SignState, symmetric_state
@@ -119,19 +119,15 @@ class TestDampingResult:
 
 class TestEmissionRecords:
     def test_frozen_with_named_fields(self):
-        geometry = _geometry(3, 1000 * ANGSTROM, 0.2, 1e6 * ANGSTROM)
         table = SweepTable(columns=["x"], rows=[(1.0,)])
         trace = IntensityTrace(table=table, reference_intensity=2.5)
-        assert isinstance(geometry, EmissionGeometry) and isinstance(geometry, Frozen)
-        assert geometry.atom_z.tolist() == [0.0, 1000 * ANGSTROM, 2000 * ANGSTROM]
         assert isinstance(trace, Frozen)
         assert (trace.table, trace.reference_intensity) == (table, 2.5)
         assert trace == IntensityTrace(table, 2.5)
-        for record in (geometry, trace):
-            with pytest.raises(AttributeError):
-                setattr(record, type(record).__slots__[0], None)
-            with pytest.raises(AttributeError):
-                record.new_field = 1
+        with pytest.raises(AttributeError):
+            trace.table = None
+        with pytest.raises(AttributeError):
+            trace.new_field = 1
 
 
 class TestSweepTable:
