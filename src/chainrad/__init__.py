@@ -18,8 +18,7 @@ _PUBLIC = {
     ),
     "damping": (
         "DampingResult", "QuadratureAccuracyError", "angle_sweep",
-        "damping_general", "damping_quadrature_oracle", "f_kernel",
-        "n_scaling_sweep",
+        "damping_general", "f_kernel", "n_scaling_sweep", "quadrature_rates",
     ),
     "emission": ("IntensityTrace", "emission_sweep", "total_intensity"),
     "sweeps": ("SweepTable",),

@@ -19,10 +19,10 @@ from .scales import (
     ChainConfig,
     ConfigError,
     config_from_dict,
-    config_from_json,
     config_to_dict,
     derive_scales,
     dimensionless_separation,
+    read_config_dict,
 )
 from .coupling import coupling_sweep
 from .damping import (
@@ -136,10 +136,8 @@ def _apply_sets(data: dict, sets: list[str]) -> dict:
 
 
 def _load_config(args) -> ChainConfig:
-    if args.config:
-        data = config_to_dict(config_from_json(args.config))
-    else:
-        data = dict(DEFAULT_CONFIG)
+    """The --config keys (or DEFAULT_CONFIG) with --set applied, built once."""
+    data = read_config_dict(args.config) if args.config else DEFAULT_CONFIG
     return config_from_dict(_apply_sets(data, args.set or []))
 
 

@@ -15,25 +15,27 @@ import math
 
 from .sweeps import SweepTable, linspace, phi_columns
 
-#: Below this x the sin/cos bracket is evaluated by its Laurent series.
-BRACKET_SERIES_THRESHOLD = 1e-3
-
-
-def _bracket(x: float) -> float:
-    """sin x/x^2 + cos x/x^3, series-evaluated near zero."""
-    if x < BRACKET_SERIES_THRESHOLD:
-        # 1/x^3 + 1/(2x) - x/8 + x^3/144 - x^5/5760 + O(x^7)
-        return 1.0 / x**3 + 0.5 / x - x / 8.0 + x**3 / 144.0 - x**5 / 5760.0
-    return math.sin(x) / x**2 + math.cos(x) / x**3
+def _finite(j: float, x: float) -> float:
+    """``j``, or OverflowError when it is not finite: from about x = 1.4e-108
+    to 1.8e-103, x^3 is subnormal and 1/x^3 overflows to inf without
+    raising."""
+    if not math.isfinite(j):
+        raise OverflowError(f"the coupling is not finite at x={x!r}")
+    return j
 
 
 def transfer_exact(x: float, phi: float) -> float:
-    """Exact radiative coupling J/gamma_a at dimensionless separation x."""
+    """Exact radiative coupling J/gamma_a at dimensionless separation x.
+
+    The bracket sin x/x^2 + cos x/x^3 is evaluated as written at every x:
+    near 0 its 1/x^3 part dominates, so the two terms do not cancel.
+    """
     if not x > 0:
         raise ValueError(f"separation must be > 0, got x={x}")
     c2 = math.cos(phi) ** 2
-    return 0.75 * (
-        _bracket(x) * (1.0 - 3.0 * c2) - (math.cos(x) / x) * (1.0 - c2)
+    bracket = math.sin(x) / x**2 + math.cos(x) / x**3
+    return _finite(
+        0.75 * (bracket * (1.0 - 3.0 * c2) - (math.cos(x) / x) * (1.0 - c2)), x
     )
 
 
@@ -42,7 +44,7 @@ def transfer_electrostatic(x: float, phi: float) -> float:
     if not x > 0:
         raise ValueError(f"separation must be > 0, got x={x}")
     c2 = math.cos(phi) ** 2
-    return 0.75 * (1.0 - 3.0 * c2) / x**3
+    return _finite(0.75 * (1.0 - 3.0 * c2) / x**3, x)
 
 
 def coupling_sweep(

@@ -16,9 +16,8 @@ rate in the package comes from :func:`closed_form_rates`.
 
 The same rate follows from the golden-rule integral over photon
 emission directions; :func:`quadrature_rates` evaluates that integral
-numerically for a batch of states (:func:`damping_quadrature_oracle` is
-its one-state case) and is kept deliberately independent of the
-closed-form path so the two can cross-check each other.
+numerically for a batch of states and is kept deliberately independent
+of the closed-form path so the two can cross-check each other.
 
 Only the oracle imports numpy, on first use; every closed-form rate runs
 on Python floats and integers.
@@ -38,7 +37,7 @@ from .sweeps import SweepTable, linspace, phi_columns
 #: branches are good to ~1e-14.
 F_SERIES_THRESHOLD = 1.5
 
-#: Absolute tolerance requested from the quadrature oracle.
+#: Absolute tolerance requested from the quadrature oracle, read at each call.
 ORACLE_TOL = 1e-10
 
 #: The oracle sums Gauss-Legendre panels of this many nodes, and takes
@@ -151,9 +150,9 @@ def _nonnegative(rate: float) -> float:
 class DampingResult(Frozen):
     """A computed collective rate gamma/gamma_a and how it was obtained.
 
-    ``method`` is "closed_form" or "quadrature". A rate below zero by at
-    most 1e-12 is roundoff and is stored as 0; a lower one raises
-    ValueError.
+    ``method`` names the path: "closed_form", from :func:`damping_general`.
+    A rate below zero by at most 1e-12 is roundoff and is stored as 0; a
+    lower one raises ValueError.
     """
 
     __slots__ = ("rate_ratio", "method", "state", "x", "phi")
@@ -284,9 +283,7 @@ def _oracle_work(n: int, xs) -> float:
     return sum(n * nodes * (n * x / ORACLE_PANEL_SPAN + 1.0) for x in xs)
 
 
-def quadrature_rates(
-    states, x: float, phi_list, tol: float = ORACLE_TOL
-) -> list[list[float]]:
+def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
     """Golden-rule rates of equal-length sign states at x, for each phi.
 
     Integrates (3/(8 x N)) int_{-x}^{x} dy |sum_n C_n e^{-i n y}|^2
@@ -303,7 +300,7 @@ def quadrature_rates(
     floor QUADPACK puts under its estimates, 50 eps times the integral of
     |f| (the integrand is non-negative, so that is the value itself).
     QuadratureAccuracyError, naming the first state and phi in order,
-    is raised when an estimate, scaled like the rate, exceeds ``tol``;
+    is raised when an estimate, scaled like the rate, exceeds ORACLE_TOL;
     OverflowError, when a rate or an estimate is not finite (an x so
     small that x^2 underflows).
 
@@ -353,25 +350,14 @@ def quadrature_rates(
         errors = np.maximum(np.abs(value - check), floor) * scale
     if not (np.isfinite(rates).all() and np.isfinite(errors).all()):
         raise OverflowError(f"the quadrature oracle is not finite at x={x!r}")
-    over = np.argwhere(errors > tol)
+    over = np.argwhere(errors > ORACLE_TOL)
     if len(over):
         i, j = over[0]
         raise QuadratureAccuracyError(
-            achieved=float(errors[i, j]), requested=tol,
+            achieved=float(errors[i, j]), requested=ORACLE_TOL,
             estimate=float(rates[i, j]), state=states[i], x=x, phi=phi_list[j],
         )
     return rates.tolist()
-
-
-def damping_quadrature_oracle(
-    state: SignState, x: float, phi: float, tol: float = ORACLE_TOL
-) -> DampingResult:
-    """Rate from direct numerical integration of the golden-rule integral:
-    the one-state, one-phi case of :func:`quadrature_rates`."""
-    rate = quadrature_rates([state], x, [phi], tol)[0][0]
-    return DampingResult(
-        rate_ratio=rate, method="quadrature", state=state, x=x, phi=phi
-    )
 
 
 def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:

@@ -26,6 +26,12 @@ from .scales import (
 from .states import SignState
 from .sweeps import SweepTable
 
+#: Most atom-points (grid points times N) one sweep may evaluate. Each
+#: point is one pass over the N atoms, about 220-290 ns per atom at
+#: N >= 1000 on a 2-vCPU host, so the budget is about 2-3 s of work; a
+#: grid over it is refused before any work.
+EMISSION_WORK_BUDGET = 1e7
+
 
 def latest_retardation(n: int, a: float, obs_x: float) -> float:
     """|r - R_N|/c in seconds, when the last (farthest) atom's light reaches
@@ -113,12 +119,21 @@ def emission_sweep(
 ) -> IntensityTrace:
     """Intensity-vs-lattice-constant trace for a fixed state.
 
-    Every grid point is checked for causality up front; the first
-    violating point is named in the error.
+    A grid whose points times N exceed EMISSION_WORK_BUDGET is refused
+    with ValueError, and every grid point is checked for causality, before
+    any intensity is computed; the first violating point is named in the
+    error.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size == 0:
         raise ValueError("empty lattice-constant grid")
+    work = a_grid.size * state.n
+    if work > EMISSION_WORK_BUDGET:
+        raise ValueError(
+            f"emission over {a_grid.size} points at N={state.n} needs about "
+            f"{work:.2e} atom-points, over its budget of "
+            f"{EMISSION_WORK_BUDGET:.0e}; use fewer points or a shorter chain"
+        )
     for a in a_grid:
         t_last = latest_retardation(state.n, float(a), obs_x)
         if t < t_last:

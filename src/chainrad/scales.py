@@ -41,13 +41,20 @@ class CausalityError(ValueError):
     """Intensity requested before the light from some atom can arrive."""
 
 
+def _not_bool(name: str, value) -> None:
+    """A ConfigError for a bool, which Python would take as the number 0 or 1."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, not a boolean ({value})")
+
+
 class ChainConfig(Frozen):
     """Physical description of the emitter chain.
 
     Parameters
     ----------
     n_atoms : int
-        Number of atoms N on the chain, 1 <= N <= ``MAX_ATOMS``.
+        Number of atoms N on the chain, 1 <= N <= ``MAX_ATOMS``; a whole
+        float such as 3.0 is stored as the int 3.
     lattice_const : float
         Lattice constant a in meters.
     transition_energy : float
@@ -82,10 +89,13 @@ class ChainConfig(Frozen):
             polarization_angle, gamma_override,
         )
         for name, value in zip(self.__slots__, values):
+            _not_bool(name, value)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if not 1 <= n_atoms <= MAX_ATOMS:
             raise ConfigError(f"n_atoms must be in 1..{MAX_ATOMS}, got {n_atoms}")
+        if n_atoms != int(n_atoms):
+            raise ConfigError(f"n_atoms must be a whole number, got {n_atoms}")
         if not lattice_const > 0:
             raise ConfigError(f"lattice_const must be > 0, got {lattice_const}")
         if not transition_energy > 0:
@@ -102,7 +112,7 @@ class ChainConfig(Frozen):
         if phi > math.pi / 2:
             phi = math.pi - phi
         super().__init__(
-            n_atoms, lattice_const, transition_energy, dipole_moment, phi,
+            int(n_atoms), lattice_const, transition_energy, dipole_moment, phi,
             gamma_override,
         )
 
@@ -194,7 +204,8 @@ _JSON_KEYS = {
 
 
 def config_from_dict(data: dict) -> ChainConfig:
-    """Build a ChainConfig from the external JSON key set."""
+    """Build a ChainConfig from the external JSON key set; values are
+    numbers or, as ``--set`` gives them, strings."""
     unknown = set(data) - _JSON_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -206,9 +217,12 @@ def config_from_dict(data: dict) -> ChainConfig:
     } - set(data)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
+    for key, value in data.items():  # float() would take a bool as 0 or 1
+        _not_bool(key, value)
+    n_atoms = data["n_atoms"]
     try:
         return ChainConfig(
-            n_atoms=int(data["n_atoms"]),
+            n_atoms=int(n_atoms) if isinstance(n_atoms, str) else n_atoms,
             lattice_const=float(data["lattice_const_angstrom"]) * ANGSTROM,
             transition_energy=float(data["transition_energy_ev"]),
             dipole_moment=float(data["dipole_e_angstrom"]),
@@ -225,8 +239,9 @@ def config_from_dict(data: dict) -> ChainConfig:
         raise ConfigError(f"bad config value: {exc}") from exc
 
 
-def config_from_json(path) -> ChainConfig:
-    """Load a ChainConfig from a JSON file."""
+def read_config_dict(path) -> dict:
+    """The JSON object in ``path`` as written, in external units: what
+    :func:`config_from_dict` takes, before any key is checked."""
     import json  # only --config reads JSON; the other commands skip its import
 
     try:
@@ -236,7 +251,12 @@ def config_from_json(path) -> ChainConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    return config_from_dict(data)
+    return data
+
+
+def config_from_json(path) -> ChainConfig:
+    """Load a ChainConfig from a JSON file."""
+    return config_from_dict(read_config_dict(path))
 
 
 def config_to_dict(config: ChainConfig) -> dict:

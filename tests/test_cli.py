@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gzip
 import hashlib
@@ -6,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -26,10 +28,12 @@ from chainrad.cli import (
     EXIT_USAGE,
     SUPPORTED_FIGURES,
     UsageError,
+    _load_config,
     build_parser,
     main,
     parse_state,
 )
+from chainrad.scales import config_from_dict, config_to_dict
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -333,9 +337,10 @@ class TestExitCodes:
             ["nscaling", "--range", "1:10001"],
             ["scales", "--out", "no_such_dir/scales.csv"],
             ["verify", "--nmax", "0"],
-            # rejected before any work: 21 would enumerate 2^20 states first
+            # VERIFY_MAX_N refuses it before any state is enumerated
             ["verify", "--nmax", "21"],
-            # verify's own cap: 12 takes about 10 s, and each step doubles it
+            # VERIFY_MAX_N itself: 12 takes about 0.74 s as a fresh
+            # process, and each atom doubles the work
             ["verify", "--nmax", "13"],
             # checked before a grid exists
             ["coupling", "--points", "100001"],
@@ -354,6 +359,10 @@ class TestExitCodes:
             ["emission", "--obs-x", "1e300", "--points", "3"],
             # x = 1e-300 squares to zero in the oracle's integrand
             ["damping", "--range", "1e-300:1", "--oracle", "--points", "5"],
+            # x^3 is subnormal at x = 1e-105, and 1/x^3 overflows to inf
+            ["coupling", "--range", "1e-105:1", "--points", "2"],
+            # points * N over emission's work budget
+            ["emission", "--set", "n_atoms=10000", "--points", "1001"],
         ],
     )
     def test_invalid_flag_values_are_usage_errors(self, argv, capsys):
@@ -401,6 +410,28 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert "over its budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_atoms", 2.7),
+            ("n_atoms", True),
+            ("lattice_const_angstrom", True),
+            ("polarization_deg", True),
+            ("gamma_override_hz", False),
+        ],
+    )
+    def test_bool_or_fractional_file_value_is_config_error(
+        self, tmp_path, capsys, key, value
+    ):
+        # "n_atoms": 2.7 used to run as N = 2 and true as N = 1
+        data = {"n_atoms": 3, "lattice_const_angstrom": 500,
+                "transition_energy_ev": 2.0, "dipole_e_angstrom": 1.0}
+        cfg = tmp_path / "chain.json"
+        cfg.write_text(json.dumps(dict(data, **{key: value})))
+        assert main(["scales", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("chainrad: config error: ") and key in err
+
     def test_nscaling_rejects_n_atoms(self, capsys):
         # the header would record an n_atoms the sweep never used
         assert main(["nscaling", "--set", "n_atoms=5"]) == EXIT_USAGE
@@ -429,6 +460,51 @@ class TestExitCodes:
              "--time", "1e-15"]
         )
         assert rc == EXIT_CAUSALITY
+
+
+def load_config(config=None, sets=None):
+    return _load_config(argparse.Namespace(config=config, set=sets))
+
+
+class TestConfigMerge:
+    """--config is read as external-unit keys, --set is applied to them, and
+    the chain is built once from the result."""
+
+    def test_file_and_set_build_the_same_chain(self, tmp_path):
+        # configs that a ChainConfig -> external units -> ChainConfig
+        # round trip changes by an ulp (about 5% of them)
+        rng = random.Random(14)
+        sensitive = []
+        while len(sensitive) < 40:
+            data = {
+                "n_atoms": rng.randint(1, 100),
+                "lattice_const_angstrom": 10.0 ** rng.uniform(0.0, 6.0),
+                "transition_energy_ev": rng.uniform(0.5, 5.0),
+                "dipole_e_angstrom": rng.uniform(0.1, 5.0),
+                "polarization_deg": rng.uniform(-180.0, 180.0),
+            }
+            config = config_from_dict(data)
+            if config_from_dict(config_to_dict(config)) != config:
+                sensitive.append(data)
+        for i, data in enumerate(sensitive):
+            path = tmp_path / f"chain{i}.json"
+            path.write_text(json.dumps(data))
+            sets = [f"{key}={value!r}" for key, value in data.items()]
+            assert load_config(str(path)) == config_from_dict(data), data
+            assert load_config(None, sets) == config_from_dict(data), data
+
+    def test_set_completes_a_partial_file(self, tmp_path, capsys):
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps(
+            {"lattice_const_angstrom": 500, "transition_energy_ev": 2.0,
+             "dipole_e_angstrom": 1.0}
+        ))
+        assert main(["scales", "--config", str(partial)]) == EXIT_CONFIG
+        assert "missing config keys: ['n_atoms']" in capsys.readouterr().err
+        argv = ["scales", "--config", str(partial), "--set", "n_atoms=3"]
+        assert main(argv) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "" and "# config.n_atoms=3\n" in out
 
 
 def parse_outcome(run, argv):
@@ -826,9 +902,10 @@ _FLAGS = {
 # Values bound the work: at most 50 points, 8 atoms, verify --nmax 3 and
 # nscaling N_max 50. "{tmp}" is replaced by a temporary directory.
 _VALUES = {
-    "--config": st.sampled_from(
-        ["{tmp}/chain.json", "{tmp}/missing.json", "{tmp}", "{tmp}/inf.json"]
-    ),
+    "--config": st.sampled_from([
+        "{tmp}/chain.json", "{tmp}/missing.json", "{tmp}", "{tmp}/inf.json",
+        "{tmp}/partial.json", "{tmp}/fraction.json", "{tmp}/bool.json",
+    ]),
     "--set": st.sampled_from([
         "n_atoms=1", "n_atoms=3", "n_atoms=8", "n_atoms=0", "n_atoms=-2",
         "n_atoms=2.5", "n_atoms=", "lattice_const_angstrom=300",
@@ -845,6 +922,7 @@ _VALUES = {
     "--range": st.sampled_from([
         "0.5:2", "0.01:20", "1:50", "1:12", "1:1", "1e3:1e5", "5:1", "0:3",
         "-1:3", "1:inf", "nan:2", "a:b", "7", "1:2:3", "1:1e300", "1e-300:1",
+        "1e-105:1",
     ]),
     "--out": st.sampled_from(["{tmp}/out.csv", "{tmp}/no_such_dir/out.csv"]),
     "--state": st.sampled_from(["sym", "alt", "+", "+-", "+-+", "++--", "+0", ""]),
@@ -879,10 +957,14 @@ def cli_argv(draw):
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
-    (path / "chain.json").write_text(json.dumps(
-        {"n_atoms": 3, "lattice_const_angstrom": 500,
-         "transition_energy_ev": 2.0, "dipole_e_angstrom": 1.0}
-    ))
+    chain = {"n_atoms": 3, "lattice_const_angstrom": 500,
+             "transition_energy_ev": 2.0, "dipole_e_angstrom": 1.0}
+    (path / "chain.json").write_text(json.dumps(chain))
+    (path / "partial.json").write_text(
+        json.dumps({k: v for k, v in chain.items() if k != "n_atoms"})
+    )
+    (path / "fraction.json").write_text(json.dumps(dict(chain, n_atoms=2.7)))
+    (path / "bool.json").write_text(json.dumps(dict(chain, n_atoms=True)))
     (path / "inf.json").write_text(
         '{"n_atoms": 1e400, "lattice_const_angstrom": 500,'
         ' "transition_energy_ev": 2.0, "dipole_e_angstrom": 1.0}'
@@ -906,3 +988,11 @@ class TestFuzz:
         if rc != EXIT_OK:
             assert err.getvalue().strip(), argv
         assert "Traceback" not in err.getvalue(), argv
+        if rc == EXIT_OK:  # no nan or inf cell in what it wrote
+            outs = [argv[i + 1] for i, a in enumerate(argv[:-1]) if a == "--out"]
+            text = out.getvalue() or Path(outs[-1]).read_text()
+            cells = {
+                cell for line in text.splitlines() if not line.startswith("#")
+                for cell in line.split(",")
+            }
+            assert not cells & {"nan", "inf", "-inf"}, argv

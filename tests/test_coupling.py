@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from chainrad.coupling import (
-    BRACKET_SERIES_THRESHOLD,
-    _bracket,
     coupling_sweep,
     transfer_electrostatic,
     transfer_exact,
@@ -16,6 +15,14 @@ J_HALF_PARALLEL = -13.407543974309691
 J_HALF_PERP = 5.387398144319286
 
 MAGIC_ANGLE = math.acos(1.0 / math.sqrt(3.0))
+
+
+def transfer_exact_mp(x: float, phi: float) -> float:
+    """J/gamma_a at 50 digits, for the float inputs x and phi."""
+    with mp.workdps(50):
+        x, c2 = mpf(x), mp.cos(mpf(phi)) ** 2
+        bracket = mp.sin(x) / x**2 + mp.cos(x) / x**3
+        return float(mpf(0.75) * (bracket * (1 - 3 * c2) - mp.cos(x) / x * (1 - c2)))
 
 
 class TestTransferExact:
@@ -48,10 +55,21 @@ class TestTransferExact:
         with pytest.raises(ValueError):
             transfer_exact(x, 0.0)
 
-    def test_series_direct_agreement_at_threshold(self):
-        x0 = BRACKET_SERIES_THRESHOLD
-        direct = math.sin(x0) / x0**2 + math.cos(x0) / x0**3
-        assert _bracket(x0 * (1 - 1e-15)) == pytest.approx(direct, rel=1e-10)
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 4, math.pi / 2])
+    def test_matches_mpmath_at_small_x(self, phi):
+        # the bracket is evaluated as written down to the smallest x: its
+        # 1/x^3 part dominates there, so nothing cancels
+        rng = np.random.default_rng(14)
+        for x in 10.0 ** rng.uniform(-8.0, -2.0, 2000):
+            want = transfer_exact_mp(float(x), phi)
+            assert abs(transfer_exact(x, phi) - want) <= 2e-15 * abs(want), x
+
+    @pytest.mark.parametrize("x", [1e-105, 1.4e-108, 1.8e-103])
+    @pytest.mark.parametrize("transfer", [transfer_exact, transfer_electrostatic])
+    def test_non_finite_coupling_raises(self, transfer, x):
+        # x^3 is subnormal, and 1/x^3 overflows to inf without raising
+        with pytest.raises(OverflowError, match="not finite"):
+            transfer(x, 0.0)
 
 
 class TestTransferElectrostatic:

@@ -20,7 +20,6 @@ from chainrad.damping import (
     bond_kernels,
     closed_form_rates,
     damping_general,
-    damping_quadrature_oracle,
     f_kernel,
     f_kernel_minus_one,
     n_scaling_sweep,
@@ -213,33 +212,39 @@ class TestAutocorrelationForm:
         assert bond_autocorrelation(SignState(tuple(coeffs))) == want
 
 
+def oracle_rate(state, x, phi):
+    """The quadrature oracle's rate of one state at one phi."""
+    return quadrature_rates([state], x, [phi])[0][0]
+
+
 class TestQuadratureOracle:
     @pytest.mark.parametrize("x", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("phi", [0.0, 1.0])
     def test_single_atom_normalization(self, x, phi):
-        res = damping_quadrature_oracle(symmetric_state(1), x, phi)
-        assert res.rate_ratio == pytest.approx(1.0, abs=1e-10)
-        assert res.method == "quadrature"
+        assert oracle_rate(symmetric_state(1), x, phi) == pytest.approx(1.0, abs=1e-10)
 
     def test_symmetric_pair_anchor(self):
-        res = damping_quadrature_oracle(symmetric_state(2), 0.5, 0.0)
-        assert res.rate_ratio == pytest.approx(1.0 + 0.9752, abs=1e-4)
+        assert oracle_rate(symmetric_state(2), 0.5, 0.0) == pytest.approx(
+            1.0 + 0.9752, abs=1e-4
+        )
 
     def test_matches_closed_form_on_mixed_state(self):
         cf = damping_general(RANDOM_STATE_N7, 1.3, 0.7).rate_ratio
-        qd = damping_quadrature_oracle(RANDOM_STATE_N7, 1.3, 0.7).rate_ratio
+        qd = oracle_rate(RANDOM_STATE_N7, 1.3, 0.7)
         assert abs(cf - qd) / abs(cf) <= 1e-8
 
     def test_equivalence_sample(self):
         for state in enumerate_sign_states(4):
             for x in (0.1, 1.0, 10.0):
                 cf = damping_general(state, x, 0.3).rate_ratio
-                qd = damping_quadrature_oracle(state, x, 0.3).rate_ratio
+                qd = oracle_rate(state, x, 0.3)
                 assert abs(cf - qd) / max(abs(cf), abs(qd)) <= 1e-8
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(damping, "ORACLE_TOL", 1e-30)
         with pytest.raises(QuadratureAccuracyError) as info:
-            damping_quadrature_oracle(RANDOM_STATE_N7, 1.3, 0.7, tol=1e-30)
+            oracle_rate(RANDOM_STATE_N7, 1.3, 0.7)
+        assert info.value.requested == 1e-30
         assert info.value.achieved > 1e-30
         # the error still carries a usable estimate
         assert info.value.estimate == pytest.approx(0.5665718598084711, rel=1e-6)
@@ -261,16 +266,16 @@ class TestQuadratureOracle:
     def test_gauss_legendre_matches_adaptive_quadrature(self, kind, n, x):
         coeffs = sign_coeffs(kind, n)
         for phi in (0.0, 0.7, math.pi / 2):
-            got = damping_quadrature_oracle(SignState(coeffs), x, phi).rate_ratio
+            got = oracle_rate(SignState(coeffs), x, phi)
             want = damping_quad(coeffs, x, phi)
             assert abs(got - want) <= 1e-12 * abs(want), (phi, got, want)
 
     def test_blocks_cover_every_panel(self, monkeypatch):
         # 47 panels at N = 7, x = 40; blocks of 5 leave a partial last one
         state = SignState(sign_coeffs("random", 7))
-        whole = damping_quadrature_oracle(state, 40.0, 0.7).rate_ratio
+        whole = oracle_rate(state, 40.0, 0.7)
         monkeypatch.setattr(damping, "ORACLE_BLOCK_PANELS", 5)
-        blocked = damping_quadrature_oracle(state, 40.0, 0.7).rate_ratio
+        blocked = oracle_rate(state, 40.0, 0.7)
         assert abs(blocked - whole) <= 1e-14 * whole
 
     @pytest.mark.parametrize("phi", [0.0, math.pi / 4, math.pi / 2])
@@ -278,7 +283,7 @@ class TestQuadratureOracle:
         # +--+-++- at x = 0.1 is verify's worst row: a rate of ~1e-6 that
         # the closed form reaches only to ~7e-12 (it cancels ~1e4 there)
         state = SignState((1, -1, -1, 1, -1, 1, 1, -1))
-        got = damping_quadrature_oracle(state, 0.1, phi).rate_ratio
+        got = oracle_rate(state, 0.1, phi)
         want = damping_autocorrelation_mp(state.coeffs, 0.1, phi)
         assert abs(got - want) <= 1e-14 * want
 
@@ -310,21 +315,20 @@ class TestSignFlip:
         for n in range(1, 6):
             for state in enumerate_sign_states(n):
                 flipped = SignState(tuple(-c for c in state.coeffs))
-                for method in (damping_general, damping_quadrature_oracle):
-                    assert (
-                        method(state, x, phi).rate_ratio
-                        == method(flipped, x, phi).rate_ratio
-                    ), (method.__name__, state)
+                closed = [damping_general(c, x, phi).rate_ratio for c in (state, flipped)]
+                quads = [oracle_rate(c, x, phi) for c in (state, flipped)]
+                assert closed[0] == closed[1], ("closed form", state)
+                assert quads[0] == quads[1], ("quadrature", state)
 
 
 class TestBatchedOracle:
     """quadrature_rates over many states gives each state bitwise the rate
-    that damping_quadrature_oracle gives it alone."""
+    that it gives the state alone, at one phi."""
 
     @staticmethod
     def one_by_one(states, x):
         return [
-            [damping_quadrature_oracle(state, x, phi).rate_ratio for phi in VERIFY_PHI]
+            [oracle_rate(state, x, phi) for phi in VERIFY_PHI]
             for state in states
         ]
 
@@ -353,10 +357,11 @@ class TestBatchedOracle:
         for got, want in zip(np.ravel(blocked), np.ravel(whole)):
             assert abs(got - want) <= 1e-14 * want
 
-    def test_error_names_the_failing_point(self):
+    def test_error_names_the_failing_point(self, monkeypatch):
         states = [RANDOM_STATE_N7, symmetric_state(7)]
+        monkeypatch.setattr(damping, "ORACLE_TOL", 1e-30)
         with pytest.raises(QuadratureAccuracyError) as info:
-            quadrature_rates(states, 1.3, [0.7, 0.2], tol=1e-30)
+            quadrature_rates(states, 1.3, [0.7, 0.2])
         # the first state and phi in order
         assert (info.value.state, info.value.x, info.value.phi) == (RANDOM_STATE_N7, 1.3, 0.7)
         assert "state ++-+--+, x=1.3, phi=0.7" in str(info.value)

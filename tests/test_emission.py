@@ -290,6 +290,30 @@ class TestEmissionSweep:
         with pytest.raises(ValueError):
             emission_sweep(symmetric_state(2), [], 0.0, OBS_X, T_OBS, scales, 1.0)
 
+    def test_work_over_budget_refused_before_any_work(self, scales, monkeypatch):
+        from chainrad import emission
+
+        # never reached: neither the causality check nor the intensity runs
+        monkeypatch.setattr(emission, "latest_retardation", None)
+        monkeypatch.setattr(emission, "total_intensity", None)
+        state = symmetric_state(10_000)
+        a_grid = np.full(1001, 1e3 * ANGSTROM)  # 1.001e7 atom-points
+        with pytest.raises(ValueError, match="1001 points at N=10000 .* 1.00e\\+07"):
+            emission_sweep(state, a_grid, 0.0, OBS_X, T_OBS, scales, 1.0)
+
+    def test_work_at_budget_runs(self, scales, monkeypatch):
+        from chainrad import emission
+
+        # 1000 points at N = 10^4 is the budget itself; a stand-in for the
+        # per-point sum (seconds of work) keeps the test fast
+        monkeypatch.setattr(emission, "total_intensity", lambda *args: 0.0)
+        a = 1e3 * ANGSTROM
+        t = latest_retardation(10_000, a, OBS_X)
+        trace = emission_sweep(
+            symmetric_state(10_000), np.full(1000, a), 0.0, OBS_X, t, scales, 1.0
+        )
+        assert len(trace.table.rows) == 1000
+
     @pytest.mark.parametrize("a_angstrom", [math.nan, -1e4])
     def test_non_finite_or_negative_lattice_constant_rejected(self, scales, a_angstrom):
         a_grid = np.array([a_angstrom, 1e4]) * ANGSTROM

@@ -113,11 +113,23 @@ class TestChainConfig:
             ("polarization_angle", -math.inf),
             ("gamma_override", math.inf),
             ("n_atoms", 10_001),
+            # a bool is not a number, and a fraction is not a chain length
+            ("n_atoms", 2.7),
+            ("n_atoms", True),
+            ("lattice_const", True),
+            ("transition_energy", True),
+            ("dipole_moment", True),
+            ("polarization_angle", False),
+            ("gamma_override", True),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=field):
             make_config(**{field: value})
+
+    def test_whole_float_chain_length_is_an_int(self):
+        config = make_config(n_atoms=3.0)
+        assert config.n_atoms == 3 and type(config.n_atoms) is int
 
     def test_longest_chain_accepted(self):
         assert MAX_ATOMS == 10_000
@@ -169,6 +181,28 @@ class TestJsonInterface:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict(dict(self.DATA, bogus=1))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_atoms", 2.7),
+            ("n_atoms", True),
+            ("n_atoms", False),
+            ("lattice_const_angstrom", True),
+            ("transition_energy_ev", True),
+            ("dipole_e_angstrom", True),
+            ("polarization_deg", True),
+            ("gamma_override_hz", False),
+        ],
+    )
+    def test_bool_or_fractional_value_rejected(self, key, value):
+        # int() would truncate 2.7 to 2, and float() take true as 1
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(dict(self.DATA, **{key: value}))
+
+    @pytest.mark.parametrize("value", [3, 3.0, "3"])
+    def test_whole_chain_length_accepted(self, value):
+        assert config_from_dict(dict(self.DATA, n_atoms=value)).n_atoms == 3
 
     def test_missing_key_rejected(self):
         data = dict(self.DATA)
