@@ -10,7 +10,6 @@ _PUBLIC = {
     "scales": (
         "AtomicScales", "CausalityError", "ChainConfig", "ConfigError",
         "config_from_dict", "config_from_json", "derive_scales",
-        "dimensionless_separation",
     ),
     "coupling": ("coupling_sweep", "transfer_electrostatic", "transfer_exact"),
     "states": (

@@ -15,13 +15,13 @@ from .scales import (
     CODATA,
     MAX_ATOMS,
     SPEED_OF_LIGHT,
+    AtomicScales,
     CausalityError,
     ChainConfig,
     ConfigError,
     config_from_dict,
     config_to_dict,
     derive_scales,
-    dimensionless_separation,
     read_config_dict,
 )
 from .coupling import coupling_sweep
@@ -141,7 +141,7 @@ def _load_config(args) -> ChainConfig:
     return config_from_dict(_apply_sets(data, args.set or []))
 
 
-def _base_metadata(config: ChainConfig, command: str) -> dict:
+def _base_metadata(config: ChainConfig, scales: AtomicScales, command: str) -> dict:
     meta = {"tool": f"chainrad {__version__}", "command": command}
     for key, value in config_to_dict(config).items():
         meta[f"config.{key}"] = format_value(value) if isinstance(
@@ -149,11 +149,8 @@ def _base_metadata(config: ChainConfig, command: str) -> dict:
         ) else value
     for key, value in CODATA.items():
         meta[f"const.{key}"] = format(value, ".12g")
-    scales = derive_scales(config)
     meta["derived.gamma_a_hz"] = format(scales.gamma_a, ".12g")
-    meta["derived.qa_a"] = format(
-        scales.q_a * config.lattice_const, ".12g"
-    )
+    meta["derived.qa_a"] = format(scales.qa_a, ".12g")
     if scales.gamma_overridden:
         meta["derived.gamma_source"] = "override"
     else:
@@ -223,9 +220,9 @@ def cmd_scales(args) -> int:
         ],
         rows=[(
             scales.omega_a, scales.q_a, scales.lambda_a / ANGSTROM,
-            scales.gamma_a, scales.q_a * config.lattice_const,
+            scales.gamma_a, scales.qa_a,
         )],
-        metadata=_base_metadata(config, "scales"),
+        metadata=_base_metadata(config, scales, "scales"),
     )
     _emit(table, args)
     return EXIT_OK
@@ -234,21 +231,23 @@ def cmd_scales(args) -> int:
 def cmd_coupling(args) -> int:
     config = _load_config(args)
     lo, hi = _parse_range(args.range) if args.range else (0.01, 20.0)
-    table = coupling_sweep(lo, hi, _points(args, 1000), [config.polarization_angle])
-    table.metadata = _base_metadata(config, "coupling")
+    table = coupling_sweep(
+        lo, hi, _points(args, 1000), [math.radians(config.polarization_deg)]
+    )
+    table.metadata = _base_metadata(config, derive_scales(config), "coupling")
     _emit(table, args)
     return EXIT_OK
 
 
 def cmd_damping(args) -> int:
     config = _load_config(args)
-    state = parse_state(args.state or "sym", config.n_atoms)
+    state = parse_state("sym" if args.state is None else args.state, config.n_atoms)
     lo, hi = _parse_range(args.range) if args.range else (0.01, 20.0)
     table = x_sweep(
         state, lo, hi, _points(args, 1000),
-        [config.polarization_angle], oracle=args.oracle,
+        [math.radians(config.polarization_deg)], oracle=args.oracle,
     )
-    table.metadata = _base_metadata(config, "damping")
+    table.metadata = _base_metadata(config, derive_scales(config), "damping")
     table.metadata["state"] = str(state)
     _emit(table, args)
     return EXIT_OK
@@ -270,10 +269,11 @@ def cmd_nscaling(args) -> int:
             )
         n_max = int(hi)
     config = _load_config(args)
+    scales = derive_scales(config)
     table = n_scaling_sweep(
-        n_max, dimensionless_separation(config), [config.polarization_angle]
+        n_max, scales.qa_a, [math.radians(config.polarization_deg)]
     )
-    table.metadata = _base_metadata(config, "nscaling")
+    table.metadata = _base_metadata(config, scales, "nscaling")
     _emit(table, args)
     return EXIT_OK
 
@@ -281,8 +281,9 @@ def cmd_nscaling(args) -> int:
 def cmd_angles(args) -> int:
     config = _load_config(args)
     grid = _angle_grid(_points(args, 181))
-    table = angle_sweep(config.n_atoms, dimensionless_separation(config), grid)
-    table.metadata = _base_metadata(config, "angles")
+    scales = derive_scales(config)
+    table = angle_sweep(config.n_atoms, scales.qa_a, grid)
+    table.metadata = _base_metadata(config, scales, "angles")
     _emit(table, args)
     return EXIT_OK
 
@@ -293,7 +294,7 @@ def cmd_emission(args) -> int:
     from .emission import emission_sweep, latest_retardation
 
     config = _load_config(args)
-    state = parse_state(args.state or "sym", config.n_atoms)
+    state = parse_state("sym" if args.state is None else args.state, config.n_atoms)
     scales = derive_scales(config)
     obs_x_angstrom = EMISSION_OBS_X_ANGSTROM if args.obs_x is None else args.obs_x
     if not (math.isfinite(obs_x_angstrom) and obs_x_angstrom > 0):
@@ -318,10 +319,10 @@ def cmd_emission(args) -> int:
     else:
         raise UsageError(f"--time must be finite, got {args.time}")
     trace = emission_sweep(
-        state, a_grid, config.polarization_angle, obs_x, t, scales,
-        config.dipole_moment,
+        state, a_grid, math.radians(config.polarization_deg), obs_x, t, scales,
+        config.dipole_e_angstrom,
     )
-    trace.table.metadata.update(_base_metadata(config, "emission"))
+    trace.table.metadata.update(_base_metadata(config, scales, "emission"))
     trace.table.metadata["reference_intensity_w_m2"] = format(
         trace.reference_intensity, ".12g"
     )
@@ -345,7 +346,7 @@ def _emission_figure(state: SignState, phi: float) -> SweepTable:
     a_max = math.sqrt((SPEED_OF_LIGHT * t) ** 2 - obs_x**2) * (1.0 - 1e-12)
     a_grid = np.logspace(math.log10(1e3 * ANGSTROM), math.log10(a_max), 2000)
     trace = emission_sweep(
-        state, a_grid, phi, obs_x, t, derive_scales(config), config.dipole_moment
+        state, a_grid, phi, obs_x, t, derive_scales(config), config.dipole_e_angstrom
     )
     return trace.table
 

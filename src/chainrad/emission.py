@@ -122,7 +122,7 @@ def emission_sweep(
     A grid whose points times N exceed EMISSION_WORK_BUDGET is refused
     with ValueError, and every grid point is checked for causality, before
     any intensity is computed; the first violating point is named in the
-    error.
+    error. An intensity that is not finite raises OverflowError.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size == 0:
@@ -141,10 +141,17 @@ def emission_sweep(
                 f"grid point a={a / ANGSTROM:.6g} A violates causality: "
                 f"t={t!r} s < retardation {t_last!r} s"
             )
-    rows = [
-        (a / ANGSTROM, total_intensity(state, float(a), phi, obs_x, scales, t))
-        for a in a_grid
-    ]
+    # amplitudes of about 1/obs_x can overflow when squared: no warning per
+    # point, but one finiteness check of the whole column
+    with np.errstate(all="ignore"):
+        rows = [
+            (a / ANGSTROM, total_intensity(state, float(a), phi, obs_x, scales, t))
+            for a in a_grid
+        ]
+    if not np.isfinite([value for _, value in rows]).all():
+        raise OverflowError(
+            f"the intensity at obs_x={obs_x / ANGSTROM:.6g} A is not finite"
+        )
     table = SweepTable(
         columns=["a_angstrom", "intensity_ratio"],
         rows=rows,

@@ -1,9 +1,10 @@
 """Chain configuration and derived single-atom scales.
 
-Internally everything is SI. The boundary formats (JSON config, CLI,
-CSV metadata) speak the units the quantum-optics literature uses:
-eV for transition energies, Angstrom for lengths, e*Angstrom for
-transition dipoles, degrees for the polarization angle.
+The configuration speaks the units the quantum-optics literature uses,
+the same in the JSON config, on the CLI, in the CSV metadata and in
+:class:`ChainConfig`: eV for transition energies, Angstrom for lengths,
+e*Angstrom for transition dipoles, degrees for the polarization angle.
+:func:`derive_scales` turns them into the SI scales everything else uses.
 """
 
 import math
@@ -41,91 +42,99 @@ class CausalityError(ValueError):
     """Intensity requested before the light from some atom can arrive."""
 
 
-def _not_bool(name: str, value) -> None:
-    """A ConfigError for a bool, which Python would take as the number 0 or 1."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number, not a boolean ({value})")
+def _number(key: str, value) -> float:
+    """``value`` as a finite float, or a ConfigError whose message starts
+    with ``key``. A bool, which Python would take as 0 or 1, and a string
+    are refused: only :func:`config_from_dict` reads text."""
+    if isinstance(value, bool) or not hasattr(value, "__float__"):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ConfigError(f"{key} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    return number
+
+
+def _positive(key: str, value) -> float:
+    """:func:`_number`, which must also be > 0."""
+    number = _number(key, value)
+    if not number > 0:
+        raise ConfigError(f"{key} must be > 0, got {value}")
+    return number
 
 
 class ChainConfig(Frozen):
-    """Physical description of the emitter chain.
+    """Physical description of the emitter chain. Each field is the JSON
+    config key of the same name, in that key's unit.
 
     Parameters
     ----------
     n_atoms : int
         Number of atoms N on the chain, 1 <= N <= ``MAX_ATOMS``; a whole
         float such as 3.0 is stored as the int 3.
-    lattice_const : float
-        Lattice constant a in meters.
-    transition_energy : float
+    lattice_const_angstrom : float
+        Lattice constant a in Angstrom.
+    transition_energy_ev : float
         Two-level transition energy E_A in eV.
-    dipole_moment : float
+    dipole_e_angstrom : float
         Transition dipole magnitude in e*Angstrom.
-    polarization_angle : float
-        Angle between the transition dipole and the chain axis, radians.
-        Only cos^2 of the angle ever enters, so values outside
-        [0, pi/2] are folded back into that interval.
-    gamma_override : float or None
+    polarization_deg : float
+        Angle between the transition dipole and the chain axis, degrees.
+        Only cos^2 of the angle ever enters, so values outside [0, 90]
+        are folded back into that interval.
+    gamma_override_hz : float or None
         Single-atom damping rate in 1/s that replaces the derived
         value when given.
+
+    Every other number is stored as a float. A value that is not a
+    number, is not finite, or is out of range raises a
+    :class:`ConfigError` whose message starts with its key.
     """
 
     __slots__ = (
-        "n_atoms", "lattice_const", "transition_energy", "dipole_moment",
-        "polarization_angle", "gamma_override",
+        "n_atoms", "lattice_const_angstrom", "transition_energy_ev",
+        "dipole_e_angstrom", "polarization_deg", "gamma_override_hz",
     )
 
     def __init__(
         self,
         n_atoms: int,
-        lattice_const: float,
-        transition_energy: float,
-        dipole_moment: float,
-        polarization_angle: float = 0.0,
-        gamma_override: float | None = None,
+        lattice_const_angstrom: float,
+        transition_energy_ev: float,
+        dipole_e_angstrom: float,
+        polarization_deg: float = 0.0,
+        gamma_override_hz: float | None = None,
     ):
-        values = (
-            n_atoms, lattice_const, transition_energy, dipole_moment,
-            polarization_angle, gamma_override,
-        )
-        for name, value in zip(self.__slots__, values):
-            _not_bool(name, value)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if not 1 <= n_atoms <= MAX_ATOMS:
-            raise ConfigError(f"n_atoms must be in 1..{MAX_ATOMS}, got {n_atoms}")
-        if n_atoms != int(n_atoms):
-            raise ConfigError(f"n_atoms must be a whole number, got {n_atoms}")
-        if not lattice_const > 0:
-            raise ConfigError(f"lattice_const must be > 0, got {lattice_const}")
-        if not transition_energy > 0:
+        n = _number("n_atoms", n_atoms)
+        if not (n.is_integer() and 1 <= n <= MAX_ATOMS):
             raise ConfigError(
-                f"transition_energy must be > 0, got {transition_energy}"
+                f"n_atoms must be a whole number in 1..{MAX_ATOMS}, got {n_atoms}"
             )
-        if not dipole_moment > 0:
-            raise ConfigError(f"dipole_moment must be > 0, got {dipole_moment}")
-        if gamma_override is not None and not gamma_override > 0:
-            raise ConfigError(f"gamma_override must be > 0, got {gamma_override}")
-        phi = math.fmod(polarization_angle, math.pi)
+        a = _positive("lattice_const_angstrom", lattice_const_angstrom)
+        energy = _positive("transition_energy_ev", transition_energy_ev)
+        dipole = _positive("dipole_e_angstrom", dipole_e_angstrom)
+        if gamma_override_hz is not None:
+            gamma_override_hz = _positive("gamma_override_hz", gamma_override_hz)
+        phi = math.fmod(_number("polarization_deg", polarization_deg), 180.0)
         if phi < 0:
-            phi += math.pi
-        if phi > math.pi / 2:
-            phi = math.pi - phi
-        super().__init__(
-            int(n_atoms), lattice_const, transition_energy, dipole_moment, phi,
-            gamma_override,
-        )
+            phi += 180.0
+        if phi > 90.0:
+            phi = 180.0 - phi
+        super().__init__(int(n), a, energy, dipole, phi, gamma_override_hz)
 
 
 class AtomicScales(Frozen):
     """Single-atom scales derived from a :class:`ChainConfig`.
 
     All fields are SI: omega_a in rad/s, q_a in 1/m, lambda_a in m,
-    gamma_a in 1/s. ``gamma_overridden`` records whether gamma_a came
-    from the config override instead of the radiative formula.
+    gamma_a in 1/s; ``qa_a`` is the dimensionless lattice constant
+    q_a * a. ``gamma_overridden`` records whether gamma_a came from the
+    config override instead of the radiative formula.
     """
 
-    __slots__ = ("omega_a", "q_a", "lambda_a", "gamma_a", "gamma_overridden")
+    __slots__ = ("omega_a", "q_a", "lambda_a", "gamma_a", "qa_a", "gamma_overridden")
 
     def __init__(
         self,
@@ -133,9 +142,10 @@ class AtomicScales(Frozen):
         q_a: float,
         lambda_a: float,
         gamma_a: float,
+        qa_a: float,
         gamma_overridden: bool = False,
     ):
-        super().__init__(omega_a, q_a, lambda_a, gamma_a, gamma_overridden)
+        super().__init__(omega_a, q_a, lambda_a, gamma_a, qa_a, gamma_overridden)
 
 
 def _in_range(name: str, value: float) -> float:
@@ -149,27 +159,28 @@ def _in_range(name: str, value: float) -> float:
 
 
 def derive_scales(config: ChainConfig) -> AtomicScales:
-    """Derive frequency, wavenumber, wavelength and damping rate.
+    """Derive frequency, wavenumber, wavelength, damping rate and q_a * a.
 
-    The damping rate is the free-space spontaneous emission rate of a
-    single excited two-level atom,
+    This is the one place where the config's external units (Angstrom,
+    eV, e*Angstrom) become SI. The damping rate is the free-space
+    spontaneous emission rate of a single excited two-level atom,
 
         gamma_a = omega_a^3 mu^2 / (3 pi epsilon_0 hbar c^3),
 
-    unless the config carries a ``gamma_override``. Raises
+    unless the config carries a ``gamma_override_hz``. Raises
     :class:`ConfigError` when a derived scale, or q_a * a, overflows or
     underflows: every input is finite, but their products need not be.
     """
-    energy_j = config.transition_energy * ELEMENTARY_CHARGE
+    energy_j = config.transition_energy_ev * ELEMENTARY_CHARGE
     omega_a = _in_range("omega_a", energy_j / HBAR)
     q_a = _in_range("q_a", energy_j / (HBAR * SPEED_OF_LIGHT))
     lambda_a = _in_range("lambda_a", 2.0 * math.pi / q_a)
-    _in_range("q_a * a", q_a * config.lattice_const)
-    if config.gamma_override is not None:
-        gamma_a = config.gamma_override
+    qa_a = _in_range("q_a * a", q_a * (config.lattice_const_angstrom * ANGSTROM))
+    if config.gamma_override_hz is not None:
+        gamma_a = config.gamma_override_hz
         overridden = True
     else:
-        mu_si = config.dipole_moment * ELEMENTARY_CHARGE * ANGSTROM
+        mu_si = config.dipole_e_angstrom * ELEMENTARY_CHARGE * ANGSTROM
         try:
             gamma_a = omega_a**3 * mu_si**2 / (
                 3.0 * math.pi * EPSILON_0 * HBAR * SPEED_OF_LIGHT**3
@@ -183,65 +194,35 @@ def derive_scales(config: ChainConfig) -> AtomicScales:
         q_a=q_a,
         lambda_a=lambda_a,
         gamma_a=gamma_a,
+        qa_a=qa_a,
         gamma_overridden=overridden,
     )
 
 
-def dimensionless_separation(config: ChainConfig) -> float:
-    """Lattice constant in units of the inverse transition wavenumber, q_a * a."""
-    return derive_scales(config).q_a * config.lattice_const
-
-
-# JSON config keys, all at the external-unit boundary.
-_JSON_KEYS = {
-    "n_atoms",
-    "lattice_const_angstrom",
-    "transition_energy_ev",
-    "dipole_e_angstrom",
-    "polarization_deg",
-    "gamma_override_hz",
-}
-
-
 def config_from_dict(data: dict) -> ChainConfig:
-    """Build a ChainConfig from the external JSON key set; values are
-    numbers or, as ``--set`` gives them, strings."""
-    unknown = set(data) - _JSON_KEYS
+    """Build a ChainConfig from the JSON key set; values are numbers or,
+    as ``--set`` gives them, strings, which are read with ``float()``."""
+    unknown = set(data) - set(ChainConfig.__slots__)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = {
-        "n_atoms",
-        "lattice_const_angstrom",
-        "transition_energy_ev",
-        "dipole_e_angstrom",
-    } - set(data)
+    # the first four fields have no default
+    missing = set(ChainConfig.__slots__[:4]) - set(data)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    for key, value in data.items():  # float() would take a bool as 0 or 1
-        _not_bool(key, value)
-    n_atoms = data["n_atoms"]
-    try:
-        return ChainConfig(
-            n_atoms=int(n_atoms) if isinstance(n_atoms, str) else n_atoms,
-            lattice_const=float(data["lattice_const_angstrom"]) * ANGSTROM,
-            transition_energy=float(data["transition_energy_ev"]),
-            dipole_moment=float(data["dipole_e_angstrom"]),
-            polarization_angle=math.radians(float(data.get("polarization_deg", 0.0))),
-            gamma_override=(
-                float(data["gamma_override_hz"])
-                if data.get("gamma_override_hz") is not None
-                else None
-            ),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad config value: {exc}") from exc
+    values = {}
+    for key, value in data.items():
+        if isinstance(value, str):
+            try:
+                value = float(value)
+            except ValueError:
+                raise ConfigError(f"{key} must be a number, got {value!r}") from None
+        values[key] = value
+    return ChainConfig(**values)
 
 
 def read_config_dict(path) -> dict:
-    """The JSON object in ``path`` as written, in external units: what
-    :func:`config_from_dict` takes, before any key is checked."""
+    """The JSON object in ``path`` as written: what :func:`config_from_dict`
+    takes, before any key is checked."""
     import json  # only --config reads JSON; the other commands skip its import
 
     try:
@@ -260,14 +241,10 @@ def config_from_json(path) -> ChainConfig:
 
 
 def config_to_dict(config: ChainConfig) -> dict:
-    """Inverse of :func:`config_from_dict` (external units)."""
-    out = {
-        "n_atoms": config.n_atoms,
-        "lattice_const_angstrom": config.lattice_const / ANGSTROM,
-        "transition_energy_ev": config.transition_energy,
-        "dipole_e_angstrom": config.dipole_moment,
-        "polarization_deg": math.degrees(config.polarization_angle),
+    """The config's fields as its JSON keys; an unset gamma_override_hz is
+    left out. Inverse of :func:`config_from_dict`."""
+    return {
+        key: value
+        for key, value in zip(config.__slots__, config._values())
+        if value is not None
     }
-    if config.gamma_override is not None:
-        out["gamma_override_hz"] = config.gamma_override
-    return out

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 import chainrad
 from chainrad.cli import (
     COMMANDS,
+    DEFAULT_CONFIG,
+    EMISSION_CONFIG,
     EXIT_ACCURACY,
     EXIT_CAUSALITY,
     EXIT_CONFIG,
@@ -363,6 +365,12 @@ class TestExitCodes:
             ["coupling", "--range", "1e-105:1", "--points", "2"],
             # points * N over emission's work budget
             ["emission", "--set", "n_atoms=10000", "--points", "1001"],
+            # a flag that is given is used as given: "" is no state
+            ["damping", "--state", ""],
+            ["emission", "--state", ""],
+            # per-atom amplitudes near 1/obs_x overflow when squared
+            ["emission", "--obs-x", "1e-150", "--points", "2"],
+            ["emission", "--obs-x", "1e-300", "--points", "2"],
         ],
     )
     def test_invalid_flag_values_are_usage_errors(self, argv, capsys):
@@ -447,6 +455,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("chainrad: the inputs left double-precision range: ")
 
+    @pytest.mark.parametrize("obs_x", ["1e-150", "1e-300"])
+    def test_tiny_observer_distance_is_refused_without_warning(self, capsys, obs_x):
+        argv = ["emission", "--obs-x", obs_x, "--points", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("chainrad: the inputs left double-precision range: ")
+
     def test_zero_time_is_not_replaced_by_default(self):
         rc = main(
             ["emission", "--points", "10", "--set", "gamma_override_hz=1e8",
@@ -471,11 +489,8 @@ class TestConfigMerge:
     the chain is built once from the result."""
 
     def test_file_and_set_build_the_same_chain(self, tmp_path):
-        # configs that a ChainConfig -> external units -> ChainConfig
-        # round trip changes by an ulp (about 5% of them)
         rng = random.Random(14)
-        sensitive = []
-        while len(sensitive) < 40:
+        for i in range(40):
             data = {
                 "n_atoms": rng.randint(1, 100),
                 "lattice_const_angstrom": 10.0 ** rng.uniform(0.0, 6.0),
@@ -484,14 +499,35 @@ class TestConfigMerge:
                 "polarization_deg": rng.uniform(-180.0, 180.0),
             }
             config = config_from_dict(data)
-            if config_from_dict(config_to_dict(config)) != config:
-                sensitive.append(data)
-        for i, data in enumerate(sensitive):
+            # the fields are the keys in their units: no round trip moves a bit
+            assert config_from_dict(config_to_dict(config)) == config, data
             path = tmp_path / f"chain{i}.json"
             path.write_text(json.dumps(data))
             sets = [f"{key}={value!r}" for key, value in data.items()]
-            assert load_config(str(path)) == config_from_dict(data), data
-            assert load_config(None, sets) == config_from_dict(data), data
+            assert load_config(str(path)) == config, data
+            assert load_config(None, sets) == config, data
+
+    @pytest.mark.parametrize("text, value", [("3.0", 3.0), ("1e3", 1e3)])
+    def test_set_chain_length_reads_like_the_file(self, tmp_path, text, value):
+        # a whole float is a chain length by --set as in a --config file
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(dict(DEFAULT_CONFIG, n_atoms=value)))
+        assert load_config(None, [f"n_atoms={text}"]) == load_config(str(path))
+        assert load_config(str(path)).n_atoms == int(value)
+
+    @pytest.mark.parametrize("key", sorted(EMISSION_CONFIG))
+    @pytest.mark.parametrize("value", ["null", "[1]", str(10**400)])
+    def test_bad_file_value_names_its_key(self, tmp_path, capsys, key, value):
+        path = tmp_path / "chain.json"
+        text = json.dumps(dict(EMISSION_CONFIG, **{key: "VALUE"}))
+        path.write_text(text.replace('"VALUE"', value))
+        if key == "gamma_override_hz" and value == "null":  # its default
+            assert main(["scales", "--config", str(path)]) == EXIT_OK
+            assert "gamma_source=radiative_formula" in capsys.readouterr().out
+            return
+        assert main(["scales", "--config", str(path)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"chainrad: config error: {key} ")
 
     def test_set_completes_a_partial_file(self, tmp_path, capsys):
         partial = tmp_path / "partial.json"
@@ -926,7 +962,9 @@ _VALUES = {
     ]),
     "--out": st.sampled_from(["{tmp}/out.csv", "{tmp}/no_such_dir/out.csv"]),
     "--state": st.sampled_from(["sym", "alt", "+", "+-", "+-+", "++--", "+0", ""]),
-    "--obs-x": st.sampled_from(["1e6", "1e3", "0", "-5", "inf", "nan", "far", "1e300"]),
+    "--obs-x": st.sampled_from([
+        "1e6", "1e3", "0", "-5", "inf", "nan", "far", "1e300", "1e-150", "1e-300",
+    ]),
     "--time": st.sampled_from(["1e-3", "1e-15", "0", "-1", "nan", "1e300", "now"]),
     "--nmax": st.one_of(st.integers(-1, 3).map(str), st.just("2.5")),
 }

@@ -9,7 +9,7 @@ import pytest
 from chainrad.damping import DampingResult
 from chainrad.emission import IntensityTrace
 from chainrad.frozen import Frozen
-from chainrad.scales import ANGSTROM, AtomicScales, ChainConfig, ConfigError
+from chainrad.scales import AtomicScales, ChainConfig, ConfigError
 from chainrad.states import SignState, symmetric_state
 from chainrad.sweeps import SweepTable
 
@@ -17,10 +17,10 @@ from chainrad.sweeps import SweepTable
 def make_records():
     return [
         ChainConfig(
-            n_atoms=3, lattice_const=1000 * ANGSTROM, transition_energy=1.0,
-            dipole_moment=1.0, polarization_angle=0.3,
+            n_atoms=3, lattice_const_angstrom=1000.0, transition_energy_ev=1.0,
+            dipole_e_angstrom=1.0, polarization_deg=17.2,
         ),
-        AtomicScales(omega_a=1.5e15, q_a=5e6, lambda_a=1.2e-6, gamma_a=3.8e6),
+        AtomicScales(omega_a=1.5e15, q_a=5e6, lambda_a=1.2e-6, gamma_a=3.8e6, qa_a=0.5),
         SignState(coeffs=(1, -1, 1)),
         DampingResult(
             rate_ratio=0.5, method="closed_form", state=symmetric_state(2), x=0.5,
@@ -74,11 +74,14 @@ class TestSignState:
 
 
 class TestChainConfig:
-    BASE = dict(n_atoms=2, lattice_const=1e-7, transition_energy=1.0, dipole_moment=1.0)
+    BASE = dict(
+        n_atoms=2, lattice_const_angstrom=1000.0, transition_energy_ev=1.0,
+        dipole_e_angstrom=1.0,
+    )
 
     def test_positional_and_keyword_construction_agree(self):
-        assert ChainConfig(2, 1e-7, 1.0, 1.0) == ChainConfig(**self.BASE)
-        assert ChainConfig(2, 1e-7, 1.0, 1.0).gamma_override is None
+        assert ChainConfig(2, 1000.0, 1.0, 1.0) == ChainConfig(**self.BASE)
+        assert ChainConfig(2, 1000.0, 1.0, 1.0).gamma_override_hz is None
 
     @pytest.mark.parametrize(
         "angle,folded",
@@ -90,15 +93,16 @@ class TestChainConfig:
         ],
     )
     def test_polarization_fold(self, angle, folded):
-        config = ChainConfig(**self.BASE, polarization_angle=angle)
-        assert config.polarization_angle == pytest.approx(folded, abs=1e-15)
-        assert 0.0 <= config.polarization_angle <= math.pi / 2
+        # the cases are in radians; the field is in degrees
+        config = ChainConfig(**self.BASE, polarization_deg=math.degrees(angle))
+        assert math.radians(config.polarization_deg) == pytest.approx(folded, abs=1e-15)
+        assert 0.0 <= config.polarization_deg <= 90.0
 
     def test_validation_message_names_the_field(self):
-        with pytest.raises(ConfigError, match="dipole_moment must be finite"):
-            ChainConfig(**dict(self.BASE, dipole_moment=math.inf))
-        with pytest.raises(ConfigError, match="lattice_const must be > 0"):
-            ChainConfig(**dict(self.BASE, lattice_const=-1.0))
+        with pytest.raises(ConfigError, match="^dipole_e_angstrom must be finite"):
+            ChainConfig(**dict(self.BASE, dipole_e_angstrom=math.inf))
+        with pytest.raises(ConfigError, match="^lattice_const_angstrom must be > 0"):
+            ChainConfig(**dict(self.BASE, lattice_const_angstrom=-1.0))
 
 
 class TestDampingResult:
