@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "scales": (
         "AtomicScales", "CausalityError", "ChainConfig", "ConfigError",
-        "config_from_dict", "config_from_json", "derive_scales",
+        "config_from_dict", "derive_scales",
     ),
     "coupling": ("coupling_sweep", "transfer_electrostatic", "transfer_exact"),
     "states": (

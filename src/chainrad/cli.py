@@ -29,8 +29,8 @@ from .damping import (
     QuadratureAccuracyError,
     angle_sweep,
     bond_autocorrelation,
-    bond_kernels,
     closed_form_rates,
+    f_kernel,
     n_scaling_sweep,
     quadrature_rates,
     relative_error,
@@ -197,9 +197,8 @@ def _write_stderr(text: str) -> None:
 
 def _f_kernel_sweep(x_min, x_max, n_points, phi_list) -> SweepTable:
     columns = ["x"] + phi_columns("F", phi_list)
-    # F = 1 + (F - 1) of a two-atom chain's one bond, for every phi at once
     rows = [
-        (x, *(1.0 + g for (g,) in bond_kernels(x, 2, phi_list)))
+        (x, *(f_kernel(x, phi) for phi in phi_list))
         for x in linspace(x_min, x_max, n_points)
     ]
     return SweepTable(columns=columns, rows=rows)

@@ -105,23 +105,14 @@ def _kernel_parts(x: float) -> tuple[float, float]:
     return s, g
 
 
-def bond_kernels(x: float, n: int, phi_list) -> list[list[float]]:
-    """F(k x, phi) - 1 for the bonds k = 1, ..., n - 1, one list per phi.
-
-    The two series in k x do not depend on phi, so they are evaluated
-    once per bond and combined for each phi as
-    1.5 (s (1 - cos^2 phi) + g (1 - 3 cos^2 phi)): a sweep over many
-    polarizations pays one pair of series per bond length.
-    """
-    if x < 0:
-        raise ValueError(f"bond length must be >= 0, got x={x}")
-    series = [_kernel_parts(k * x) for k in range(1, n)]
-    kernels = []
-    for phi in phi_list:
-        c2 = math.cos(phi) ** 2
-        a, b = 1.0 - c2, 1.0 - 3.0 * c2
-        kernels.append([1.5 * (s * a + g * b) for s, g in series])
-    return kernels
+def _kernel_row(series, phi: float) -> list[float]:
+    """F - 1 at one phi for each bond's (s, g) pair from :func:`_kernel_parts`,
+    as 1.5 (s (1 - cos^2 phi) + g (1 - 3 cos^2 phi)): the series do not
+    depend on phi, so a sweep over many polarizations pays one pair of
+    them per bond length."""
+    c2 = math.cos(phi) ** 2
+    a, b = 1.0 - c2, 1.0 - 3.0 * c2
+    return [1.5 * (s * a + g * b) for s, g in series]
 
 
 def f_kernel_minus_one(x: float, phi: float) -> float:
@@ -129,10 +120,13 @@ def f_kernel_minus_one(x: float, phi: float) -> float:
 
     The collective-rate formulas subtract the bond sum against the
     single-atom term; keeping F - 1 explicit avoids losing the tiny
-    rates of nearly dark states to roundoff. This is the one-bond,
-    one-angle case of :func:`bond_kernels`, so both agree bit for bit.
+    rates of nearly dark states to roundoff. This is the one-bond case
+    of the kernel row :func:`closed_form_rates` sums, so both agree bit
+    for bit.
     """
-    return bond_kernels(x, 2, (phi,))[0][0]
+    if x < 0:
+        raise ValueError(f"bond length must be >= 0, got x={x}")
+    return _kernel_row((_kernel_parts(x),), phi)[0]
 
 
 def f_kernel(x: float, phi: float) -> float:
@@ -188,28 +182,28 @@ def bond_autocorrelation(state: SignState) -> list[int]:
 def closed_form_rates(totals, autocorrs, x: float, phi_list) -> list[list[float]]:
     """(sum_n C_n)^2/N + (2/N) sum_k A_k (F(k x, phi) - 1) for each state and phi.
 
-    A state is its sum_n C_n in ``totals`` and its A_k, k = 1, ..., N - 1,
-    in ``autocorrs``; like :func:`quadrature_rates`, one list per state
-    holds one rate per phi. The kernel is built once, up to the longest
-    chain, and each state sums its own N - 1 bonds in k order. Negative
+    A state is its sum_n C_n in the sequence ``totals`` and its A_k,
+    k = 1, ..., N - 1, in the sequence ``autocorrs``; both are read once
+    per phi. Like :func:`quadrature_rates`, one list per state holds one
+    rate per phi. The kernel's series are evaluated once per bond, up to
+    the longest chain; only one phi's kernel row is held at a time, and
+    each state sums its own N - 1 bonds against it in k order. Negative
     rates follow the rule of :class:`DampingResult`.
     """
     if not x > 0:
         raise ValueError(f"separation must be > 0, got x={x}")
-    kernels = bond_kernels(x, max(map(len, autocorrs)) + 1, phi_list)
-    rates = []
-    for total, autocorr in zip(totals, autocorrs):
-        n = len(autocorr) + 1
-        square = float(total) ** 2 / n
-        row = []
-        for kernel in kernels:
+    series = [_kernel_parts(k * x) for k in range(1, max(map(len, autocorrs)) + 1)]
+    rates = [[] for _ in autocorrs]
+    for phi in phi_list:
+        kernel = _kernel_row(series, phi)
+        for row, total, autocorr in zip(rates, totals, autocorrs):
+            n = len(autocorr) + 1
             acc = 0.0
             for a_k, g_k in zip(autocorr, kernel):
                 acc += a_k * g_k
-            rate = square + 2.0 * acc / n
+            rate = float(total) ** 2 / n + 2.0 * acc / n
             # only a negative rate pays the helper's call
             row.append(rate if rate >= 0.0 else _nonnegative(rate))
-        rates.append(row)
     return rates
 
 

@@ -228,16 +228,13 @@ def read_config_dict(path) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: malformed JSON, text that is not UTF-8, or an integer
+    # longer than the interpreter converts
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return data
-
-
-def config_from_json(path) -> ChainConfig:
-    """Load a ChainConfig from a JSON file."""
-    return config_from_dict(read_config_dict(path))
 
 
 def config_to_dict(config: ChainConfig) -> dict:

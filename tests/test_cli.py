@@ -302,6 +302,21 @@ class TestExitCodes:
         bad.write_text("{broken")
         assert main(["scales", "--config", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "raw", [b'{"n_atoms": ' + b"1" * 5000 + b"}", b'{"n_atoms": "\xff"}'],
+        ids=["5000-digit-integer", "not-utf8"],
+    )
+    def test_unparsable_config_file_is_config_error(self, tmp_path, capsys, raw):
+        # json raises a plain ValueError for an integer past the
+        # interpreter's digit limit, and reading the file raises one for
+        # bytes that are not UTF-8
+        path = tmp_path / "cfg.json"
+        path.write_bytes(raw)
+        assert main(["scales", "--config", str(path)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"chainrad: config error: cannot read config {path}: ")
+
     def test_invalid_config_value(self):
         assert main(["scales", "--set", "n_atoms=0"]) == EXIT_CONFIG
 

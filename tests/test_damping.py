@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,6 @@ from chainrad.damping import (
     _power_spectrum,
     angle_sweep,
     bond_autocorrelation,
-    bond_kernels,
     closed_form_rates,
     damping_general,
     f_kernel,
@@ -86,15 +86,18 @@ class TestFKernel:
         with pytest.raises(ValueError):
             f_kernel(-0.1, 0.0)
         with pytest.raises(ValueError):
-            bond_kernels(-0.1, 3, [0.0])
+            f_kernel_minus_one(-0.1, 0.0)
 
     @pytest.mark.parametrize("x", [0.01, 0.7, 1.4999, 1.5, 4.0, 37.0])
     def test_bond_kernels_match_one_bond_kernel(self, x):
+        # a state whose only bond is of length k sums just that bond's F - 1
         phis = [0.0, 0.3, math.pi / 4, 1.2, math.pi / 2]
-        kernels = bond_kernels(x, 12, phis)
-        assert kernels == [
-            [f_kernel_minus_one(k * x, p) for k in range(1, 12)] for p in phis
-        ]
+        for k in range(1, 12):
+            (rates,) = closed_form_rates([k + 1], [[0] * (k - 1) + [1]], x, phis)
+            assert rates == [
+                float(k + 1) ** 2 / (k + 1) + 2.0 * f_kernel_minus_one(k * x, p) / (k + 1)
+                for p in phis
+            ]
 
     def test_series_direct_agreement_at_threshold(self):
         x0 = F_SERIES_THRESHOLD
@@ -486,6 +489,18 @@ class TestSweeps:
         state = symmetric_state(100)
         rates = [row[1] for row in angle_sweep(100, 0.1, grid).rows]
         assert rates == [per_point_rate(state, 0.1, p) for p in grid]
+
+    def test_angle_sweep_holds_one_kernel_row(self):
+        # a kernel list per angle would be about 64 MB here; one row at a
+        # time keeps the traced peak to a few hundred kB
+        grid = [math.radians(d) for d in linspace(0.0, 90.0, 1000)]
+        tracemalloc.start()
+        try:
+            angle_sweep(2000, 0.1, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_x_sweep_bitwise_per_point(self):
         state = SignState(sign_coeffs("random", 9))

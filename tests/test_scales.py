@@ -11,9 +11,9 @@ from chainrad.scales import (
     ChainConfig,
     ConfigError,
     config_from_dict,
-    config_from_json,
     config_to_dict,
     derive_scales,
+    read_config_dict,
 )
 
 
@@ -250,7 +250,7 @@ class TestJsonInterface:
     def test_file_loading(self, tmp_path):
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(self.DATA))
-        config = config_from_json(path)
+        config = config_from_dict(read_config_dict(path))
         assert config.n_atoms == 5
         assert config.gamma_override_hz == 1e8
 
@@ -295,4 +295,4 @@ class TestJsonInterface:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
-            config_from_json(path)
+            config_from_dict(read_config_dict(path))
