@@ -4,10 +4,10 @@ Exit codes: 0 success, 2 usage (out-of-range arithmetic and unwritable
 output included), 3 config, 4 numerical accuracy, 5 causality.
 """
 
-import argparse
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .scales import (
@@ -55,9 +55,9 @@ EXIT_CAUSALITY = 5
 VERIFY_TOL = 1e-8
 
 #: Longest chain ``verify`` accepts. Its work doubles with every atom: as
-#: fresh processes on a 2-vCPU host (medians of 8), --nmax 8, 10, 11 and 12
-#: take about 0.17, 0.23, 0.40 and 0.74 s, of which start-up and numpy's
-#: import are about 0.15 s.
+#: fresh processes on a 2-vCPU host (medians of 15), --nmax 8, 10, 11 and 12
+#: take about 0.20, 0.29, 0.45 and 0.78 s, of which start-up and numpy's
+#: import (--nmax 1) are about 0.17 s.
 VERIFY_MAX_N = 12
 
 #: Largest --points any command accepts, checked before a grid exists.
@@ -435,8 +435,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-#: argparse settings of every flag; each subcommand registers only the
-#: ones it reads, so a flag it would ignore is a usage error.
+#: argparse settings of every flag, which :func:`_parse_plain` reads too;
+#: each subcommand registers only the ones it reads, so a flag it would
+#: ignore is a usage error.
 _FLAGS = {
     "number": dict(type=int, help="figure number"),
     "--config": dict(help="JSON chain configuration file"),
@@ -490,32 +491,85 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse, but --help and --version (argparse's only stdout text) that
-    cannot be written are exit 2 like a CSV, not skipped in silence, and
-    usage lines go to stderr only."""
+def _parse_plain(argv):
+    """The namespace argparse gives a plain ``argv``, or None for any other.
 
-    def print_usage(self, file=None):
-        # error() passes sys.stderr, which is None when the process started
-        # with stderr closed, and argparse reads a None file as stdout
-        _write_stderr(self.format_usage())
+    A plain argv is a command from COMMANDS, figure's number next, then
+    only that command's exact flag names and ``--out``, each followed by a
+    value that does not start with ``-`` (``--oracle`` takes none). Values
+    go through the flags' own ``type`` callables. Anything else, a value
+    those refuse included, is left to argparse, the one source of help,
+    version, usage and error text: a cold run that needs none of them
+    then imports no argparse, gettext or locale.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, flags = COMMANDS[argv[0]]
+    args = {"command": argv[0], "func": func}
+    options = {}
+    for flag in (*flags, "--out"):
+        spec = _FLAGS[flag]
+        if flag.startswith("--"):
+            dest = spec.get("dest", flag[2:].replace("-", "_"))
+            options[flag] = dest, spec
+            args[dest] = False if spec.get("action") == "store_true" else None
+    words = iter(argv[1:])  # a missing value reads as "-", which is not plain
+    try:
+        for flag in flags:
+            if not flag.startswith("--"):  # a positional: figure's number
+                value = next(words, "-")
+                if value.startswith("-"):
+                    return None
+                args[flag] = _FLAGS[flag]["type"](value)
+        for flag in words:
+            if flag not in options:
+                return None
+            dest, spec = options[flag]
+            action = spec.get("action")
+            if action == "store_true":
+                args[dest] = True
+                continue
+            value = next(words, "-")
+            if value.startswith("-"):
+                return None
+            if "type" in spec:
+                value = spec["type"](value)
+            args[dest] = [*(args[dest] or []), value] if action == "append" else value
+    except ValueError:  # argparse words the error
+        return None
+    return SimpleNamespace(**args)
 
-    def _print_message(self, message, file=None):
-        if file is sys.stderr:
-            _write_stderr(message)
-        else:
-            _write_stdout(lambda out: out.write(message))
 
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> "argparse.ArgumentParser":
     """The CLI parser; with a ``command`` from COMMANDS, only its subparser.
 
-    A run names its command first, so it need not build the other seven.
-    The one-subparser form keeps the full command list as its metavar, so
-    every usage line it prints matches the full parser's. The full parser
-    does not set it: with no command given, argparse names the missing
-    argument by its metavar, and that message must stay ``command``.
+    ``main`` builds it only for an argv that :func:`_parse_plain` leaves
+    to argparse, so argparse is imported here. A run names its command
+    first, so it need not build the other seven. The one-subparser form
+    keeps the full command list as its metavar, so every usage line it
+    prints matches the full parser's. The full parser does not set it:
+    with no command given, argparse names the missing argument by its
+    metavar, and that message must stay ``command``.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse, but --help and --version (argparse's only stdout text)
+        that cannot be written are exit 2 like a CSV, not skipped in
+        silence, and usage lines go to stderr only."""
+
+        def print_usage(self, file=None):
+            # error() passes sys.stderr, which is None when the process
+            # started with stderr closed, and argparse reads a None file
+            # as stdout
+            _write_stderr(self.format_usage())
+
+        def _print_message(self, message, file=None):
+            if file is sys.stderr:
+                _write_stderr(message)
+            else:
+                _write_stdout(lambda out: out.write(message))
+
     parser = _Parser(
         prog="chainrad",
         description="Collective radiative properties of a finite emitter chain",
@@ -539,9 +593,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
+    args = _parse_plain(argv)
     try:
-        args = parser.parse_args(argv)
+        if args is None:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors (2), --help/--version (0)
         return exc.code

@@ -59,6 +59,14 @@ ORACLE_BLOCK_PANELS = 1024
 #: 2 s of oracle work on a 2-vCPU host.
 ORACLE_NODE_BUDGET = 1e9
 
+#: Most bond terms a closed-form sweep may sum: each rate of an N-atom
+#: state sums N - 1 of them. A sweep over budget is refused before any
+#: work. On a 2-vCPU host a term costs about 0.11 us where many rates share
+#: one kernel row (n_scaling_sweep, angle_sweep) and 1.2 us where each x
+#: evaluates its own (x_sweep at one polarization), so the budget is
+#: about 11 s to 2 min of work.
+CLOSED_FORM_TERM_BUDGET = 1e8
+
 
 class QuadratureAccuracyError(ArithmeticError):
     """The oracle integral did not reach the requested tolerance."""
@@ -354,16 +362,33 @@ def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
     return rates.tolist()
 
 
+def _check_closed_form_work(terms: float, what: str) -> None:
+    """Refuse, with ValueError, a sweep ``what`` that would sum ``terms``
+    bond terms, more than CLOSED_FORM_TERM_BUDGET."""
+    if terms > CLOSED_FORM_TERM_BUDGET:
+        raise ValueError(
+            f"the closed form {what} needs about {terms:.2e} bond terms, over "
+            f"its budget of {CLOSED_FORM_TERM_BUDGET:.0e}; use fewer points or "
+            f"a shorter chain"
+        )
+
+
 def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
     """Symmetric-state rate vs chain length, one column per polarization.
 
     The kernel is evaluated once per bond length k < n_max and shared by
     every N; each row is the rate damping_general gives for
-    symmetric_state(N), whose A_k = N - k.
+    symmetric_state(N), whose A_k = N - k. A sweep whose bond terms
+    exceed CLOSED_FORM_TERM_BUDGET is refused with ValueError before any
+    work.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     phi_list = list(phi_list)
+    _check_closed_form_work(
+        len(phi_list) * n_max * (n_max - 1) / 2,
+        f"over N = 1..{n_max} at {len(phi_list)} polarization(s)",
+    )
     columns = ["N"] + phi_columns("gamma", phi_list)
     sizes = range(1, n_max + 1)
     rates = closed_form_rates(sizes, [range(n - 1, 0, -1) for n in sizes], x, phi_list)
@@ -373,10 +398,13 @@ def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
 
 def angle_sweep(n: int, x: float, phi_grid) -> SweepTable:
     """Symmetric-state rate vs polarization angle; the kernel's series are
-    evaluated once per bond length and shared by every angle."""
+    evaluated once per bond length and shared by every angle. A grid whose
+    bond terms exceed CLOSED_FORM_TERM_BUDGET is refused with ValueError
+    before any work."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     phis = [float(p) for p in phi_grid]
+    _check_closed_form_work(len(phis) * (n - 1), f"over {len(phis)} angles at N={n}")
     (rates,) = closed_form_rates((n,), (range(n - 1, 0, -1),), x, phis)
     rows = [(math.degrees(p), rate) for p, rate in zip(phis, rates)]
     return SweepTable(columns=["phi_deg", "gamma"], rows=rows)
@@ -390,9 +418,10 @@ def x_sweep(
 
     With ``oracle=True`` a quadrature column is added per polarization
     and the footer records the worst closed-form/quadrature mismatch; a
-    grid whose oracle work exceeds ORACLE_NODE_BUDGET is refused with
-    ValueError before any work. Each x shares one kernel evaluation, and
-    one oracle batch, among all polarizations.
+    grid whose oracle work exceeds ORACLE_NODE_BUDGET, or whose bond terms
+    exceed CLOSED_FORM_TERM_BUDGET, is refused with ValueError before any
+    work. Each x shares one kernel evaluation, and one oracle batch, among
+    all polarizations.
     """
     if not 0 < x_min < x_max:
         raise ValueError(f"need 0 < x_min < x_max, got [{x_min}, {x_max}]")
@@ -408,6 +437,10 @@ def x_sweep(
             f"x range or a shorter chain"
         )
     phi_list = list(phi_list)
+    _check_closed_form_work(
+        n_points * len(phi_list) * (state.n - 1),
+        f"over {n_points} points at {len(phi_list)} polarization(s) and N={state.n}",
+    )
     columns = ["x"] + phi_columns("gamma", phi_list)
     if oracle:
         columns += phi_columns("gamma_quadrature", phi_list)

@@ -31,6 +31,7 @@ from chainrad.cli import (
     SUPPORTED_FIGURES,
     UsageError,
     _load_config,
+    _parse_plain,
     build_parser,
     main,
     parse_state,
@@ -222,10 +223,12 @@ class TestCommands:
         # nor numpy: only the emission builders and the oracle import it;
         # nor dataclasses (which imports inspect) or json (only --config
         # reads it), each a sizeable share of a cold start; nor numbers or
-        # __future__, which only a type check and the annotations needed
+        # __future__, which only a type check and the annotations needed;
+        # nor argparse with its gettext and locale, which only help, usage
+        # errors and argv that is not plain need
         heavy = (
             "numpy", "scipy", "dataclasses", "inspect", "json", "numbers",
-            "__future__",
+            "__future__", "argparse", "gettext", "locale",
         )
         code = (
             "import sys; before = set(sys.modules); import chainrad.cli; "
@@ -235,6 +238,17 @@ class TestCommands:
         done = run_fresh("-c", code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_plain_run_imports_no_argparse(self):
+        # -X importtime names every module the run imports, on stderr
+        done = run_fresh("-X", "importtime", "-m", "chainrad.cli", "scales")
+        assert done.returncode == EXIT_OK, done.stderr
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in done.stderr.splitlines() if line.startswith("import time:")
+        }
+        assert "chainrad.scales" in imported
+        assert not imported & {"argparse", "gettext", "locale"}
 
     def test_closed_form_library_calls_load_no_numpy(self):
         code = """
@@ -356,7 +370,7 @@ class TestExitCodes:
             ["verify", "--nmax", "0"],
             # VERIFY_MAX_N refuses it before any state is enumerated
             ["verify", "--nmax", "21"],
-            # VERIFY_MAX_N itself: 12 takes about 0.74 s as a fresh
+            # VERIFY_MAX_N itself: 12 takes about 0.78 s as a fresh
             # process, and each atom doubles the work
             ["verify", "--nmax", "13"],
             # checked before a grid exists
@@ -380,6 +394,8 @@ class TestExitCodes:
             ["coupling", "--range", "1e-105:1", "--points", "2"],
             # points * N over emission's work budget
             ["emission", "--set", "n_atoms=10000", "--points", "1001"],
+            # rates * (N - 1) over the closed form's budget
+            ["angles", "--set", "n_atoms=10000", "--points", "100000"],
             # a flag that is given is used as given: "" is no state
             ["damping", "--state", ""],
             ["emission", "--state", ""],
@@ -432,6 +448,37 @@ class TestExitCodes:
         argv = ["damping", "--set", "n_atoms=300", "--oracle", "--points", "1000"]
         assert main(argv) == EXIT_USAGE
         assert "over its budget" in capsys.readouterr().err
+
+    def test_closed_form_budget_checked_before_any_work(self, capsys, monkeypatch):
+        from chainrad import damping
+
+        monkeypatch.setattr(damping, "closed_form_rates", None)  # never reached
+        argv = ["damping", "--set", "n_atoms=10000", "--points", "100000"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "chainrad: the closed form over 100000 points at 1 polarization(s) "
+            "and N=10000 needs about 1.00e+09 bond terms, over its budget of "
+            "1e+08; use fewer points or a shorter chain\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 1000 rates of 9999 terms, and 10^4 (10^4 - 1) / 2 terms
+            ["angles", "--set", "n_atoms=10000", "--points", "1000"],
+            ["nscaling", "--range", "1:10000"],
+        ],
+    )
+    def test_largest_closed_form_sweeps_are_within_budget(self, argv, monkeypatch):
+        from chainrad import damping
+
+        # a stand-in for the sum (seconds of work) keeps the test fast
+        monkeypatch.setattr(
+            damping, "closed_form_rates",
+            lambda totals, autocorrs, x, phis: [[1.0] * len(phis) for _ in totals],
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK
 
     @pytest.mark.parametrize(
         "key, value",
@@ -579,8 +626,9 @@ ALL_COMMANDS = "{" + ",".join(COMMANDS) + "}"
 
 
 class TestParser:
-    """``main`` builds only the subparser its argv names, and says exactly
-    what the full parser would."""
+    """``main`` parses a plain argv itself and builds argparse's parser, with
+    only the subparser its argv names, for any other; either way it says
+    exactly what the full parser would."""
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_unknown_flag_prints_full_usage(self, command):
@@ -625,8 +673,8 @@ class TestParser:
 
     def test_main_reads_sys_argv(self, monkeypatch, capsys):
         # entry(), the console script's and python -m's function, calls
-        # main() with no arguments, and that run too builds only the
-        # subparser it names
+        # main() with no arguments; that run too builds a parser only for
+        # an argv that is not plain, and then only the subparser it names
         from chainrad import cli
 
         built = []
@@ -640,7 +688,7 @@ class TestParser:
         monkeypatch.setattr(sys, "argv", ["chainrad", "figure", "99"])
         assert main() == EXIT_USAGE
         assert "unsupported figure 99" in capsys.readouterr().err
-        assert built == ["--version", "figure"]
+        assert built == ["--version"]
 
 
 def run_cli(
@@ -1049,3 +1097,66 @@ class TestFuzz:
                 for cell in line.split(",")
             }
             assert not cells & {"nan", "inf", "-inf"}, argv
+
+
+def same_namespace(plain, argv):
+    """Whether ``plain`` holds what argparse parses from ``argv``: the same
+    names, values of the same type and repr (a nan too), the same func."""
+    reprs = lambda ns: {key: repr(value) for key, value in vars(ns).items()}
+    return reprs(plain) == reprs(build_parser().parse_args(argv))
+
+
+class TestPlainParser:
+    """``main`` parses a plain argv without argparse: the namespace must be
+    the one argparse builds, and any other argv goes to argparse."""
+
+    @given(argv=cli_argv())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_plain_namespace_is_argparse_namespace(self, argv):
+        plain = _parse_plain(argv)
+        if plain is not None:
+            assert same_namespace(plain, argv), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *RECORDED_OPS.values(),
+            *DIGEST_OPS.values(),
+            ["verify"],
+            ["verify", "--nmax", "3", "--out", "v.csv"],
+            ["damping", "--oracle", "--set", "n_atoms=3", "--set", "x=1", "--oracle"],
+            ["damping", "--points", "5", "--points", "7", "--state", ""],
+            ["emission", "--obs-x", "1e3", "--time", "1e-3", "--range", "1:2"],
+            ["figure", "07", "--out", "f.csv"],
+        ],
+        ids=" ".join,
+    )
+    def test_cli_ops_are_plain(self, argv):
+        plain = _parse_plain(argv)
+        assert plain is not None and same_namespace(plain, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["damping", "--poi", "5"],  # an abbreviation
+            ["damping", "--points=5"],
+            ["damping", "-h"],
+            ["emission", "--time", "-1"],  # a value that starts with "-"
+            ["figure", "--out", "f.csv", "7"],  # the number not first
+            ["damping", "extra"],
+            ["damping", "--", "x"],
+            ["--version"],
+            [],
+            ["nope"],
+            ["figure"],
+            ["figure", "seven"],  # values argparse's type callables refuse
+            ["damping", "--points", "ten"],
+            ["damping", "--state"],  # a flag without its value
+            ["damping", "--oracle", "x"],
+            ["scales", "--points", "5"],  # a flag scales does not read
+            ["damping", "--out", "o.csv", "--help"],
+        ],
+        ids=" ".join,
+    )
+    def test_other_argv_goes_to_argparse(self, argv):
+        assert _parse_plain(argv) is None

@@ -528,6 +528,30 @@ class TestSweeps:
         # without the oracle the same grids are cheap and run
         assert len(x_sweep(symmetric_state(2), 0.01, 1e6, 1000, [0.0]).rows) == 1000
 
+    def test_closed_form_over_budget_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(damping, "closed_form_rates", None)  # never reached
+        with pytest.raises(ValueError, match="100000 points .* N=10000 .* 1.00e\\+09"):
+            x_sweep(symmetric_state(10_000), 0.01, 20.0, 100_000, [0.0])
+        # each polarization is a rate of its own: 5001 * 2 * 9999 > 10^8
+        with pytest.raises(ValueError, match="budget"):
+            x_sweep(alternating_state(10_000), 0.01, 20.0, 5001, [0.0, 1.0])
+        with pytest.raises(ValueError, match="10001 angles at N=10001 .* 1.00e\\+08"):
+            angle_sweep(10_001, 0.1, [0.0] * 10_001)
+        # the chain lengths 1..n_max sum n_max (n_max - 1) / 2 terms per angle
+        with pytest.raises(ValueError, match="N = 1..14143 .* 1.00e\\+08"):
+            n_scaling_sweep(14_143, 0.1, [0.0])
+
+    def test_closed_form_at_budget_runs(self, monkeypatch):
+        # the budget itself is accepted; a stand-in for the sum (minutes of
+        # work) keeps the test fast
+        monkeypatch.setattr(
+            damping, "closed_form_rates",
+            lambda totals, autocorrs, x, phis: [[1.0] * len(phis) for _ in totals],
+        )
+        assert len(x_sweep(symmetric_state(10_001), 0.01, 20.0, 10_000, [0.0]).rows) == 10_000
+        assert len(angle_sweep(10_001, 0.1, [0.0] * 10_000).rows) == 10_000
+        assert len(n_scaling_sweep(14_142, 0.1, [0.0]).rows) == 14_142
+
     def test_x_sweep_oracle_columns_and_footer(self):
         table = x_sweep(alternating_state(2), 0.5, 2.0, 4, [0.0], oracle=True)
         assert "gamma_quadrature_phi0" in table.columns
