@@ -116,10 +116,8 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _points(args, default: int) -> int:
-    """The --points value, or the command's default when it is not given."""
-    if args.points is None:
-        return default
+def _points(args) -> int:
+    """The --points value, checked before a grid exists."""
     if not 1 <= args.points <= MAX_POINTS:
         raise UsageError(f"--points must be in 1..{MAX_POINTS}, got {args.points}")
     return args.points
@@ -141,8 +139,8 @@ def _load_config(args) -> ChainConfig:
     return config_from_dict(_apply_sets(data, args.set or []))
 
 
-def _base_metadata(config: ChainConfig, scales: AtomicScales, command: str) -> dict:
-    meta = {"tool": f"chainrad {__version__}", "command": command}
+def _base_metadata(config: ChainConfig, scales: AtomicScales) -> dict:
+    meta = {}
     for key, value in config_to_dict(config).items():
         meta[f"config.{key}"] = format_value(value) if isinstance(
             value, float
@@ -158,7 +156,13 @@ def _base_metadata(config: ChainConfig, scales: AtomicScales, command: str) -> d
     return meta
 
 
-def _emit(table: SweepTable, args) -> None:
+def _emit(table: SweepTable, args) -> int:
+    """Stamp ``table`` with the tool and the command, then write it to
+    --out or stdout."""
+    table.metadata["tool"] = f"chainrad {__version__}"
+    table.metadata["command"] = (
+        f"figure {args.number}" if args.command == "figure" else args.command
+    )
     if args.out:
         try:
             fh = open(args.out, "w", newline="")
@@ -171,6 +175,7 @@ def _emit(table: SweepTable, args) -> None:
             raise OutputError(exc) from exc
     else:
         _write_stdout(table.write_csv)
+    return EXIT_OK
 
 
 def _write_stdout(write) -> None:
@@ -221,35 +226,32 @@ def cmd_scales(args) -> int:
             scales.omega_a, scales.q_a, scales.lambda_a / ANGSTROM,
             scales.gamma_a, scales.qa_a,
         )],
-        metadata=_base_metadata(config, scales, "scales"),
+        metadata=_base_metadata(config, scales),
     )
-    _emit(table, args)
-    return EXIT_OK
+    return _emit(table, args)
 
 
 def cmd_coupling(args) -> int:
     config = _load_config(args)
-    lo, hi = _parse_range(args.range) if args.range else (0.01, 20.0)
+    lo, hi = _parse_range(args.range)
     table = coupling_sweep(
-        lo, hi, _points(args, 1000), [math.radians(config.polarization_deg)]
+        lo, hi, _points(args), [math.radians(config.polarization_deg)]
     )
-    table.metadata = _base_metadata(config, derive_scales(config), "coupling")
-    _emit(table, args)
-    return EXIT_OK
+    table.metadata = _base_metadata(config, derive_scales(config))
+    return _emit(table, args)
 
 
 def cmd_damping(args) -> int:
     config = _load_config(args)
-    state = parse_state("sym" if args.state is None else args.state, config.n_atoms)
-    lo, hi = _parse_range(args.range) if args.range else (0.01, 20.0)
+    state = parse_state(args.state, config.n_atoms)
+    lo, hi = _parse_range(args.range)
     table = x_sweep(
-        state, lo, hi, _points(args, 1000),
+        state, lo, hi, _points(args),
         [math.radians(config.polarization_deg)], oracle=args.oracle,
     )
-    table.metadata = _base_metadata(config, derive_scales(config), "damping")
+    table.metadata = _base_metadata(config, derive_scales(config))
     table.metadata["state"] = str(state)
-    _emit(table, args)
-    return EXIT_OK
+    return _emit(table, args)
 
 
 def cmd_nscaling(args) -> int:
@@ -258,33 +260,28 @@ def cmd_nscaling(args) -> int:
             "nscaling sweeps the chain length itself and takes no "
             "--set n_atoms; give --range 1:N_max instead"
         )
-    n_max = 200
-    if args.range:
-        lo, hi = _parse_range(args.range)
-        if lo != 1 or not (hi.is_integer() and 1 <= hi <= MAX_ATOMS):
-            raise UsageError(
-                f"nscaling --range must be 1:N_max with whole N_max in "
-                f"1..{MAX_ATOMS}, got {args.range!r}"
-            )
-        n_max = int(hi)
+    lo, hi = _parse_range(args.range)
+    if lo != 1 or not (hi.is_integer() and 1 <= hi <= MAX_ATOMS):
+        raise UsageError(
+            f"nscaling --range must be 1:N_max with whole N_max in "
+            f"1..{MAX_ATOMS}, got {args.range!r}"
+        )
     config = _load_config(args)
     scales = derive_scales(config)
     table = n_scaling_sweep(
-        n_max, scales.qa_a, [math.radians(config.polarization_deg)]
+        int(hi), scales.qa_a, [math.radians(config.polarization_deg)]
     )
-    table.metadata = _base_metadata(config, scales, "nscaling")
-    _emit(table, args)
-    return EXIT_OK
+    table.metadata = _base_metadata(config, scales)
+    return _emit(table, args)
 
 
 def cmd_angles(args) -> int:
     config = _load_config(args)
-    grid = _angle_grid(_points(args, 181))
+    grid = _angle_grid(_points(args))
     scales = derive_scales(config)
     table = angle_sweep(config.n_atoms, scales.qa_a, grid)
-    table.metadata = _base_metadata(config, scales, "angles")
-    _emit(table, args)
-    return EXIT_OK
+    table.metadata = _base_metadata(config, scales)
+    return _emit(table, args)
 
 
 def cmd_emission(args) -> int:
@@ -293,21 +290,18 @@ def cmd_emission(args) -> int:
     from .emission import emission_sweep, latest_retardation
 
     config = _load_config(args)
-    state = parse_state("sym" if args.state is None else args.state, config.n_atoms)
+    state = parse_state(args.state, config.n_atoms)
     scales = derive_scales(config)
-    obs_x_angstrom = EMISSION_OBS_X_ANGSTROM if args.obs_x is None else args.obs_x
-    if not (math.isfinite(obs_x_angstrom) and obs_x_angstrom > 0):
-        raise UsageError(f"--obs-x must be finite and > 0, got {obs_x_angstrom}")
-    obs_x = obs_x_angstrom * ANGSTROM
-    lo, hi = _parse_range(args.range) if args.range else (1e3, 1e7)
+    if not (math.isfinite(args.obs_x) and args.obs_x > 0):
+        raise UsageError(f"--obs-x must be finite and > 0, got {args.obs_x}")
+    obs_x = args.obs_x * ANGSTROM
+    lo, hi = _parse_range(args.range)
     if not (lo > 0 and hi > 0):
         raise UsageError(
             f"emission --range is a lattice-constant range in Angstrom and "
             f"needs lo > 0 and hi > 0, got {args.range!r}"
         )
-    a_grid = np.logspace(
-        math.log10(lo), math.log10(hi), _points(args, 2000)
-    ) * ANGSTROM
+    a_grid = np.logspace(math.log10(lo), math.log10(hi), _points(args)) * ANGSTROM
     if args.time is None:
         # latest retardation over the grid, by the sweep's own rule, so the
         # default is always causal; the largest point is the last one only
@@ -321,12 +315,11 @@ def cmd_emission(args) -> int:
         state, a_grid, math.radians(config.polarization_deg), obs_x, t, scales,
         config.dipole_e_angstrom,
     )
-    trace.table.metadata.update(_base_metadata(config, scales, "emission"))
+    trace.table.metadata.update(_base_metadata(config, scales))
     trace.table.metadata["reference_intensity_w_m2"] = format(
         trace.reference_intensity, ".12g"
     )
-    _emit(trace.table, args)
-    return EXIT_OK
+    return _emit(trace.table, args)
 
 
 def _emission_figure(state: SignState, phi: float) -> SweepTable:
@@ -382,23 +375,18 @@ def cmd_figure(args) -> int:
         raise UsageError(
             f"unsupported figure {args.number}; choose from {SUPPORTED_FIGURES}"
         )
-    table = FIGURES[args.number]()
-    table.metadata["tool"] = f"chainrad {__version__}"
-    table.metadata["command"] = f"figure {args.number}"
-    _emit(table, args)
-    return EXIT_OK
+    return _emit(FIGURES[args.number](), args)
 
 
 def cmd_verify(args) -> int:
-    """Closed form vs quadrature over all sign states, N <= n_max."""
-    n_max = 8 if args.nmax is None else args.nmax
-    if not 1 <= n_max <= VERIFY_MAX_N:
-        raise UsageError(f"--nmax must be in 1..{VERIFY_MAX_N}, got {n_max}")
+    """Closed form vs quadrature over all sign states, N <= --nmax."""
+    if not 1 <= args.nmax <= VERIFY_MAX_N:
+        raise UsageError(f"--nmax must be in 1..{VERIFY_MAX_N}, got {args.nmax}")
     x_grid = (0.1, 0.5, 1.0, 3.0, 10.0)
     phi_grid = (0.0, math.pi / 4, math.pi / 2)
     rows = []
     worst = 0.0
-    for n in range(1, n_max + 1):
+    for n in range(1, args.nmax + 1):
         max_err = 0.0
         # C and -C have the same A_k and an integrand whose re and im only
         # flip sign, so both methods give them bitwise-equal rates: the
@@ -419,8 +407,6 @@ def cmd_verify(args) -> int:
         columns=["N", "n_states", "max_rel_err"],
         rows=rows,
         metadata={
-            "tool": f"chainrad {__version__}",
-            "command": "verify",
             "x_grid": " ".join(format_value(x) for x in x_grid),
             "phi_deg_grid": "0 45 90",
         },
@@ -451,43 +437,47 @@ _FLAGS = {
     "--oracle": dict(
         action="store_true", help="add quadrature cross-check columns"
     ),
-    "--obs-x": dict(
-        dest="obs_x", type=float,
-        help="observation distance in Angstrom (default 1e6)",
-    ),
+    "--obs-x": dict(type=float, help="observation distance in Angstrom (default 1e6)"),
     "--time": dict(type=float, help="observation time in seconds (default 2x/c)"),
     "--nmax": dict(type=int, help="largest chain length (default 8)"),
     "--out": dict(help="CSV output path (default stdout)"),
 }
-_CONFIG_FLAGS = ("--config", "--set")
+_CONFIG_FLAGS = {"--config": None, "--set": None}
 
-#: Subcommand -> (handler, help, the flags it reads besides --out).
+#: Subcommand -> (handler, help, each flag it reads besides --out -> its
+#: default). Both parsers fill the namespace from these defaults.
 COMMANDS = {
     "scales": (cmd_scales, "derived single-atom scales", _CONFIG_FLAGS),
     "coupling": (
         cmd_coupling, "J/gamma_a vs q_a*a sweep",
-        _CONFIG_FLAGS + ("--points", "--range"),
+        {**_CONFIG_FLAGS, "--points": 1000, "--range": "0.01:20"},
     ),
     "damping": (
         cmd_damping, "collective rate vs q_a*a sweep",
-        _CONFIG_FLAGS + ("--points", "--range", "--state", "--oracle"),
+        {
+            **_CONFIG_FLAGS, "--points": 1000, "--range": "0.01:20",
+            "--state": "sym", "--oracle": False,
+        },
     ),
     "nscaling": (
         cmd_nscaling, "symmetric rate vs chain length",
-        _CONFIG_FLAGS + ("--range",),
+        {**_CONFIG_FLAGS, "--range": "1:200"},
     ),
     "angles": (
         cmd_angles, "symmetric rate vs polarization angle",
-        _CONFIG_FLAGS + ("--points",),
+        {**_CONFIG_FLAGS, "--points": 181},
     ),
     "emission": (
         cmd_emission, "far-field intensity vs lattice constant",
-        _CONFIG_FLAGS + ("--points", "--range", "--state", "--obs-x", "--time"),
+        {
+            **_CONFIG_FLAGS, "--points": 2000, "--range": "1e3:1e7",
+            "--state": "sym", "--obs-x": EMISSION_OBS_X_ANGSTROM, "--time": None,
+        },
     ),
     "figure": (
-        cmd_figure, "reproduce a numbered reference figure as CSV", ("number",)
+        cmd_figure, "reproduce a numbered reference figure as CSV", {"number": None}
     ),
-    "verify": (cmd_verify, "closed form vs quadrature oracle suite", ("--nmax",)),
+    "verify": (cmd_verify, "closed form vs quadrature oracle suite", {"--nmax": 8}),
 }
 
 
@@ -505,14 +495,11 @@ def _parse_plain(argv):
     if not argv or argv[0] not in COMMANDS:
         return None
     func, _, flags = COMMANDS[argv[0]]
-    args = {"command": argv[0], "func": func}
-    options = {}
-    for flag in (*flags, "--out"):
-        spec = _FLAGS[flag]
-        if flag.startswith("--"):
-            dest = spec.get("dest", flag[2:].replace("-", "_"))
-            options[flag] = dest, spec
-            args[dest] = False if spec.get("action") == "store_true" else None
+    defaults = {**flags, "--out": None}
+    # argparse's attribute names: --obs-x is obs_x
+    dests = {flag: flag.lstrip("-").replace("-", "_") for flag in defaults}
+    args = {dests[flag]: default for flag, default in defaults.items()}
+    args.update(command=argv[0], func=func)
     words = iter(argv[1:])  # a missing value reads as "-", which is not plain
     try:
         for flag in flags:
@@ -522,9 +509,9 @@ def _parse_plain(argv):
                     return None
                 args[flag] = _FLAGS[flag]["type"](value)
         for flag in words:
-            if flag not in options:
+            if not (flag.startswith("--") and flag in defaults):
                 return None
-            dest, spec = options[flag]
+            spec, dest = _FLAGS[flag], dests[flag]
             action = spec.get("action")
             if action == "store_true":
                 args[dest] = True
@@ -540,16 +527,12 @@ def _parse_plain(argv):
     return SimpleNamespace(**args)
 
 
-def build_parser(command: str | None = None) -> "argparse.ArgumentParser":
-    """The CLI parser; with a ``command`` from COMMANDS, only its subparser.
+def build_parser() -> "argparse.ArgumentParser":
+    """The CLI's argparse parser, every subcommand and its defaults included.
 
     ``main`` builds it only for an argv that :func:`_parse_plain` leaves
-    to argparse, so argparse is imported here. A run names its command
-    first, so it need not build the other seven. The one-subparser form
-    keeps the full command list as its metavar, so every usage line it
-    prints matches the full parser's. The full parser does not set it:
-    with no command given, argparse names the missing argument by its
-    metavar, and that message must stay ``command``.
+    to argparse (help, --version, an abbreviated flag, ``--flag=value``,
+    a usage error), so argparse is imported here.
     """
     import argparse
 
@@ -575,17 +558,11 @@ def build_parser(command: str | None = None) -> "argparse.ArgumentParser":
         description="Collective radiative properties of a finite emitter chain",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    if command in COMMANDS:
-        names = [command]
-        metavar = "{" + ",".join(COMMANDS) + "}"
-    else:
-        names, metavar = list(COMMANDS), None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        func, help_text, flags = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in (*flags, "--out"):
-            p.add_argument(flag, **_FLAGS[flag])
+        for flag, default in {**flags, "--out": None}.items():
+            p.add_argument(flag, default=default, **_FLAGS[flag])
         p.set_defaults(func=func)
     return parser
 
@@ -596,7 +573,7 @@ def main(argv=None) -> int:
     args = _parse_plain(argv)
     try:
         if args is None:
-            args = build_parser(argv[0] if argv else None).parse_args(argv)
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors (2), --help/--version (0)
         return exc.code

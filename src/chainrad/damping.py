@@ -425,8 +425,8 @@ def x_sweep(
     """
     if not 0 < x_min < x_max:
         raise ValueError(f"need 0 < x_min < x_max, got [{x_min}, {x_max}]")
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     grid = linspace(x_min, x_max, n_points)
     work = _oracle_work(state.n, grid) if oracle else 0.0
     if work > ORACLE_NODE_BUDGET:

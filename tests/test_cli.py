@@ -29,6 +29,7 @@ from chainrad.cli import (
     EXIT_OK,
     EXIT_USAGE,
     SUPPORTED_FIGURES,
+    VERIFY_TOL,
     UsageError,
     _load_config,
     _parse_plain,
@@ -199,6 +200,15 @@ class TestCommands:
         with contextlib.redirect_stdout(out):
             assert main(["emission", *argv, "--points", "5"]) == EXIT_OK
         assert len([l for l in out.getvalue().splitlines() if l[:1].isdigit()]) == 5
+
+    @pytest.mark.parametrize("command", ["coupling", "damping"])
+    def test_one_point_sweep_is_the_range_start(self, tmp_path, command):
+        # --points takes 1..MAX_POINTS for every command
+        out = tmp_path / f"{command}.csv"
+        argv = [command, "--range", "0.5:2", "--points", "1", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        _, _, rows, _ = read_csv(out)
+        assert rows.shape[0] == 1 and rows[0][0] == 0.5
 
     def test_nscaling_range_sets_n_max(self, tmp_path):
         out = tmp_path / "nscaling.csv"
@@ -399,6 +409,8 @@ class TestExitCodes:
             # a flag that is given is used as given: "" is no state
             ["damping", "--state", ""],
             ["emission", "--state", ""],
+            ["coupling", "--range", ""],
+            ["nscaling", "--range", ""],
             # per-atom amplitudes near 1/obs_x overflow when squared
             ["emission", "--obs-x", "1e-150", "--points", "2"],
             ["emission", "--obs-x", "1e-300", "--points", "2"],
@@ -617,8 +629,8 @@ def parse_outcome(run, argv):
 
 
 def full_parser(argv):
-    """Parse with every subcommand built: the reference that main's
-    one-subparser parse must match."""
+    """Parse with argparse alone: the reference that main's outcome, by
+    either parser, must match."""
     build_parser().parse_args(argv)
 
 
@@ -626,9 +638,8 @@ ALL_COMMANDS = "{" + ",".join(COMMANDS) + "}"
 
 
 class TestParser:
-    """``main`` parses a plain argv itself and builds argparse's parser, with
-    only the subparser its argv names, for any other; either way it says
-    exactly what the full parser would."""
+    """``main`` parses a plain argv itself and builds argparse's parser for
+    any other; either way it says exactly what argparse alone would."""
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_unknown_flag_prints_full_usage(self, command):
@@ -666,21 +677,16 @@ class TestParser:
         assert main(["damping", "--bogus"]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
-    def test_one_command_parser_knows_only_that_command(self):
-        assert build_parser("scales").parse_args(["scales"]).command == "scales"
-        assert parse_outcome(build_parser("scales").parse_args, ["coupling"])[0] == 2
-        assert build_parser("nope").parse_args(["coupling"]).command == "coupling"
-
     def test_main_reads_sys_argv(self, monkeypatch, capsys):
         # entry(), the console script's and python -m's function, calls
         # main() with no arguments; that run too builds a parser only for
-        # an argv that is not plain, and then only the subparser it names
+        # an argv that is not plain
         from chainrad import cli
 
         built = []
         real = cli.build_parser
         monkeypatch.setattr(
-            cli, "build_parser", lambda command=None: built.append(command) or real(command)
+            cli, "build_parser", lambda: built.append(sys.argv[1:]) or real()
         )
         monkeypatch.setattr(sys, "argv", ["chainrad", "--version"])
         assert main() == EXIT_OK
@@ -688,7 +694,7 @@ class TestParser:
         monkeypatch.setattr(sys, "argv", ["chainrad", "figure", "99"])
         assert main() == EXIT_USAGE
         assert "unsupported figure 99" in capsys.readouterr().err
-        assert built == ["--version"]
+        assert built == [["--version"]]
 
 
 def run_cli(
@@ -991,6 +997,32 @@ class TestRecordedOutputs:
             assert main(DIGEST_OPS[name]) == EXIT_OK
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == OUTPUT_SHA256[name]
 
+    def test_verify_matches_recording(self):
+        # the error cells depend on BLAS rounding, so they and the footer's
+        # worst error are held to the benchmark's column tolerance; every
+        # other line, N and n_states included, matches byte for byte
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["verify"]) == EXIT_OK
+        recorded = REPO / "perfbench" / "expected" / "verify.csv.gz"
+        want = gzip.decompress(recorded.read_bytes()).decode().splitlines()
+        spec = json.loads((REPO / "perfbench" / "spec.json").read_text())
+        atol = spec["tolerances"]["cli_csv_column_atol"]["max_rel_err"]
+        got = out.getvalue().splitlines()
+        assert len(got) == len(want)
+        for line, ref in zip(got, want):
+            if line[:1].isdigit():
+                sep = ","
+            elif line.startswith("# max_rel_err="):
+                sep = "="
+            else:
+                assert line == ref
+                continue
+            (head, cell), (ref_head, ref_cell) = line.rsplit(sep, 1), ref.rsplit(sep, 1)
+            assert head == ref_head
+            assert abs(float(cell) - float(ref_cell)) <= atol, line
+            assert float(cell) < VERIFY_TOL, line
+
 
 # --- CLI fuzzing: every argv ends in a documented exit code -------------
 
@@ -1160,3 +1192,32 @@ class TestPlainParser:
     )
     def test_other_argv_goes_to_argparse(self, argv):
         assert _parse_plain(argv) is None
+
+
+#: Each command's defaults that a command line can spell, as (flag, value):
+#: None is no value and --oracle's False is its absence. Commands with
+#: none (scales, figure) are left out.
+SPELLED_DEFAULTS = {
+    name: [
+        (flag, str(default)) for flag, default in flags.items()
+        if default is not None and not isinstance(default, bool)
+    ]
+    for name, (_, _, flags) in COMMANDS.items()
+}
+SPELLED_DEFAULTS = {name: pairs for name, pairs in SPELLED_DEFAULTS.items() if pairs}
+
+
+class TestDefaults:
+    """COMMANDS holds every default, and both parsers fill them from it."""
+
+    @pytest.mark.parametrize("command", sorted(SPELLED_DEFAULTS))
+    def test_spelled_out_defaults_give_the_bare_output(self, command):
+        bare = in_process_bytes([command])
+        pairs = SPELLED_DEFAULTS[command]
+        spaced = [command, *(word for pair in pairs for word in pair)]
+        assert _parse_plain(spaced) is not None
+        assert in_process_bytes(spaced) == bare
+        # --flag=value is argparse's to parse, with its own defaults
+        joined = [command, *(f"{flag}={value}" for flag, value in pairs)]
+        assert _parse_plain(joined) is None
+        assert in_process_bytes(joined) == bare

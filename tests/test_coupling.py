@@ -122,7 +122,11 @@ class TestCouplingSweep:
         xs = table.column("x")
         assert np.all(np.diff(xs) > 0)
 
-    @pytest.mark.parametrize("args", [(0.0, 1.0, 10), (-1.0, 1.0, 10), (1.0, 0.5, 10), (0.1, 1.0, 1)])
+    def test_one_point_grid_is_x_min(self):
+        table = coupling_sweep(0.1, 0.9, 1, [0.0])
+        assert table.rows == [(0.1, transfer_exact(0.1, 0.0), transfer_electrostatic(0.1, 0.0))]
+
+    @pytest.mark.parametrize("args", [(0.0, 1.0, 10), (-1.0, 1.0, 10), (1.0, 0.5, 10), (0.1, 1.0, 0)])
     def test_bad_grids_rejected(self, args):
         with pytest.raises(ValueError):
             coupling_sweep(*args, [0.0])

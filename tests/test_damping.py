@@ -502,6 +502,13 @@ class TestSweeps:
             tracemalloc.stop()
         assert peak < 2_000_000
 
+    def test_x_sweep_one_point_grid_is_x_min(self):
+        state = alternating_state(3)
+        (row,) = x_sweep(state, 0.5, 2.0, 1, [0.0]).rows
+        assert row == (0.5, per_point_rate(state, 0.5, 0.0))
+        with pytest.raises(ValueError, match="n_points must be >= 1, got 0"):
+            x_sweep(state, 0.5, 2.0, 0, [0.0])
+
     def test_x_sweep_bitwise_per_point(self):
         state = SignState(sign_coeffs("random", 9))
         phis = [0.0, math.pi / 2]
