@@ -19,7 +19,7 @@ _PUBLIC = {
         "DampingResult", "QuadratureAccuracyError", "angle_sweep",
         "damping_general", "f_kernel", "n_scaling_sweep", "quadrature_rates",
     ),
-    "emission": ("IntensityTrace", "emission_sweep", "total_intensity"),
+    "emission": ("IntensityTrace", "emission_sweep"),
     "sweeps": ("SweepTable",),
 }
 _SOURCE = {name: module for module, names in _PUBLIC.items() for name in names}

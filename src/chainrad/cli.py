@@ -135,20 +135,18 @@ def _apply_sets(data: dict, sets: list[str]) -> dict:
 
 def _load_config(args) -> ChainConfig:
     """The --config keys (or DEFAULT_CONFIG) with --set applied, built once."""
-    data = read_config_dict(args.config) if args.config else DEFAULT_CONFIG
+    data = DEFAULT_CONFIG if args.config is None else read_config_dict(args.config)
     return config_from_dict(_apply_sets(data, args.set or []))
 
 
 def _base_metadata(config: ChainConfig, scales: AtomicScales) -> dict:
     meta = {}
     for key, value in config_to_dict(config).items():
-        meta[f"config.{key}"] = format_value(value) if isinstance(
-            value, float
-        ) else value
+        meta[f"config.{key}"] = format_value(value)
     for key, value in CODATA.items():
-        meta[f"const.{key}"] = format(value, ".12g")
-    meta["derived.gamma_a_hz"] = format(scales.gamma_a, ".12g")
-    meta["derived.qa_a"] = format(scales.qa_a, ".12g")
+        meta[f"const.{key}"] = format_value(value)
+    meta["derived.gamma_a_hz"] = format_value(scales.gamma_a)
+    meta["derived.qa_a"] = format_value(scales.qa_a)
     if scales.gamma_overridden:
         meta["derived.gamma_source"] = "override"
     else:
@@ -316,8 +314,8 @@ def cmd_emission(args) -> int:
         config.dipole_e_angstrom,
     )
     trace.table.metadata.update(_base_metadata(config, scales))
-    trace.table.metadata["reference_intensity_w_m2"] = format(
-        trace.reference_intensity, ".12g"
+    trace.table.metadata["reference_intensity_w_m2"] = format_value(
+        trace.reference_intensity
     )
     return _emit(trace.table, args)
 
@@ -438,7 +436,8 @@ _FLAGS = {
         action="store_true", help="add quadrature cross-check columns"
     ),
     "--obs-x": dict(type=float, help="observation distance in Angstrom (default 1e6)"),
-    "--time": dict(type=float, help="observation time in seconds (default 2x/c)"),
+    "--time": dict(type=float, help="observation time in seconds (default: the "
+                   "grid's latest retardation)"),
     "--nmax": dict(type=int, help="largest chain length (default 8)"),
     "--out": dict(help="CSV output path (default stdout)"),
 }

@@ -29,7 +29,7 @@ import sys
 
 from .frozen import Frozen
 from .states import SignState
-from .sweeps import SweepTable, linspace, phi_columns
+from .sweeps import SweepTable, check_work, linspace, phi_columns
 
 #: Below this x, sin x/x - 1 and cos x/x^2 - sin x/x^3 + 1/3 are summed
 #: as alternating Taylor series. The direct forms cancel catastrophically
@@ -362,17 +362,6 @@ def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
     return rates.tolist()
 
 
-def _check_closed_form_work(terms: float, what: str) -> None:
-    """Refuse, with ValueError, a sweep ``what`` that would sum ``terms``
-    bond terms, more than CLOSED_FORM_TERM_BUDGET."""
-    if terms > CLOSED_FORM_TERM_BUDGET:
-        raise ValueError(
-            f"the closed form {what} needs about {terms:.2e} bond terms, over "
-            f"its budget of {CLOSED_FORM_TERM_BUDGET:.0e}; use fewer points or "
-            f"a shorter chain"
-        )
-
-
 def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
     """Symmetric-state rate vs chain length, one column per polarization.
 
@@ -385,9 +374,9 @@ def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     phi_list = list(phi_list)
-    _check_closed_form_work(
-        len(phi_list) * n_max * (n_max - 1) / 2,
-        f"over N = 1..{n_max} at {len(phi_list)} polarization(s)",
+    check_work(
+        f"the closed form over N = 1..{n_max} at {len(phi_list)} polarization(s)",
+        len(phi_list) * n_max * (n_max - 1) / 2, "bond terms", CLOSED_FORM_TERM_BUDGET,
     )
     columns = ["N"] + phi_columns("gamma", phi_list)
     sizes = range(1, n_max + 1)
@@ -404,7 +393,10 @@ def angle_sweep(n: int, x: float, phi_grid) -> SweepTable:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     phis = [float(p) for p in phi_grid]
-    _check_closed_form_work(len(phis) * (n - 1), f"over {len(phis)} angles at N={n}")
+    check_work(
+        f"the closed form over {len(phis)} angles at N={n}",
+        len(phis) * (n - 1), "bond terms", CLOSED_FORM_TERM_BUDGET,
+    )
     (rates,) = closed_form_rates((n,), (range(n - 1, 0, -1),), x, phis)
     rows = [(math.degrees(p), rate) for p, rate in zip(phis, rates)]
     return SweepTable(columns=["phi_deg", "gamma"], rows=rows)
@@ -428,18 +420,18 @@ def x_sweep(
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
     grid = linspace(x_min, x_max, n_points)
-    work = _oracle_work(state.n, grid) if oracle else 0.0
-    if work > ORACLE_NODE_BUDGET:
-        raise ValueError(
+    if oracle:
+        check_work(
             f"the quadrature oracle over {n_points} points up to x={x_max:g} "
-            f"at N={state.n} needs about {work:.2e} Horner steps, over its "
-            f"budget of {ORACLE_NODE_BUDGET:.0e}; use fewer points, a smaller "
-            f"x range or a shorter chain"
+            f"at N={state.n}",
+            _oracle_work(state.n, grid), "Horner steps", ORACLE_NODE_BUDGET,
+            "use fewer points, a smaller x range or a shorter chain",
         )
     phi_list = list(phi_list)
-    _check_closed_form_work(
-        n_points * len(phi_list) * (state.n - 1),
-        f"over {n_points} points at {len(phi_list)} polarization(s) and N={state.n}",
+    check_work(
+        f"the closed form over {n_points} points at {len(phi_list)} "
+        f"polarization(s) and N={state.n}",
+        n_points * len(phi_list) * (state.n - 1), "bond terms", CLOSED_FORM_TERM_BUDGET,
     )
     columns = ["x"] + phi_columns("gamma", phi_list)
     if oracle:

@@ -24,7 +24,7 @@ from .scales import (
     CausalityError,
 )
 from .states import SignState
-from .sweeps import SweepTable
+from .sweeps import SweepTable, check_work, format_value
 
 #: Most atom-points (grid points times N) one sweep may evaluate. Each
 #: point is one pass over the N atoms, about 220-290 ns per atom at
@@ -33,11 +33,13 @@ from .sweeps import SweepTable
 EMISSION_WORK_BUDGET = 1e7
 
 
-def latest_retardation(n: int, a: float, obs_x: float) -> float:
+def latest_retardation(n: int, a: float | np.ndarray, obs_x: float) -> float | np.ndarray:
     """|r - R_N|/c in seconds, when the last (farthest) atom's light reaches
-    (obs_x, 0, 0): bitwise the last atom's dist / c in ``total_intensity``.
-    Every causality check and the CLI's default time use this one rule."""
-    return float(np.hypot(obs_x, (n - 1) * a) / SPEED_OF_LIGHT)
+    (obs_x, 0, 0): bitwise the last atom's dist / c in the intensity sum. A
+    grid array ``a`` gives an array, bitwise the floats; the causality check
+    and the CLI's default time use this one rule."""
+    t = np.hypot(obs_x, (n - 1) * a) / SPEED_OF_LIGHT
+    return t if t.ndim else float(t)
 
 
 def reference_intensity(scales: AtomicScales, mu_e_angstrom: float, obs_x: float) -> float:
@@ -48,13 +50,13 @@ def reference_intensity(scales: AtomicScales, mu_e_angstrom: float, obs_x: float
     )
 
 
-def total_intensity(
+def _point_intensity(
     state: SignState, a: float, phi: float, obs_x: float, scales: AtomicScales,
     t: float,
 ) -> float:
     """Scaled intensity I(r, t)/I_0(x) for an arbitrary sign state on a
     chain of spacing a >= 0 (coincident atoms allowed), polarization phi,
-    observed at (obs_x, 0, 0) at time t.
+    observed at (obs_x, 0, 0) at time t; ``emission_sweep`` checks them.
 
     The pair correlations C_i C_j / N are rank one, so the per-atom and
     pairwise interference terms collapse into one squared amplitude sum,
@@ -67,18 +69,7 @@ def total_intensity(
     Only phase differences enter, so they are taken relative to t_0, the
     first atom's retardation.
     """
-    if not obs_x > 0:
-        raise ValueError(f"obs_x must be > 0, got {obs_x}")
-    if not (math.isfinite(a) and a >= 0):
-        raise ValueError(f"lattice constant must be finite and >= 0, got {a}")
-    if not math.isfinite(t):
-        raise ValueError(f"observation time must be finite, got {t}")
     n = state.n
-    t_last = latest_retardation(n, a, obs_x)
-    if t < t_last:
-        raise CausalityError(
-            f"t={t!r} s precedes the latest retardation time {t_last!r} s"
-        )
     atom_z = a * np.arange(n, dtype=float)
     dist = np.hypot(obs_x, atom_z)
     # alpha = arctan(obs_x / R); atan2 gives pi/2 at R = 0
@@ -119,33 +110,37 @@ def emission_sweep(
 ) -> IntensityTrace:
     """Intensity-vs-lattice-constant trace for a fixed state.
 
-    A grid whose points times N exceed EMISSION_WORK_BUDGET is refused
-    with ValueError, and every grid point is checked for causality, before
-    any intensity is computed; the first violating point is named in the
-    error. An intensity that is not finite raises OverflowError.
+    Before any sum, ValueError refuses an empty grid, one over
+    EMISSION_WORK_BUDGET (points times N), obs_x <= 0, a lattice constant
+    not finite and >= 0 or a non-finite t, and CausalityError names the first
+    point whose light arrives after t. A non-finite intensity is OverflowError.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size == 0:
         raise ValueError("empty lattice-constant grid")
-    work = a_grid.size * state.n
-    if work > EMISSION_WORK_BUDGET:
-        raise ValueError(
-            f"emission over {a_grid.size} points at N={state.n} needs about "
-            f"{work:.2e} atom-points, over its budget of "
-            f"{EMISSION_WORK_BUDGET:.0e}; use fewer points or a shorter chain"
-        )
-    for a in a_grid:
-        t_last = latest_retardation(state.n, float(a), obs_x)
-        if t < t_last:
-            raise CausalityError(
-                f"grid point a={a / ANGSTROM:.6g} A violates causality: "
-                f"t={t!r} s < retardation {t_last!r} s"
-            )
-    # amplitudes of about 1/obs_x can overflow when squared: no warning per
-    # point, but one finiteness check of the whole column
+    check_work(
+        f"emission over {a_grid.size} points at N={state.n}",
+        a_grid.size * state.n, "atom-points", EMISSION_WORK_BUDGET,
+    )
+    if not obs_x > 0:
+        raise ValueError(f"obs_x must be > 0, got {obs_x}")
+    bad = a_grid[~(np.isfinite(a_grid) & (a_grid >= 0))]
+    if bad.size:
+        raise ValueError(f"lattice constant must be finite and >= 0, got {float(bad[0])}")
+    if not math.isfinite(t):
+        raise ValueError(f"observation time must be finite, got {t}")
+    # (n - 1) a, and amplitudes of about 1/obs_x squared, can overflow: no
+    # warning, but a causality check and one finiteness check of the column
     with np.errstate(all="ignore"):
+        t_last = latest_retardation(state.n, a_grid, obs_x)
+        late = np.flatnonzero(t < t_last)
+        if late.size:
+            raise CausalityError(
+                f"grid point a={a_grid[late[0]] / ANGSTROM:.6g} A violates causality: "
+                f"t={t!r} s < retardation {float(t_last[late[0]])!r} s"
+            )
         rows = [
-            (a / ANGSTROM, total_intensity(state, float(a), phi, obs_x, scales, t))
+            (a / ANGSTROM, _point_intensity(state, float(a), phi, obs_x, scales, t))
             for a in a_grid
         ]
     if not np.isfinite([value for _, value in rows]).all():
@@ -157,9 +152,9 @@ def emission_sweep(
         rows=rows,
         metadata={
             "state": str(state),
-            "phi_deg": format(math.degrees(phi), ".12g"),
-            "obs_x_angstrom": format(obs_x / ANGSTROM, ".12g"),
-            "t_s": format(t, ".12g"),
+            "phi_deg": format_value(math.degrees(phi)),
+            "obs_x_angstrom": format_value(obs_x / ANGSTROM),
+            "t_s": format_value(t),
         },
     )
     return IntensityTrace(

@@ -22,6 +22,18 @@ def format_value(v) -> str:
         return format(float(v), _FLOAT_FMT)
 
 
+def check_work(
+    what: str, work: float, unit: str, budget: float,
+    advice: str = "use fewer points or a shorter chain",
+) -> None:
+    """Refuse, with ValueError, a sweep ``what`` whose ``work`` exceeds ``budget``."""
+    if work > budget:
+        raise ValueError(
+            f"{what} needs about {work:.2e} {unit}, over its budget of "
+            f"{budget:.0e}; {advice}"
+        )
+
+
 def linspace(lo: float, hi: float, num: int) -> list[float]:
     """``num`` evenly spaced floats from lo to hi, bit-equal to np.linspace.
 

@@ -18,6 +18,7 @@ from mpmath import mp, mpf
 from scipy.integrate import quad
 
 from chainrad.damping import f_kernel_minus_one
+from chainrad.emission import emission_sweep
 from chainrad.scales import SPEED_OF_LIGHT, CausalityError
 from chainrad.states import alternating_state, symmetric_state
 
@@ -99,7 +100,7 @@ def pair_correlations(coeffs) -> np.ndarray:
 
 def emission_geometry(n: int, a: float, phi: float, obs_x: float) -> SimpleNamespace:
     """Per-atom observation geometry of n atoms at spacing a, observed at
-    (obs_x, 0, 0), with the numpy calls ``total_intensity`` makes inline:
+    (obs_x, 0, 0), with the numpy calls the library's per-point sum makes inline:
     R_n (``atom_z``), the dipole angle seen from atom n (``phi_n``),
     |r - R_n| (``dist_n``), dist_n / c (``retard_n``) and the N x 3 unit
     vectors (r - R_n)/|r - R_n| (``unit_n``)."""
@@ -116,6 +117,15 @@ def emission_geometry(n: int, a: float, phi: float, obs_x: float) -> SimpleNames
         retard_n=dist / SPEED_OF_LIGHT,
         unit_n=unit,
     )
+
+
+def one_point_intensity(
+    state, a: float, phi: float, obs_x: float, scales, t: float,
+) -> float:
+    """The library's I/I_0 at one lattice constant a: ``emission_sweep`` over
+    the one-point grid [a], checks included (the dipole only scales I_0)."""
+    ((_, value),) = emission_sweep(state, [a], phi, obs_x, t, scales, 1.0).table.rows
+    return value
 
 
 def total_intensity_pairwise(coeffs, geom, scales, t: float) -> float:

