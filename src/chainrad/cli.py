@@ -161,7 +161,7 @@ def _emit(table: SweepTable, args) -> int:
     table.metadata["command"] = (
         f"figure {args.number}" if args.command == "figure" else args.command
     )
-    if args.out:
+    if args.out is not None:
         try:
             fh = open(args.out, "w", newline="")
         except OSError as exc:
@@ -212,10 +212,8 @@ def _angle_grid(n_points: int) -> list[float]:
     return [math.radians(d) for d in linspace(0.0, 90.0, n_points)]
 
 
-def cmd_scales(args) -> int:
-    config = _load_config(args)
-    scales = derive_scales(config)
-    table = SweepTable(
+def cmd_scales(args, config, scales) -> SweepTable:
+    return SweepTable(
         columns=[
             "omega_a_rad_s", "q_a_per_m", "lambda_a_angstrom",
             "gamma_a_hz", "qa_a",
@@ -224,35 +222,28 @@ def cmd_scales(args) -> int:
             scales.omega_a, scales.q_a, scales.lambda_a / ANGSTROM,
             scales.gamma_a, scales.qa_a,
         )],
-        metadata=_base_metadata(config, scales),
     )
-    return _emit(table, args)
 
 
-def cmd_coupling(args) -> int:
-    config = _load_config(args)
+def cmd_coupling(args, config, scales) -> SweepTable:
     lo, hi = _parse_range(args.range)
-    table = coupling_sweep(
+    return coupling_sweep(
         lo, hi, _points(args), [math.radians(config.polarization_deg)]
     )
-    table.metadata = _base_metadata(config, derive_scales(config))
-    return _emit(table, args)
 
 
-def cmd_damping(args) -> int:
-    config = _load_config(args)
+def cmd_damping(args, config, scales) -> SweepTable:
     state = parse_state(args.state, config.n_atoms)
     lo, hi = _parse_range(args.range)
     table = x_sweep(
         state, lo, hi, _points(args),
         [math.radians(config.polarization_deg)], oracle=args.oracle,
     )
-    table.metadata = _base_metadata(config, derive_scales(config))
     table.metadata["state"] = str(state)
-    return _emit(table, args)
+    return table
 
 
-def cmd_nscaling(args) -> int:
+def cmd_nscaling(args, config, scales) -> SweepTable:
     if any(item.split("=", 1)[0] == "n_atoms" for item in args.set or []):
         raise UsageError(
             "nscaling sweeps the chain length itself and takes no "
@@ -264,32 +255,21 @@ def cmd_nscaling(args) -> int:
             f"nscaling --range must be 1:N_max with whole N_max in "
             f"1..{MAX_ATOMS}, got {args.range!r}"
         )
-    config = _load_config(args)
-    scales = derive_scales(config)
-    table = n_scaling_sweep(
+    return n_scaling_sweep(
         int(hi), scales.qa_a, [math.radians(config.polarization_deg)]
     )
-    table.metadata = _base_metadata(config, scales)
-    return _emit(table, args)
 
 
-def cmd_angles(args) -> int:
-    config = _load_config(args)
-    grid = _angle_grid(_points(args))
-    scales = derive_scales(config)
-    table = angle_sweep(config.n_atoms, scales.qa_a, grid)
-    table.metadata = _base_metadata(config, scales)
-    return _emit(table, args)
+def cmd_angles(args, config, scales) -> SweepTable:
+    return angle_sweep(config.n_atoms, scales.qa_a, _angle_grid(_points(args)))
 
 
-def cmd_emission(args) -> int:
+def cmd_emission(args, config, scales) -> SweepTable:
     import numpy as np  # emission is the one command that needs arrays
 
     from .emission import emission_sweep, latest_retardation
 
-    config = _load_config(args)
     state = parse_state(args.state, config.n_atoms)
-    scales = derive_scales(config)
     if not (math.isfinite(args.obs_x) and args.obs_x > 0):
         raise UsageError(f"--obs-x must be finite and > 0, got {args.obs_x}")
     obs_x = args.obs_x * ANGSTROM
@@ -313,11 +293,10 @@ def cmd_emission(args) -> int:
         state, a_grid, math.radians(config.polarization_deg), obs_x, t, scales,
         config.dipole_e_angstrom,
     )
-    trace.table.metadata.update(_base_metadata(config, scales))
     trace.table.metadata["reference_intensity_w_m2"] = format_value(
         trace.reference_intensity
     )
-    return _emit(trace.table, args)
+    return trace.table
 
 
 def _emission_figure(state: SignState, phi: float) -> SweepTable:
@@ -444,7 +423,9 @@ _FLAGS = {
 _CONFIG_FLAGS = {"--config": None, "--set": None}
 
 #: Subcommand -> (handler, help, each flag it reads besides --out -> its
-#: default). Both parsers fill the namespace from these defaults.
+#: default). Both parsers fill the namespace from these defaults. A command
+#: with --config builds a table from ``(args, config, scales)`` for ``main``
+#: to stamp and write; figure and verify write their own.
 COMMANDS = {
     "scales": (cmd_scales, "derived single-atom scales", _CONFIG_FLAGS),
     "coupling": (
@@ -573,7 +554,14 @@ def main(argv=None) -> int:
     try:
         if args is None:
             args = build_parser().parse_args(argv)
-        return args.func(args)
+        if not hasattr(args, "config"):  # figure and verify read no chain
+            return args.func(args)
+        # the chain first, then the command's flags, then the work
+        config = _load_config(args)
+        scales = derive_scales(config)
+        table = args.func(args, config, scales)
+        table.metadata.update(_base_metadata(config, scales))
+        return _emit(table, args)
     except SystemExit as exc:  # argparse usage errors (2), --help/--version (0)
         return exc.code
     except ConfigError as exc:

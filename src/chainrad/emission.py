@@ -51,12 +51,13 @@ def reference_intensity(scales: AtomicScales, mu_e_angstrom: float, obs_x: float
 
 
 def _point_intensity(
-    state: SignState, a: float, phi: float, obs_x: float, scales: AtomicScales,
-    t: float,
+    coeffs: np.ndarray, index: np.ndarray, a: float, phi: float, obs_x: float,
+    scales: AtomicScales, t: float,
 ) -> float:
-    """Scaled intensity I(r, t)/I_0(x) for an arbitrary sign state on a
+    """Scaled intensity I(r, t)/I_0(x) for the sign state ``coeffs`` on a
     chain of spacing a >= 0 (coincident atoms allowed), polarization phi,
-    observed at (obs_x, 0, 0) at time t; ``emission_sweep`` checks them.
+    observed at (obs_x, 0, 0) at time t; ``emission_sweep`` checks them and
+    builds ``coeffs`` and the atom indices ``index`` (0..N-1) once.
 
     The pair correlations C_i C_j / N are rank one, so the per-atom and
     pairwise interference terms collapse into one squared amplitude sum,
@@ -69,8 +70,8 @@ def _point_intensity(
     Only phase differences enter, so they are taken relative to t_0, the
     first atom's retardation.
     """
-    n = state.n
-    atom_z = a * np.arange(n, dtype=float)
+    n = index.size
+    atom_z = a * index
     dist = np.hypot(obs_x, atom_z)
     # alpha = arctan(obs_x / R); atan2 gives pi/2 at R = 0
     alpha = np.arctan2(obs_x, atom_z)
@@ -80,7 +81,7 @@ def _point_intensity(
     ) / dist[:, None]
     tn = dist / SPEED_OF_LIGHT
     amplitude = (
-        np.array(state.coeffs) * np.sin(phi_n) / dist
+        coeffs * np.sin(phi_n) / dist
         * np.exp(-0.5 * scales.gamma_a * (t - tn))
         * np.exp(1j * (scales.omega_a * (tn - tn[0])))
     )
@@ -139,8 +140,9 @@ def emission_sweep(
                 f"grid point a={a_grid[late[0]] / ANGSTROM:.6g} A violates causality: "
                 f"t={t!r} s < retardation {float(t_last[late[0]])!r} s"
             )
+        coeffs, index = np.array(state.coeffs), np.arange(state.n, dtype=float)
         rows = [
-            (a / ANGSTROM, _point_intensity(state, float(a), phi, obs_x, scales, t))
+            (a / ANGSTROM, _point_intensity(coeffs, index, float(a), phi, obs_x, scales, t))
             for a in a_grid
         ]
     if not np.isfinite([value for _, value in rows]).all():

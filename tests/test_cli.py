@@ -423,11 +423,15 @@ class TestExitCodes:
             # per-atom amplitudes near 1/obs_x overflow when squared
             ["emission", "--obs-x", "1e-150", "--points", "2"],
             ["emission", "--obs-x", "1e-300", "--points", "2"],
+            # "" is a path that cannot be written, not stdout
+            ["scales", "--out", ""],
+            ["figure", "2", "--out", ""],
         ],
     )
     def test_invalid_flag_values_are_usage_errors(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("chainrad: ")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("chainrad: ")
 
     @pytest.mark.parametrize(
         "argv",
@@ -457,10 +461,56 @@ class TestExitCodes:
             # finite inputs whose derived scales overflow
             ["scales", "--set", "transition_energy_ev=1e300"],
             ["damping", "--set", "dipole_e_angstrom=1e200"],
+            # or underflow (gamma_a = 0): every chain command refuses them
+            # before its sweep, which for the last argv sums for over a minute
+            *(
+                [command, "--set", "transition_energy_ev=1e-300"]
+                for command in COMMANDS if "--config" in COMMANDS[command][2]
+            ),
+            ["damping", "--set", "transition_energy_ev=1e-300",
+             "--set", "n_atoms=1000", "--points", "100000"],
         ],
     )
-    def test_non_finite_config_is_config_error(self, argv):
+    def test_non_finite_config_is_config_error(self, argv, monkeypatch):
+        from chainrad import cli, emission
+
+        calls = []
+        for module, name in [
+            (cli, "coupling_sweep"), (cli, "x_sweep"), (cli, "n_scaling_sweep"),
+            (cli, "angle_sweep"), (emission, "emission_sweep"),
+        ]:
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
         assert main(argv) == EXIT_CONFIG
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["nscaling", "--set", "n_atoms=abc"], "n_atoms must be a number, got 'abc'"),
+            (["nscaling", "--set", "n_atoms=20000"],
+             "n_atoms must be a whole number in 1..10000, got 20000.0"),
+            (["nscaling", "--range", "2:5", "--config", "{missing}"],
+             "cannot read config {missing}: [Errno 2] No such file or directory: "
+             "'{missing}'"),
+            *(
+                ([*argv, "--set", "transition_energy_ev=1e-300"],
+                 "derived scale gamma_a = 0.0 is not finite and > 0; the "
+                 "configuration is outside double-precision range")
+                for argv in [
+                    ["emission", "--state", "xyz"], ["damping", "--state", "xyz"],
+                    ["angles", "--points", "0"], ["coupling", "--range", "bad"],
+                ]
+            ),
+        ],
+    )
+    def test_chain_is_checked_before_the_flags(self, tmp_path, capsys, argv, message):
+        # one order for every chain command: the chain (file, --set keys,
+        # derived scales), then the command's flags, then the work
+        missing = str(tmp_path / "missing.json")
+        assert main([word.format(missing=missing) for word in argv]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"chainrad: config error: {message.format(missing=missing)}\n"
+        )
 
     def test_oracle_budget_checked_before_any_work(self, capsys, monkeypatch):
         from chainrad import damping
