@@ -244,11 +244,6 @@ def cmd_damping(args, config, scales) -> SweepTable:
 
 
 def cmd_nscaling(args, config, scales) -> SweepTable:
-    if any(item.split("=", 1)[0] == "n_atoms" for item in args.set or []):
-        raise UsageError(
-            "nscaling sweeps the chain length itself and takes no "
-            "--set n_atoms; give --range 1:N_max instead"
-        )
     lo, hi = _parse_range(args.range)
     if lo != 1 or not (hi.is_integer() and 1 <= hi <= MAX_ATOMS):
         raise UsageError(

@@ -11,8 +11,12 @@ with F(0) = 1. The closed-form rate for a sign state {C_n} is
     gamma/gamma_a = 1 + (2/N) sum_{n<m} C_n C_m F(q_a a (m - n), phi),
 
 which depends on the state only through the bond autocorrelation
-A_k = sum_n C_n C_{n+k}, the signed count of bonds of length k. Every
-rate in the package comes from :func:`closed_form_rates`.
+A_k = sum_n C_n C_{n+k}, the signed count of bonds of length k. Since
+F - 1 = 1.5 (sin^2 phi s(x) + (1 - 3 cos^2 phi) g(x)), the bond sum is
+1.5 (sin^2 phi S + (1 - 3 cos^2 phi) G) with the phi-free moments
+S = sum_k A_k s(k x) and G = sum_k A_k g(k x): one pass over the bonds
+per state and x serves every polarization. Every rate in the package
+comes from :func:`closed_form_rates`.
 
 The same rate follows from the golden-rule integral over photon
 emission directions; :func:`quadrature_rates` evaluates that integral
@@ -59,12 +63,15 @@ ORACLE_BLOCK_PANELS = 1024
 #: 2 s of oracle work on a 2-vCPU host.
 ORACLE_NODE_BUDGET = 1e9
 
-#: Most bond terms a closed-form sweep may sum: each rate of an N-atom
-#: state sums N - 1 of them. A sweep over budget is refused before any
-#: work. On a 2-vCPU host a term costs about 0.11 us where many rates share
-#: one kernel row (n_scaling_sweep, angle_sweep) and 1.2 us where each x
-#: evaluates its own (x_sweep at one polarization), so the budget is
-#: about 11 s to 2 min of work.
+#: Most bond terms a closed-form sweep may sum. Each state sums its N - 1
+#: bonds once per x into two phi-free moments, so x_sweep counts
+#: n_points (N - 1), n_scaling_sweep n_max (n_max - 1)/2 and angle_sweep
+#: N - 1, however many polarizations they have. A sweep over budget is
+#: refused before any work. On a 2-vCPU host a term costs about 0.17 us
+#: where many states share the kernel (n_scaling_sweep) and 1.1 us where
+#: each x evaluates its own (x_sweep, angle_sweep), so the budget is about
+#: 17 s to 2 min of work; a bond on the kernel's series branch
+#: (k x < F_SERIES_THRESHOLD) costs 5 to 15 us instead.
 CLOSED_FORM_TERM_BUDGET = 1e8
 
 
@@ -113,14 +120,11 @@ def _kernel_parts(x: float) -> tuple[float, float]:
     return s, g
 
 
-def _kernel_row(series, phi: float) -> list[float]:
-    """F - 1 at one phi for each bond's (s, g) pair from :func:`_kernel_parts`,
-    as 1.5 (s (1 - cos^2 phi) + g (1 - 3 cos^2 phi)): the series do not
-    depend on phi, so a sweep over many polarizations pays one pair of
-    them per bond length."""
+def _phi_weights(phi: float) -> tuple[float, float]:
+    """(1 - cos^2 phi, 1 - 3 cos^2 phi): F - 1 = 1.5 (a s + b g) with these
+    (a, b) and the (s, g) of :func:`_kernel_parts`."""
     c2 = math.cos(phi) ** 2
-    a, b = 1.0 - c2, 1.0 - 3.0 * c2
-    return [1.5 * (s * a + g * b) for s, g in series]
+    return 1.0 - c2, 1.0 - 3.0 * c2
 
 
 def f_kernel_minus_one(x: float, phi: float) -> float:
@@ -129,12 +133,14 @@ def f_kernel_minus_one(x: float, phi: float) -> float:
     The collective-rate formulas subtract the bond sum against the
     single-atom term; keeping F - 1 explicit avoids losing the tiny
     rates of nearly dark states to roundoff. This is the one-bond case
-    of the kernel row :func:`closed_form_rates` sums, so both agree bit
+    of the moments :func:`closed_form_rates` weights, so both agree bit
     for bit.
     """
     if x < 0:
         raise ValueError(f"bond length must be >= 0, got x={x}")
-    return _kernel_row((_kernel_parts(x),), phi)[0]
+    s, g = _kernel_parts(x)
+    a, b = _phi_weights(phi)
+    return 1.5 * (a * s + b * g)
 
 
 def f_kernel(x: float, phi: float) -> float:
@@ -191,27 +197,34 @@ def closed_form_rates(totals, autocorrs, x: float, phi_list) -> list[list[float]
     """(sum_n C_n)^2/N + (2/N) sum_k A_k (F(k x, phi) - 1) for each state and phi.
 
     A state is its sum_n C_n in the sequence ``totals`` and its A_k,
-    k = 1, ..., N - 1, in the sequence ``autocorrs``; both are read once
-    per phi. Like :func:`quadrature_rates`, one list per state holds one
-    rate per phi. The kernel's series are evaluated once per bond, up to
-    the longest chain; only one phi's kernel row is held at a time, and
-    each state sums its own N - 1 bonds against it in k order. Negative
-    rates follow the rule of :class:`DampingResult`.
+    k = 1, ..., N - 1, in the sequence ``autocorrs``; each is read once.
+    Like :func:`quadrature_rates`, one list per state holds one rate per
+    phi. The kernel's series are evaluated once per bond, up to the
+    longest chain, and each state sums its own N - 1 bonds in k order
+    into two phi-free moments, S = sum_k A_k s(k x) and
+    G = sum_k A_k g(k x). Each phi then costs O(1):
+    sum_k A_k (F - 1) = 1.5 (a S + b G) with (a, b) from
+    :func:`_phi_weights`. Negative rates follow the rule of
+    :class:`DampingResult`.
     """
     if not x > 0:
         raise ValueError(f"separation must be > 0, got x={x}")
-    series = [_kernel_parts(k * x) for k in range(1, max(map(len, autocorrs)) + 1)]
-    rates = [[] for _ in autocorrs]
-    for phi in phi_list:
-        kernel = _kernel_row(series, phi)
-        for row, total, autocorr in zip(rates, totals, autocorrs):
-            n = len(autocorr) + 1
-            acc = 0.0
-            for a_k, g_k in zip(autocorr, kernel):
-                acc += a_k * g_k
-            rate = float(total) ** 2 / n + 2.0 * acc / n
+    parts = [_kernel_parts(k * x) for k in range(1, max(map(len, autocorrs)) + 1)]
+    weights = [_phi_weights(phi) for phi in phi_list]
+    rates = []
+    for total, autocorr in zip(totals, autocorrs):
+        n = len(autocorr) + 1
+        s_sum = g_sum = 0.0
+        for a_k, (s, g) in zip(autocorr, parts):
+            s_sum += a_k * s
+            g_sum += a_k * g
+        base = float(total) ** 2 / n
+        row = []
+        for a, b in weights:
+            rate = base + 2.0 * (1.5 * (a * s_sum + b * g_sum)) / n
             # only a negative rate pays the helper's call
             row.append(rate if rate >= 0.0 else _nonnegative(rate))
+        rates.append(row)
     return rates
 
 
@@ -367,16 +380,18 @@ def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
 
     The kernel is evaluated once per bond length k < n_max and shared by
     every N; each row is the rate damping_general gives for
-    symmetric_state(N), whose A_k = N - k. A sweep whose bond terms
-    exceed CLOSED_FORM_TERM_BUDGET is refused with ValueError before any
-    work.
+    symmetric_state(N), whose A_k = N - k. The moments do not depend on
+    phi, so a sweep sums n_max (n_max - 1)/2 bond terms however many
+    polarizations it has; one over CLOSED_FORM_TERM_BUDGET is refused
+    with ValueError before any work.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     phi_list = list(phi_list)
     check_work(
-        f"the closed form over N = 1..{n_max} at {len(phi_list)} polarization(s)",
-        len(phi_list) * n_max * (n_max - 1) / 2, "bond terms", CLOSED_FORM_TERM_BUDGET,
+        f"the closed form over N = 1..{n_max}",
+        n_max * (n_max - 1) / 2, "bond terms", CLOSED_FORM_TERM_BUDGET,
+        "use a shorter chain",
     )
     columns = ["N"] + phi_columns("gamma", phi_list)
     sizes = range(1, n_max + 1)
@@ -386,16 +401,16 @@ def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
 
 
 def angle_sweep(n: int, x: float, phi_grid) -> SweepTable:
-    """Symmetric-state rate vs polarization angle; the kernel's series are
-    evaluated once per bond length and shared by every angle. A grid whose
-    bond terms exceed CLOSED_FORM_TERM_BUDGET is refused with ValueError
-    before any work."""
+    """Symmetric-state rate vs polarization angle: the chain's N - 1 bond
+    terms are summed once into phi-free moments, and each angle costs
+    O(1). A chain whose N - 1 exceeds CLOSED_FORM_TERM_BUDGET is refused
+    with ValueError before any work."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     phis = [float(p) for p in phi_grid]
     check_work(
-        f"the closed form over {len(phis)} angles at N={n}",
-        len(phis) * (n - 1), "bond terms", CLOSED_FORM_TERM_BUDGET,
+        f"the closed form at N={n}", n - 1, "bond terms", CLOSED_FORM_TERM_BUDGET,
+        "use a shorter chain",
     )
     (rates,) = closed_form_rates((n,), (range(n - 1, 0, -1),), x, phis)
     rows = [(math.degrees(p), rate) for p, rate in zip(phis, rates)]
@@ -410,10 +425,10 @@ def x_sweep(
 
     With ``oracle=True`` a quadrature column is added per polarization
     and the footer records the worst closed-form/quadrature mismatch; a
-    grid whose oracle work exceeds ORACLE_NODE_BUDGET, or whose bond terms
-    exceed CLOSED_FORM_TERM_BUDGET, is refused with ValueError before any
-    work. Each x shares one kernel evaluation, and one oracle batch, among
-    all polarizations.
+    grid whose oracle work exceeds ORACLE_NODE_BUDGET, or whose
+    n_points (N - 1) bond terms exceed CLOSED_FORM_TERM_BUDGET, is refused
+    with ValueError before any work. Each x shares one pair of moments,
+    and one oracle batch, among all polarizations.
     """
     if not 0 < x_min < x_max:
         raise ValueError(f"need 0 < x_min < x_max, got [{x_min}, {x_max}]")
@@ -429,9 +444,8 @@ def x_sweep(
         )
     phi_list = list(phi_list)
     check_work(
-        f"the closed form over {n_points} points at {len(phi_list)} "
-        f"polarization(s) and N={state.n}",
-        n_points * len(phi_list) * (state.n - 1), "bond terms", CLOSED_FORM_TERM_BUDGET,
+        f"the closed form over {n_points} points at N={state.n}",
+        n_points * (state.n - 1), "bond terms", CLOSED_FORM_TERM_BUDGET,
     )
     columns = ["x"] + phi_columns("gamma", phi_list)
     if oracle:

@@ -176,6 +176,30 @@ def damping_autocorrelation_mp(coeffs, x: float, phi: float) -> float:
         return float(mpf(sum(coeffs)) ** 2 / n + 2 * acc / n)
 
 
+def closed_form_rates_mp(total: int, autocorr, x: float, phis, dps: int = 40) -> list:
+    """One state's (sum C)^2/N + 3 (sin^2 phi S + (1 - 3 cos^2 phi) G)/N
+    at ``dps`` digits for each phi, as mpf: the moments S = sum_k A_k s(k x)
+    and G = sum_k A_k g(k x) from the direct forms of s and g, given
+    the state's sum C and its A_k. O(N) at any number of phi, so it
+    reaches N = 10^4."""
+    n = len(autocorr) + 1
+    with mp.workdps(dps):
+        s_sum = g_sum = mpf(0)
+        for k, a_k in enumerate(autocorr, start=1):
+            y = k * mpf(x)
+            s, c = mp.sin(y), mp.cos(y)
+            s_sum += a_k * (s / y - 1)
+            g_sum += a_k * (c / y**2 - s / y**3 + mpf(1) / 3)
+        rates = []
+        for phi in phis:
+            cos2phi = mp.cos(mpf(phi)) ** 2
+            rates.append(
+                mpf(total) ** 2 / n
+                + 3 * ((1 - cos2phi) * s_sum + (1 - 3 * cos2phi) * g_sum) / n
+            )
+        return rates
+
+
 def total_intensity_mp(coeffs, geom, scales, t: float) -> float:
     """(x^2/2N) |sum_n C_n (sin phi_n/d_n) e^{-gamma (t - t_n)/2}
     e^{i omega t_n} u_n|^2 at 50 digits from the same double-precision

@@ -1,8 +1,5 @@
 import argparse
 import contextlib
-import gzip
-import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -39,8 +36,7 @@ from chainrad.cli import (
 )
 from chainrad.emission import latest_retardation
 from chainrad.scales import ANGSTROM, config_from_dict, config_to_dict
-
-REPO = Path(__file__).resolve().parents[1]
+from record_outputs import RECORDED_OPS, cli_output, recorded_output
 
 
 def run_fresh(*args):
@@ -413,8 +409,8 @@ class TestExitCodes:
             ["coupling", "--range", "1e-105:1", "--points", "2"],
             # points * N over emission's work budget
             ["emission", "--set", "n_atoms=10000", "--points", "1001"],
-            # rates * (N - 1) over the closed form's budget
-            ["angles", "--set", "n_atoms=10000", "--points", "100000"],
+            # points * (N - 1) over the closed form's budget
+            ["damping", "--set", "n_atoms=10000", "--points", "100000"],
             # a flag that is given is used as given: "" is no state
             ["damping", "--state", ""],
             ["emission", "--state", ""],
@@ -527,17 +523,18 @@ class TestExitCodes:
         argv = ["damping", "--set", "n_atoms=10000", "--points", "100000"]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            "chainrad: the closed form over 100000 points at 1 polarization(s) "
-            "and N=10000 needs about 1.00e+09 bond terms, over its budget of "
-            "1e+08; use fewer points or a shorter chain\n"
+            "chainrad: the closed form over 100000 points at N=10000 needs "
+            "about 1.00e+09 bond terms, over its budget of 1e+08; use fewer "
+            "points or a shorter chain\n"
         )
 
     @pytest.mark.parametrize(
         "argv",
         [
-            # 1000 rates of 9999 terms, and 10^4 (10^4 - 1) / 2 terms
+            # 9999 terms shared by every angle, and 10^4 (10^4 - 1) / 2 terms
             ["angles", "--set", "n_atoms=10000", "--points", "1000"],
             ["nscaling", "--range", "1:10000"],
+            ["angles", "--set", "n_atoms=10000", "--points", "100000"],
         ],
     )
     def test_largest_closed_form_sweeps_are_within_budget(self, argv, monkeypatch):
@@ -573,10 +570,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("chainrad: config error: ") and key in err
 
-    def test_nscaling_rejects_n_atoms(self, capsys):
-        # the header would record an n_atoms the sweep never used
-        assert main(["nscaling", "--set", "n_atoms=5"]) == EXIT_USAGE
-        assert "--range 1:N_max" in capsys.readouterr().err
+    def test_nscaling_takes_n_atoms_from_set_and_config_alike(self, tmp_path):
+        # both routes build the same run, and the swept chain lengths do
+        # not use it: only the config.n_atoms header line differs
+        argv = ["nscaling", "--range", "1:12"]
+        by_set = cli_output([*argv, "--set", "n_atoms=7"])
+        cfg = tmp_path / "chain.json"
+        cfg.write_text(json.dumps(dict(DEFAULT_CONFIG, n_atoms=7)))
+        assert cli_output([*argv, "--config", str(cfg)]) == by_set
+        default = cli_output(argv)
+        assert by_set.replace(b"config.n_atoms=7\n", b"config.n_atoms=2\n") == default
 
     def test_non_finite_oracle_is_refused_without_warning(self, capsys):
         # before any row is written: no footer can hide a nan
@@ -774,13 +777,6 @@ def run_cli(
     return subprocess.run(cmd, stdout=stdout, stderr=stderr, env=env)
 
 
-def in_process_bytes(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(argv) == EXIT_OK
-    return out.getvalue().encode()
-
-
 class TestEntry:
     """``entry()`` runs ``main()`` as a process: a one-thread BLAS default,
     a final flush, and ``os._exit`` without interpreter finalization."""
@@ -790,7 +786,7 @@ class TestEntry:
     def test_fresh_output_is_the_in_process_output(self, number, buffered, tmp_path):
         # os._exit drops whatever is still buffered, so a missed flush
         # would truncate the CSV
-        expected = in_process_bytes(["figure", number])
+        expected = cli_output(["figure", number])
         done = run_cli("figure", number, buffered=buffered)
         assert (done.returncode, done.stderr) == (EXIT_OK, b"")
         assert done.stdout == expected
@@ -1000,74 +996,25 @@ class TestFigures:
         assert np.all(np.abs(gam[n >= 50] - ref) <= 0.5)
 
 
-def _perfbench_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", REPO / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
-CLI_N100_OPS = _perfbench_workloads().CLI_N100_OPS
-
-#: CLI ops whose output matches perfbench/expected byte for byte.
-RECORDED_OPS = {
-    **{f"figure_{k}": ["figure", str(k)] for k in (*range(2, 15), 16, 17, 18)},
-    **{name: [name] for name in ("scales", "coupling", "damping", "nscaling", "angles")},
-    "damping_N100": CLI_N100_OPS["damping_N100"],
-}
-
-#: sha256 of the CLI ops whose perfbench/expected recordings are stale:
-#: they were recorded before the bond-autocorrelation rates, the rank-one
-#: emission sum and the Horner oracle integrand moved their last digits,
-#: and the benchmark checks them within its tolerance until they are
-#: recorded again. ``verify`` is not pinned: its error cells depend on
-#: BLAS rounding.
-OUTPUT_SHA256 = {
-    "angles_N100": "cb12c625641df105e1d77d2c42ca34611664db02abbf963128205ecb037632b8",
-    "emission": "b707ddf743b56ad8fc4142fed755cb7559fca4cb375e3e2067514abffe312d9f",
-    "emission_N100": "bb16444aecb6eb935527b58b44ac490110a44edbfec6f3df2ca22162cc40fb21",
-    "figure_19": "0975f5418b1f849ee02b5d3ef431466c50389d12a8e682d2c06c7f523dae8636",
-    "figure_20": "313b80c7332e5d853eb75dd52b143fea6781cb873611a66b13e5be999a7d1e2e",
-}
-DIGEST_OPS = {
-    "angles_N100": CLI_N100_OPS["angles_N100"],
-    "emission": ["emission"],
-    "emission_N100": CLI_N100_OPS["emission_N100"],
-    "figure_19": ["figure", "19"],
-    "figure_20": ["figure", "20"],
-}
+#: Largest move of a ``verify`` error cell, or of its footer's worst
+#: error, from the recording: the cells depend on BLAS rounding.
+VERIFY_CELL_ATOL = 1e-8
 
 
 class TestRecordedOutputs:
-    @pytest.mark.parametrize("name", sorted(RECORDED_OPS))
-    def test_csv_bytes_match_recording(self, name):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(RECORDED_OPS[name]) == EXIT_OK
-        recorded = REPO / "perfbench" / "expected" / f"{name}.csv.gz"
-        assert out.getvalue().encode() == gzip.decompress(recorded.read_bytes())
+    """The CLI runs of ``record_outputs.RECORDED_OPS`` against their
+    recordings in ``tests/recorded/``."""
 
-    @pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
-    def test_output_digest(self, name):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(DIGEST_OPS[name]) == EXIT_OK
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == OUTPUT_SHA256[name]
+    @pytest.mark.parametrize("name", sorted(set(RECORDED_OPS) - {"verify"}))
+    def test_csv_bytes_match_recording(self, name):
+        assert cli_output(RECORDED_OPS[name]) == recorded_output(name)
 
     def test_verify_matches_recording(self):
-        # the error cells depend on BLAS rounding, so they and the footer's
-        # worst error are held to the benchmark's column tolerance; every
-        # other line, N and n_states included, matches byte for byte
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["verify"]) == EXIT_OK
-        recorded = REPO / "perfbench" / "expected" / "verify.csv.gz"
-        want = gzip.decompress(recorded.read_bytes()).decode().splitlines()
-        spec = json.loads((REPO / "perfbench" / "spec.json").read_text())
-        atol = spec["tolerances"]["cli_csv_column_atol"]["max_rel_err"]
-        got = out.getvalue().splitlines()
+        # the error cells and the footer's worst error are held to
+        # VERIFY_CELL_ATOL; every other line, N and n_states included,
+        # matches byte for byte
+        got = cli_output(RECORDED_OPS["verify"]).decode().splitlines()
+        want = recorded_output("verify").decode().splitlines()
         assert len(got) == len(want)
         for line, ref in zip(got, want):
             if line[:1].isdigit():
@@ -1079,7 +1026,7 @@ class TestRecordedOutputs:
                 continue
             (head, cell), (ref_head, ref_cell) = line.rsplit(sep, 1), ref.rsplit(sep, 1)
             assert head == ref_head
-            assert abs(float(cell) - float(ref_cell)) <= atol, line
+            assert abs(float(cell) - float(ref_cell)) <= VERIFY_CELL_ATOL, line
             assert float(cell) < VERIFY_TOL, line
 
 
@@ -1212,8 +1159,6 @@ class TestPlainParser:
         "argv",
         [
             *RECORDED_OPS.values(),
-            *DIGEST_OPS.values(),
-            ["verify"],
             ["verify", "--nmax", "3", "--out", "v.csv"],
             ["damping", "--oracle", "--set", "n_atoms=3", "--set", "x=1", "--oracle"],
             ["damping", "--points", "5", "--points", "7", "--state", ""],
@@ -1271,15 +1216,15 @@ class TestDefaults:
 
     @pytest.mark.parametrize("command", sorted(SPELLED_DEFAULTS))
     def test_spelled_out_defaults_give_the_bare_output(self, command):
-        bare = in_process_bytes([command])
+        bare = cli_output([command])
         pairs = SPELLED_DEFAULTS[command]
         spaced = [command, *(word for pair in pairs for word in pair)]
         assert _parse_plain(spaced) is not None
-        assert in_process_bytes(spaced) == bare
+        assert cli_output(spaced) == bare
         # --flag=value is argparse's to parse, with its own defaults
         joined = [command, *(f"{flag}={value}" for flag, value in pairs)]
         assert _parse_plain(joined) is None
-        assert in_process_bytes(joined) == bare
+        assert cli_output(joined) == bare
 
     def test_time_help_names_the_real_default(self):
         # without --time, emission observes at the grid's latest
@@ -1288,6 +1233,6 @@ class TestDefaults:
         assert (code, err) == (EXIT_OK, "")
         assert "2x/c" not in out
         assert "(default: the grid's latest retardation)" in " ".join(out.split())
-        header = in_process_bytes(["emission", "--points", "3"]).decode()
+        header = cli_output(["emission", "--points", "3"]).decode()
         t = latest_retardation(2, 1e7 * ANGSTROM, 1e6 * ANGSTROM)
         assert f"# t_s={format(t, '.12g')}\n" in header

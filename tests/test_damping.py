@@ -29,6 +29,7 @@ from chainrad.damping import (
 from chainrad.states import SignState, alternating_state, enumerate_sign_states, symmetric_state
 from chainrad.sweeps import linspace
 from oracles import (
+    closed_form_rates_mp,
     damping_autocorrelation_mp,
     damping_bond_count,
     damping_pairwise,
@@ -53,15 +54,17 @@ def golden_rule_integrand(y, coeffs, x, cos2phi):
 
 def per_point_rate(state, x, phi):
     """The closed-form rate at one point, written out as
-    (sum C)^2/N + (2/N) sum_k A_k (F - 1) with each bond's kernel
-    F - 1 = 1.5 (s (1 - c2) + g (1 - 3 c2)), one bond at a time."""
+    (sum C)^2/N + 2 (1.5 (a S + b G))/N with the moments S = sum_k A_k s
+    and G = sum_k A_k g of each bond's (s, g) = _kernel_parts(k x), summed
+    one bond at a time, and (a, b) = (1 - cos^2 phi, 1 - 3 cos^2 phi)."""
     c2 = math.cos(phi) ** 2
-    acc = 0.0
+    s_sum = g_sum = 0.0
     for k, a_k in enumerate(bond_autocorrelation(state), start=1):
         s, g = _kernel_parts(k * x)
-        g_k = 1.5 * (s * (1.0 - c2) + g * (1.0 - 3.0 * c2))
-        acc += a_k * g_k
-    return float(sum(state.coeffs)) ** 2 / state.n + 2.0 * acc / state.n
+        s_sum += a_k * s
+        g_sum += a_k * g
+    minus_one = 1.5 * ((1.0 - c2) * s_sum + (1.0 - 3.0 * c2) * g_sum)
+    return float(sum(state.coeffs)) ** 2 / state.n + 2.0 * minus_one / state.n
 
 
 class TestFKernel:
@@ -207,6 +210,16 @@ class TestAutocorrelationForm:
         assert 4e-5 < want < 1e-4
         assert abs(got - want) <= 1e-11 * want
 
+    def test_long_symmetric_angle_sweep_matches_mpmath(self):
+        # N = 10^4 at x = 0.1 over 181 angles: one pair of moments keeps
+        # every angle within 2.5e-12 of a 40-digit value
+        n, x = 10_000, 0.1
+        grid = [math.radians(d) for d in linspace(0.0, 90.0, 181)]
+        rates = [row[1] for row in angle_sweep(n, x, grid).rows]
+        want = closed_form_rates_mp(n, range(n - 1, 0, -1), x, grid)
+        for phi, got, ref in zip(grid, rates, want):
+            assert abs(got - ref) <= 2.5e-12 * ref, (phi, got, ref)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(coeffs=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=1000))
     def test_bitmask_autocorrelation_matches_numpy(self, coeffs):
@@ -284,7 +297,7 @@ class TestQuadratureOracle:
     @pytest.mark.parametrize("phi", [0.0, math.pi / 4, math.pi / 2])
     def test_matches_mpmath_at_verify_worst_point(self, phi):
         # +--+-++- at x = 0.1 is verify's worst row: a rate of ~1e-6 that
-        # the closed form reaches only to ~7e-12 (it cancels ~1e4 there)
+        # the closed form reaches only to ~6e-12 (it cancels ~1e4 there)
         state = SignState((1, -1, -1, 1, -1, 1, 1, -1))
         got = oracle_rate(state, 0.1, phi)
         want = damping_autocorrelation_mp(state.coeffs, 0.1, phi)
@@ -387,10 +400,10 @@ class TestClosedFormRates:
     that damping_general gives it alone."""
 
     @staticmethod
-    def batch(states, x):
+    def batch(states, x, phis=VERIFY_PHI):
         totals = [sum(state.coeffs) for state in states]
         autocorrs = [bond_autocorrelation(state) for state in states]
-        return closed_form_rates(totals, autocorrs, x, VERIFY_PHI)
+        return closed_form_rates(totals, autocorrs, x, phis)
 
     @staticmethod
     def one_by_one(states, x):
@@ -410,6 +423,26 @@ class TestClosedFormRates:
         states = [s for n in (3, 6, 1, 2, 5, 4) for s in enumerate_sign_states(n)]
         for x in VERIFY_X:
             assert self.batch(states, x) == self.one_by_one(states, x), x
+
+    @pytest.mark.parametrize("n_phi", [1, 1000])
+    def test_one_moment_pass_per_x(self, monkeypatch, n_phi):
+        # the kernel's series are evaluated once per bond of the longest
+        # chain, whatever the number of states or polarizations
+        calls = []
+        kernel_parts = damping._kernel_parts
+        monkeypatch.setattr(
+            damping, "_kernel_parts", lambda x: calls.append(x) or kernel_parts(x)
+        )
+        states = [symmetric_state(50), alternating_state(200), RANDOM_STATE_N7]
+        phis = linspace(0.0, math.pi / 2, n_phi)
+        for x in (0.01, 0.5, 5.0):
+            calls.clear()
+            rates = self.batch(states, x, phis)
+            assert len(calls) == 199
+            assert [len(row) for row in rates] == [n_phi] * len(states)
+        calls.clear()
+        x_sweep(alternating_state(200), 0.01, 5.0, 7, phis)
+        assert len(calls) == 7 * 199
 
     def test_negative_rate_refused(self):
         # sum C = 0 and A_1 = 5 is no sign state: its rate is 5 (F - 1) < 0
@@ -491,8 +524,9 @@ class TestSweeps:
         assert rates == [per_point_rate(state, 0.1, p) for p in grid]
 
     def test_angle_sweep_holds_one_kernel_row(self):
-        # a kernel list per angle would be about 64 MB here; one row at a
-        # time keeps the traced peak to a few hundred kB
+        # a kernel list per angle would be about 64 MB here; one (s, g)
+        # pair per bond, shared by every angle, keeps the traced peak to a
+        # few hundred kB
         grid = [math.radians(d) for d in linspace(0.0, 90.0, 1000)]
         tracemalloc.start()
         try:
@@ -537,14 +571,12 @@ class TestSweeps:
 
     def test_closed_form_over_budget_refused_before_any_work(self, monkeypatch):
         monkeypatch.setattr(damping, "closed_form_rates", None)  # never reached
-        with pytest.raises(ValueError, match="100000 points .* N=10000 .* 1.00e\\+09"):
+        with pytest.raises(ValueError, match="100000 points at N=10000 .* 1.00e\\+09"):
             x_sweep(symmetric_state(10_000), 0.01, 20.0, 100_000, [0.0])
-        # each polarization is a rate of its own: 5001 * 2 * 9999 > 10^8
-        with pytest.raises(ValueError, match="budget"):
-            x_sweep(alternating_state(10_000), 0.01, 20.0, 5001, [0.0, 1.0])
-        with pytest.raises(ValueError, match="10001 angles at N=10001 .* 1.00e\\+08"):
-            angle_sweep(10_001, 0.1, [0.0] * 10_001)
-        # the chain lengths 1..n_max sum n_max (n_max - 1) / 2 terms per angle
+        # an angle sweep sums its chain's N - 1 bond terms once
+        with pytest.raises(ValueError, match="at N=100000002 .* 1.00e\\+08"):
+            angle_sweep(100_000_002, 0.1, [0.0])
+        # the chain lengths 1..n_max sum n_max (n_max - 1) / 2 terms
         with pytest.raises(ValueError, match="N = 1..14143 .* 1.00e\\+08"):
             n_scaling_sweep(14_143, 0.1, [0.0])
 
@@ -555,18 +587,16 @@ class TestSweeps:
              "the quadrature oracle over 1000 points up to x=1e+06 at N=2 needs "
              "about 1.33e+10 Horner steps, over its budget of 1e+09; use fewer "
              "points, a smaller x range or a shorter chain"),
-            (x_sweep, (alternating_state(10_000), 0.01, 20.0, 5001, [0.0, 1.0]),
-             "the closed form over 5001 points at 2 polarization(s) and N=10000 "
-             "needs about 1.00e+08 bond terms, over its budget of 1e+08; use "
-             "fewer points or a shorter chain"),
-            (angle_sweep, (10_001, 0.1, [0.0] * 10_001),
-             "the closed form over 10001 angles at N=10001 needs about 1.00e+08 "
+            (x_sweep, (alternating_state(10_001), 0.01, 20.0, 10_001, [0.0, 1.0]),
+             "the closed form over 10001 points at N=10001 needs about 1.00e+08 "
              "bond terms, over its budget of 1e+08; use fewer points or a "
              "shorter chain"),
-            (n_scaling_sweep, (14_143, 0.1, [0.0]),
-             "the closed form over N = 1..14143 at 1 polarization(s) needs about "
-             "1.00e+08 bond terms, over its budget of 1e+08; use fewer points or "
-             "a shorter chain"),
+            (angle_sweep, (100_000_002, 0.1, [0.0] * 10),
+             "the closed form at N=100000002 needs about 1.00e+08 bond terms, "
+             "over its budget of 1e+08; use a shorter chain"),
+            (n_scaling_sweep, (14_143, 0.1, [0.0, 1.0]),
+             "the closed form over N = 1..14143 needs about 1.00e+08 bond terms, "
+             "over its budget of 1e+08; use a shorter chain"),
         ],
         ids=["oracle", "x", "angles", "nscaling"],
     )
@@ -584,9 +614,12 @@ class TestSweeps:
             damping, "closed_form_rates",
             lambda totals, autocorrs, x, phis: [[1.0] * len(phis) for _ in totals],
         )
-        assert len(x_sweep(symmetric_state(10_001), 0.01, 20.0, 10_000, [0.0]).rows) == 10_000
-        assert len(angle_sweep(10_001, 0.1, [0.0] * 10_000).rows) == 10_000
-        assert len(n_scaling_sweep(14_142, 0.1, [0.0]).rows) == 14_142
+        # polarizations add no bond terms: each x, or each chain, sums its
+        # two moments once for every phi
+        phis = [0.0, 1.0]
+        assert len(x_sweep(symmetric_state(10_001), 0.01, 20.0, 10_000, phis).rows) == 10_000
+        assert len(angle_sweep(100_000_001, 0.1, [0.0] * 10_000).rows) == 10_000
+        assert len(n_scaling_sweep(14_142, 0.1, phis).rows) == 14_142
 
     def test_x_sweep_oracle_columns_and_footer(self):
         table = x_sweep(alternating_state(2), 0.5, 2.0, 4, [0.0], oracle=True)
