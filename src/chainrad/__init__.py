@@ -11,7 +11,7 @@ _PUBLIC = {
         "AtomicScales", "CausalityError", "ChainConfig", "ConfigError",
         "config_from_dict", "derive_scales",
     ),
-    "coupling": ("coupling_sweep", "transfer_electrostatic", "transfer_exact"),
+    "coupling": ("coupling_sweep", "transfer_exact"),
     "states": (
         "SignState", "alternating_state", "enumerate_sign_states", "symmetric_state",
     ),

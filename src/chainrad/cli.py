@@ -147,10 +147,9 @@ def _base_metadata(config: ChainConfig, scales: AtomicScales) -> dict:
         meta[f"const.{key}"] = format_value(value)
     meta["derived.gamma_a_hz"] = format_value(scales.gamma_a)
     meta["derived.qa_a"] = format_value(scales.qa_a)
-    if scales.gamma_overridden:
-        meta["derived.gamma_source"] = "override"
-    else:
-        meta["derived.gamma_source"] = "radiative_formula"
+    meta["derived.gamma_source"] = (
+        "radiative_formula" if config.gamma_override_hz is None else "override"
+    )
     return meta
 
 
@@ -259,9 +258,15 @@ def cmd_angles(args, config, scales) -> SweepTable:
     return angle_sweep(config.n_atoms, scales.qa_a, _angle_grid(_points(args)))
 
 
-def cmd_emission(args, config, scales) -> SweepTable:
+def _lattice_grid(lo: float, hi: float, n_points: int):
+    """``n_points`` lattice constants in m, log-spaced from lo to hi Angstrom:
+    the grid of ``emission`` and of figures 16-20."""
     import numpy as np  # emission is the one command that needs arrays
 
+    return np.logspace(math.log10(lo), math.log10(hi), n_points) * ANGSTROM
+
+
+def cmd_emission(args, config, scales) -> SweepTable:
     from .emission import emission_sweep, latest_retardation
 
     state = parse_state(args.state, config.n_atoms)
@@ -274,12 +279,11 @@ def cmd_emission(args, config, scales) -> SweepTable:
             f"emission --range is a lattice-constant range in Angstrom and "
             f"needs lo > 0 and hi > 0, got {args.range!r}"
         )
-    a_grid = np.logspace(math.log10(lo), math.log10(hi), _points(args)) * ANGSTROM
+    a_grid = _lattice_grid(lo, hi, _points(args))
     if args.time is None:
         # latest retardation over the grid, by the sweep's own rule, so the
-        # default is always causal; the largest point is the last one only
-        # for an ascending --range
-        t = latest_retardation(config.n_atoms, float(a_grid.max()), obs_x)
+        # default is always causal
+        t = float(latest_retardation(config.n_atoms, a_grid, obs_x).max())
     elif math.isfinite(args.time):
         t = args.time
     else:
@@ -296,19 +300,15 @@ def cmd_emission(args, config, scales) -> SweepTable:
 
 def _emission_figure(state: SignState, phi: float) -> SweepTable:
     """Two-atom emission trace at the reference parameter set, t = 2x/c."""
-    import numpy as np
-
     from .emission import emission_sweep
 
     config = config_from_dict(EMISSION_CONFIG)
     obs_x = EMISSION_OBS_X_ANGSTROM * ANGSTROM
     t = 2.0 * obs_x / SPEED_OF_LIGHT
-    # the grid is capped at the lattice constant whose light reaches the
-    # observer exactly at t (sqrt(3) x). It is a logspace taken in meters,
-    # where ``emission`` takes one in Angstrom: the two round differently
-    # (861 of these 2000 points), so sharing one would change the CSV digits
+    # the grid is capped just below the lattice constant whose light
+    # reaches the observer exactly at t (sqrt(3) x)
     a_max = math.sqrt((SPEED_OF_LIGHT * t) ** 2 - obs_x**2) * (1.0 - 1e-12)
-    a_grid = np.logspace(math.log10(1e3 * ANGSTROM), math.log10(a_max), 2000)
+    a_grid = _lattice_grid(1e3, a_max / ANGSTROM, 2000)
     trace = emission_sweep(
         state, a_grid, phi, obs_x, t, derive_scales(config), config.dipole_e_angstrom
     )

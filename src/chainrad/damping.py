@@ -70,8 +70,9 @@ ORACLE_NODE_BUDGET = 1e9
 #: refused before any work. On a 2-vCPU host a term costs about 0.17 us
 #: where many states share the kernel (n_scaling_sweep) and 1.1 us where
 #: each x evaluates its own (x_sweep, angle_sweep), so the budget is about
-#: 17 s to 2 min of work; a bond on the kernel's series branch
-#: (k x < F_SERIES_THRESHOLD) costs 5 to 15 us instead.
+#: 17 s to 2 min of work. A bond on the kernel's series branch
+#: (k x < F_SERIES_THRESHOLD) costs 5 to 15 us instead, so x_sweep, where
+#: each point evaluates its own, counts each such bond as 10 terms.
 CLOSED_FORM_TERM_BUDGET = 1e8
 
 
@@ -127,25 +128,18 @@ def _phi_weights(phi: float) -> tuple[float, float]:
     return 1.0 - c2, 1.0 - 3.0 * c2
 
 
-def f_kernel_minus_one(x: float, phi: float) -> float:
-    """F(x, phi) - 1, cancellation-safe near x = 0 where F -> 1.
+def f_kernel(x: float, phi: float) -> float:
+    """Bond kernel F(x, phi); F(0) = 1 for every phi.
 
-    The collective-rate formulas subtract the bond sum against the
-    single-atom term; keeping F - 1 explicit avoids losing the tiny
-    rates of nearly dark states to roundoff. This is the one-bond case
-    of the moments :func:`closed_form_rates` weights, so both agree bit
-    for bit.
+    F - 1 = 1.5 (a s + b g) with the (s, g) of :func:`_kernel_parts` and
+    the (a, b) of :func:`_phi_weights`: the one-bond case of the moments
+    :func:`closed_form_rates` weights, cancellation-safe near x = 0.
     """
     if x < 0:
         raise ValueError(f"bond length must be >= 0, got x={x}")
     s, g = _kernel_parts(x)
     a, b = _phi_weights(phi)
-    return 1.5 * (a * s + b * g)
-
-
-def f_kernel(x: float, phi: float) -> float:
-    """Bond kernel F(x, phi); F(0) = 1 for every phi."""
-    return 1.0 + f_kernel_minus_one(x, phi)
+    return 1.0 + 1.5 * (a * s + b * g)
 
 
 def _nonnegative(rate: float) -> float:
@@ -426,8 +420,9 @@ def x_sweep(
     With ``oracle=True`` a quadrature column is added per polarization
     and the footer records the worst closed-form/quadrature mismatch; a
     grid whose oracle work exceeds ORACLE_NODE_BUDGET, or whose
-    n_points (N - 1) bond terms exceed CLOSED_FORM_TERM_BUDGET, is refused
-    with ValueError before any work. Each x shares one pair of moments,
+    n_points (N - 1) bond terms, with a bond on the kernel's series branch
+    counted as 10, exceed CLOSED_FORM_TERM_BUDGET, is refused with
+    ValueError before any work. Each x shares one pair of moments,
     and one oracle batch, among all polarizations.
     """
     if not 0 < x_min < x_max:
@@ -443,9 +438,17 @@ def x_sweep(
             "use fewer points, a smaller x range or a shorter chain",
         )
     phi_list = list(phi_list)
+    # the bonds k < F_SERIES_THRESHOLD / x are on the kernel's series
+    # branch; each weighs 10 terms
+    bonds = state.n - 1
+    series = sum(
+        math.ceil(F_SERIES_THRESHOLD / x) - 1 if x > F_SERIES_THRESHOLD / state.n
+        else bonds
+        for x in grid
+    )
     check_work(
         f"the closed form over {n_points} points at N={state.n}",
-        n_points * (state.n - 1), "bond terms", CLOSED_FORM_TERM_BUDGET,
+        n_points * bonds + 9 * series, "bond terms", CLOSED_FORM_TERM_BUDGET,
     )
     columns = ["x"] + phi_columns("gamma", phi_list)
     if oracle:

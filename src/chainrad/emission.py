@@ -33,13 +33,13 @@ from .sweeps import SweepTable, check_work, format_value
 EMISSION_WORK_BUDGET = 1e7
 
 
-def latest_retardation(n: int, a: float | np.ndarray, obs_x: float) -> float | np.ndarray:
-    """|r - R_N|/c in seconds, when the last (farthest) atom's light reaches
-    (obs_x, 0, 0): bitwise the last atom's dist / c in the intensity sum. A
-    grid array ``a`` gives an array, bitwise the floats; the causality check
-    and the CLI's default time use this one rule."""
-    t = np.hypot(obs_x, (n - 1) * a) / SPEED_OF_LIGHT
-    return t if t.ndim else float(t)
+def latest_retardation(n: int, a_grid, obs_x: float) -> np.ndarray:
+    """|r - R_N|/c in seconds at each lattice constant of ``a_grid``, as an
+    array of at least one dimension: when the last (farthest) atom's light
+    reaches (obs_x, 0, 0), bitwise the last atom's dist / c in the
+    intensity sum. The causality check and the CLI's default time use
+    this one rule."""
+    return np.hypot(obs_x, (n - 1) * np.atleast_1d(a_grid)) / SPEED_OF_LIGHT
 
 
 def reference_intensity(scales: AtomicScales, mu_e_angstrom: float, obs_x: float) -> float:

@@ -130,22 +130,15 @@ class AtomicScales(Frozen):
 
     All fields are SI: omega_a in rad/s, q_a in 1/m, lambda_a in m,
     gamma_a in 1/s; ``qa_a`` is the dimensionless lattice constant
-    q_a * a. ``gamma_overridden`` records whether gamma_a came from the
-    config override instead of the radiative formula.
+    q_a * a.
     """
 
-    __slots__ = ("omega_a", "q_a", "lambda_a", "gamma_a", "qa_a", "gamma_overridden")
+    __slots__ = ("omega_a", "q_a", "lambda_a", "gamma_a", "qa_a")
 
     def __init__(
-        self,
-        omega_a: float,
-        q_a: float,
-        lambda_a: float,
-        gamma_a: float,
-        qa_a: float,
-        gamma_overridden: bool = False,
+        self, omega_a: float, q_a: float, lambda_a: float, gamma_a: float, qa_a: float
     ):
-        super().__init__(omega_a, q_a, lambda_a, gamma_a, qa_a, gamma_overridden)
+        super().__init__(omega_a, q_a, lambda_a, gamma_a, qa_a)
 
 
 def _in_range(name: str, value: float) -> float:
@@ -178,7 +171,6 @@ def derive_scales(config: ChainConfig) -> AtomicScales:
     qa_a = _in_range("q_a * a", q_a * (config.lattice_const_angstrom * ANGSTROM))
     if config.gamma_override_hz is not None:
         gamma_a = config.gamma_override_hz
-        overridden = True
     else:
         mu_si = config.dipole_e_angstrom * ELEMENTARY_CHARGE * ANGSTROM
         try:
@@ -188,14 +180,8 @@ def derive_scales(config: ChainConfig) -> AtomicScales:
         except OverflowError:  # float ** raises where * would give inf
             gamma_a = math.inf
         gamma_a = _in_range("gamma_a", gamma_a)
-        overridden = False
     return AtomicScales(
-        omega_a=omega_a,
-        q_a=q_a,
-        lambda_a=lambda_a,
-        gamma_a=gamma_a,
-        qa_a=qa_a,
-        gamma_overridden=overridden,
+        omega_a=omega_a, q_a=q_a, lambda_a=lambda_a, gamma_a=gamma_a, qa_a=qa_a
     )
 
 

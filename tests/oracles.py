@@ -17,7 +17,7 @@ import numpy as np
 from mpmath import mp, mpf
 from scipy.integrate import quad
 
-from chainrad.damping import f_kernel_minus_one
+from chainrad.damping import _kernel_parts, _phi_weights
 from chainrad.emission import emission_sweep
 from chainrad.scales import SPEED_OF_LIGHT, CausalityError
 from chainrad.states import alternating_state, symmetric_state
@@ -33,6 +33,14 @@ def sign_coeffs(kind: str, n: int) -> tuple:
     return tuple(int(c) for c in rng.choice([1, -1], size=n))
 
 
+def kernel_minus_one(x: float, phi: float) -> float:
+    """F(x, phi) - 1 = 1.5 (a s + b g), from the library's own (s, g) and
+    (a, b): the one-bond term its rate moments weight."""
+    s, g = _kernel_parts(x)
+    a, b = _phi_weights(phi)
+    return 1.5 * (a * s + b * g)
+
+
 def damping_pairwise(coeffs, x: float, phi: float) -> float:
     """(sum C)^2/N + (2/N) sum_{n<m} C_n C_m (F(x (m - n), phi) - 1).
 
@@ -41,7 +49,7 @@ def damping_pairwise(coeffs, x: float, phi: float) -> float:
     """
     n = len(coeffs)
     acc = math.fsum(
-        coeffs[i] * coeffs[j] * f_kernel_minus_one(x * (j - i), phi)
+        coeffs[i] * coeffs[j] * kernel_minus_one(x * (j - i), phi)
         for i in range(n)
         for j in range(i + 1, n)
     )
@@ -52,7 +60,7 @@ def damping_bond_count(n: int, x: float, phi: float) -> float:
     """All-plus rate N + 2 sum_k ((N - k)/N)(F(k x, phi) - 1); there are
     N - k bonds of length k on a chain of N atoms."""
     return float(n) + 2.0 * sum(
-        (n - k) / n * f_kernel_minus_one(k * x, phi) for k in range(1, n)
+        (n - k) / n * kernel_minus_one(k * x, phi) for k in range(1, n)
     )
 
 

@@ -136,7 +136,7 @@ def test_criterion_7_emission_anchors(report, emitter_scales):
 
     # causal portion of the default log grid at t = 2x/c
     a_max = math.sqrt((const.c * T_OBS) ** 2 - OBS_X**2) * (1 - 1e-12)
-    a_grid = np.logspace(math.log10(1e3 * ANGSTROM), math.log10(a_max), 2000)
+    a_grid = np.logspace(3, math.log10(a_max / ANGSTROM), 2000) * ANGSTROM
     traces = {
         name: emission_sweep(state, a_grid, math.pi / 2, OBS_X, T_OBS,
                              emitter_scales, 1.0)

@@ -120,6 +120,15 @@ class TestCommands:
         assert rows[0][columns.index("qa_a")] == pytest.approx(0.5, abs=0.01)
         assert meta["derived.gamma_source"] == "radiative_formula"
 
+    @pytest.mark.parametrize(
+        "sets, source",
+        [([], "radiative_formula"), (["--set", "gamma_override_hz=1e8"], "override")],
+    )
+    def test_scales_header_names_the_gamma_source(self, sets, source):
+        # where gamma_a came from: the config's override, if it has one
+        header = cli_output(["scales", *sets]).decode()
+        assert f"# derived.gamma_source={source}\n" in header
+
     def test_config_file_and_set_override(self, tmp_path):
         cfg = tmp_path / "chain.json"
         cfg.write_text(
@@ -527,6 +536,18 @@ class TestExitCodes:
             "about 1.00e+09 bond terms, over its budget of 1e+08; use fewer "
             "points or a shorter chain\n"
         )
+
+    def test_closed_form_budget_weighs_series_bonds(self, capsys, monkeypatch):
+        from chainrad import damping
+
+        # 9.999e7 bonds, every one on the kernel's series branch (k x < 1.5,
+        # 5-15 us each: about 20 minutes), so 10 terms each
+        monkeypatch.setattr(damping, "closed_form_rates", None)  # never reached
+        argv = ["damping", "--set", "n_atoms=10000", "--range", "1e-5:1.5e-4",
+                "--points", "10000"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "about 1.00e+09 bond terms, over its budget" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -1234,5 +1255,5 @@ class TestDefaults:
         assert "2x/c" not in out
         assert "(default: the grid's latest retardation)" in " ".join(out.split())
         header = cli_output(["emission", "--points", "3"]).decode()
-        t = latest_retardation(2, 1e7 * ANGSTROM, 1e6 * ANGSTROM)
+        (t,) = latest_retardation(2, 1e7 * ANGSTROM, 1e6 * ANGSTROM)
         assert f"# t_s={format(t, '.12g')}\n" in header

@@ -21,7 +21,6 @@ from chainrad.damping import (
     closed_form_rates,
     damping_general,
     f_kernel,
-    f_kernel_minus_one,
     n_scaling_sweep,
     quadrature_rates,
     x_sweep,
@@ -35,6 +34,7 @@ from oracles import (
     damping_pairwise,
     damping_quad,
     golden_rule_integrand_per_term,
+    kernel_minus_one,
     sign_coeffs,
 )
 
@@ -88,8 +88,6 @@ class TestFKernel:
     def test_negative_x_rejected(self):
         with pytest.raises(ValueError):
             f_kernel(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            f_kernel_minus_one(-0.1, 0.0)
 
     @pytest.mark.parametrize("x", [0.01, 0.7, 1.4999, 1.5, 4.0, 37.0])
     def test_bond_kernels_match_one_bond_kernel(self, x):
@@ -98,8 +96,12 @@ class TestFKernel:
         for k in range(1, 12):
             (rates,) = closed_form_rates([k + 1], [[0] * (k - 1) + [1]], x, phis)
             assert rates == [
-                float(k + 1) ** 2 / (k + 1) + 2.0 * f_kernel_minus_one(k * x, p) / (k + 1)
+                float(k + 1) ** 2 / (k + 1) + 2.0 * kernel_minus_one(k * x, p) / (k + 1)
                 for p in phis
+            ]
+            # and f_kernel, figure 5's F, is that bond's 1 + (F - 1)
+            assert [f_kernel(k * x, p) for p in phis] == [
+                1.0 + kernel_minus_one(k * x, p) for p in phis
             ]
 
     def test_series_direct_agreement_at_threshold(self):
@@ -615,9 +617,10 @@ class TestSweeps:
             lambda totals, autocorrs, x, phis: [[1.0] * len(phis) for _ in totals],
         )
         # polarizations add no bond terms: each x, or each chain, sums its
-        # two moments once for every phi
+        # two moments once for every phi. From x = 1.5 on, no bond is on the
+        # kernel's series branch, which would weigh 10 terms
         phis = [0.0, 1.0]
-        assert len(x_sweep(symmetric_state(10_001), 0.01, 20.0, 10_000, phis).rows) == 10_000
+        assert len(x_sweep(symmetric_state(10_001), 1.5, 20.0, 10_000, phis).rows) == 10_000
         assert len(angle_sweep(100_000_001, 0.1, [0.0] * 10_000).rows) == 10_000
         assert len(n_scaling_sweep(14_142, 0.1, phis).rows) == 14_142
 

@@ -83,11 +83,14 @@ class TestGeometry:
             a = 10 ** float(rng.uniform(3, 7)) * ANGSTROM
             obs_x = 10 ** float(rng.uniform(4, 8)) * ANGSTROM
             geom = emission_geometry(n, a, 0.0, obs_x)
-            assert latest_retardation(n, a, obs_x) == float(np.max(geom.retard_n))
+            (t,) = latest_retardation(n, a, obs_x)
+            assert t == float(np.max(geom.retard_n))
 
     def test_latest_retardation_of_a_grid_is_the_pointwise_float(self):
-        # the sweep checks its whole grid with the array form; each point's
-        # time is the float rule's to the last bit
+        # one return type: an array of the grid's shape, and a lone float
+        # is a one-point grid; each point's time is its one-point grid's to
+        # the last bit, so the sweep's whole-grid check and the CLI's
+        # default time agree
         rng = np.random.default_rng(1919)
         for _ in range(200):
             n = int(rng.integers(1, 10_001))
@@ -95,10 +98,13 @@ class TestGeometry:
             a_grid = 10 ** rng.uniform(-3, 7, size=int(rng.integers(1, 100))) * ANGSTROM
             a_grid[0] = 0.0
             got = latest_retardation(n, a_grid, obs_x)
-            assert isinstance(got, np.ndarray) and got.shape == a_grid.shape
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.shape == a_grid.shape
             for a, t in zip(a_grid, got):
-                want = latest_retardation(n, float(a), obs_x)
-                assert type(want) is float and t == want, (n, a, obs_x)
+                for one_point in (float(a), [float(a)]):
+                    want = latest_retardation(n, one_point, obs_x)
+                    assert isinstance(want, np.ndarray) and want.shape == (1,)
+                    assert t == want[0], (n, a, obs_x)
 
     def test_coincident_atoms(self):
         geom = emission_geometry(4, 0.0, 0.2, OBS_X)
@@ -323,7 +329,7 @@ class TestEmissionSweep:
         # per-point sum (seconds of work) keeps the test fast
         monkeypatch.setattr(emission, "_point_intensity", lambda *args: 0.0)
         a = 1e3 * ANGSTROM
-        t = latest_retardation(10_000, a, OBS_X)
+        (t,) = latest_retardation(10_000, a, OBS_X)
         trace = emission_sweep(
             symmetric_state(10_000), np.full(1000, a), 0.0, OBS_X, t, scales, 1.0
         )
@@ -350,7 +356,7 @@ class TestEmissionSweep:
         for _ in range(2000):
             n = int(rng.integers(1, 51))
             a_max = 10 ** float(rng.uniform(3, 7)) * ANGSTROM
-            t = latest_retardation(n, a_max, OBS_X)
+            (t,) = latest_retardation(n, a_max, OBS_X)
             trace = emission_sweep(
                 symmetric_state(n), [a_max], 0.0, OBS_X, t, scales, 1.0
             )
@@ -362,7 +368,7 @@ class TestEmissionSweep:
         for _ in range(300):
             n = int(rng.integers(1, 51))
             a_grid = 10 ** rng.uniform(3, 7, size=int(rng.integers(2, 30))) * ANGSTROM
-            t = latest_retardation(n, float(a_grid.max()), OBS_X)
+            t = float(latest_retardation(n, a_grid, OBS_X).max())
             trace = emission_sweep(
                 symmetric_state(n), a_grid, 0.0, OBS_X, t, scales, 1.0
             )

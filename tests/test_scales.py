@@ -71,7 +71,6 @@ class TestDeriveScales:
         scales = derive_scales(make_config())
         assert scales.gamma_a == pytest.approx(3796342.2475263146, rel=1e-12)
         assert scales.gamma_a == pytest.approx(3.8e6, rel=0.01)
-        assert not scales.gamma_overridden
 
     def test_q_lambda_product(self):
         scales = derive_scales(make_config(transition_energy_ev=2.7))
@@ -96,7 +95,6 @@ class TestDeriveScales:
     def test_override_replaces_rate(self):
         scales = derive_scales(make_config(gamma_override_hz=1e8))
         assert scales.gamma_a == 1e8
-        assert scales.gamma_overridden
 
     def test_override_with_derived_value_is_noop(self):
         plain = derive_scales(make_config())
