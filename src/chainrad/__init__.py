@@ -12,9 +12,7 @@ _PUBLIC = {
         "config_from_dict", "derive_scales",
     ),
     "coupling": ("coupling_sweep", "transfer_exact"),
-    "states": (
-        "SignState", "alternating_state", "enumerate_sign_states", "symmetric_state",
-    ),
+    "states": ("SignState", "alternating_state", "symmetric_state"),
     "damping": (
         "DampingResult", "QuadratureAccuracyError", "angle_sweep",
         "damping_general", "f_kernel", "n_scaling_sweep", "quadrature_rates",

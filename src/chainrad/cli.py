@@ -7,6 +7,7 @@ output included), 3 config, 4 numerical accuracy, 5 causality.
 import math
 import os
 import sys
+from itertools import product
 from types import SimpleNamespace
 
 from . import __version__
@@ -36,12 +37,7 @@ from .damping import (
     relative_error,
     x_sweep,
 )
-from .states import (
-    SignState,
-    alternating_state,
-    enumerate_sign_states,
-    symmetric_state,
-)
+from .states import SignState, alternating_state, symmetric_state
 from .sweeps import SweepTable, format_value, linspace, phi_columns
 
 EXIT_OK = 0
@@ -363,7 +359,7 @@ def cmd_verify(args) -> int:
         # C and -C have the same A_k and an integrand whose re and im only
         # flip sign, so both methods give them bitwise-equal rates: the
         # half with C_1 = +1 stands for all 2^n states
-        states = [s for s in enumerate_sign_states(n) if s.coeffs[0] == 1]
+        states = [SignState((1, *rest)) for rest in product((1, -1), repeat=n - 1)]
         totals = [sum(state.coeffs) for state in states]
         autocorrs = [bond_autocorrelation(state) for state in states]
         for x in x_grid:
@@ -403,16 +399,20 @@ _FLAGS = {
         action="append", metavar="KEY=VALUE",
         help="override a config key (repeatable)",
     ),
-    "--points": dict(type=int, help="grid point count"),
-    "--range": dict(metavar="LO:HI", help="grid range"),
-    "--state": dict(help="collective state: sym, alt or +/- pattern"),
+    "--points": dict(type=int, help="grid point count (default %(default)s)"),
+    "--range": dict(metavar="LO:HI", help="grid range (default %(default)s)"),
+    "--state": dict(
+        help="collective state: sym, alt or +/- pattern (default %(default)s)"
+    ),
     "--oracle": dict(
         action="store_true", help="add quadrature cross-check columns"
     ),
-    "--obs-x": dict(type=float, help="observation distance in Angstrom (default 1e6)"),
+    "--obs-x": dict(
+        type=float, help="observation distance in Angstrom (default %(default)s)"
+    ),
     "--time": dict(type=float, help="observation time in seconds (default: the "
                    "grid's latest retardation)"),
-    "--nmax": dict(type=int, help="largest chain length (default 8)"),
+    "--nmax": dict(type=int, help="largest chain length (default %(default)s)"),
     "--out": dict(help="CSV output path (default stdout)"),
 }
 _CONFIG_FLAGS = {"--config": None, "--set": None}

@@ -142,19 +142,10 @@ def f_kernel(x: float, phi: float) -> float:
     return 1.0 + 1.5 * (a * s + b * g)
 
 
-def _nonnegative(rate: float) -> float:
-    """``rate``, or 0 for roundoff down to -1e-12; lower raises ValueError."""
-    if rate < -1e-12:
-        raise ValueError(f"negative decay rate {rate}")
-    return 0.0 if rate < 0.0 else rate
-
-
 class DampingResult(Frozen):
     """A computed collective rate gamma/gamma_a and how it was obtained.
 
     ``method`` names the path: "closed_form", from :func:`damping_general`.
-    A rate below zero by at most 1e-12 is roundoff and is stored as 0; a
-    lower one raises ValueError.
     """
 
     __slots__ = ("rate_ratio", "method", "state", "x", "phi")
@@ -165,7 +156,7 @@ class DampingResult(Frozen):
         # one is built per rate, so the fields are set directly rather
         # than through Frozen.__init__'s loop
         _set = object.__setattr__
-        _set(self, "rate_ratio", _nonnegative(rate_ratio))
+        _set(self, "rate_ratio", rate_ratio)
         _set(self, "method", method)
         _set(self, "state", state)
         _set(self, "x", x)
@@ -198,8 +189,8 @@ def closed_form_rates(totals, autocorrs, x: float, phi_list) -> list[list[float]
     into two phi-free moments, S = sum_k A_k s(k x) and
     G = sum_k A_k g(k x). Each phi then costs O(1):
     sum_k A_k (F - 1) = 1.5 (a S + b G) with (a, b) from
-    :func:`_phi_weights`. Negative rates follow the rule of
-    :class:`DampingResult`.
+    :func:`_phi_weights`. A rate below zero by at most 1e-12 is roundoff
+    and is returned as 0; a lower one raises ValueError.
     """
     if not x > 0:
         raise ValueError(f"separation must be > 0, got x={x}")
@@ -216,8 +207,11 @@ def closed_form_rates(totals, autocorrs, x: float, phi_list) -> list[list[float]
         row = []
         for a, b in weights:
             rate = base + 2.0 * (1.5 * (a * s_sum + b * g_sum)) / n
-            # only a negative rate pays the helper's call
-            row.append(rate if rate >= 0.0 else _nonnegative(rate))
+            if rate < 0.0:
+                if rate < -1e-12:
+                    raise ValueError(f"negative decay rate {rate}")
+                rate = 0.0
+            row.append(rate)
         rates.append(row)
     return rates
 

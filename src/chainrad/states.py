@@ -1,11 +1,6 @@
 """Single-excitation collective states with +/-1 coefficient patterns."""
 
-from itertools import product
-
 from .frozen import Frozen
-
-#: enumerate_sign_states refuses larger chains (2^n blowup guard).
-MAX_ENUM_ATOMS = 20
 
 
 class SignState(Frozen):
@@ -40,12 +35,3 @@ def alternating_state(n: int) -> SignState:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return SignState(coeffs=tuple(1 if k % 2 == 0 else -1 for k in range(n)))
-
-
-def enumerate_sign_states(n: int) -> list[SignState]:
-    """All 2^n sign patterns, lexicographic with +1 before -1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > MAX_ENUM_ATOMS:
-        raise ValueError(f"refusing to enumerate 2^{n} states (limit n <= {MAX_ENUM_ATOMS})")
-    return [SignState(coeffs=pattern) for pattern in product((1, -1), repeat=n)]

@@ -82,13 +82,6 @@ class SweepTable:
         self.metadata = {} if metadata is None else metadata
         self.footer = [] if footer is None else footer
 
-    def column(self, name: str):
-        """One column as a float numpy array."""
-        import numpy as np  # only callers that want arrays pay for numpy
-
-        idx = self.columns.index(name)
-        return np.array([row[idx] for row in self.rows], dtype=float)
-
     def write_csv(self, stream) -> None:
         """Build the whole CSV text and write it in one call."""
         lines = [f"# {key}={self.metadata[key]}" for key in sorted(self.metadata)]

@@ -11,6 +11,7 @@ reference for the library's fixed Gauss-Legendre oracle.
 """
 
 import math
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,17 +21,32 @@ from scipy.integrate import quad
 from chainrad.damping import _kernel_parts, _phi_weights
 from chainrad.emission import emission_sweep
 from chainrad.scales import SPEED_OF_LIGHT, CausalityError
-from chainrad.states import alternating_state, symmetric_state
+from chainrad.states import SignState, alternating_state, symmetric_state
 
 
 def sign_coeffs(kind: str, n: int) -> tuple:
-    """Coefficients of the sym or alt state, or a random pattern seeded by n."""
+    """Coefficients of the sym or alt state, the Thue-Morse state ("tm",
+    C_k = (-1)^popcount(k) for k = 0, ..., n - 1), or a random pattern
+    seeded by n."""
     if kind == "sym":
         return symmetric_state(n).coeffs
     if kind == "alt":
         return alternating_state(n).coeffs
+    if kind == "tm":
+        return tuple(-1 if bin(k).count("1") % 2 else 1 for k in range(n))
     rng = np.random.default_rng(1000 + n)
     return tuple(int(c) for c in rng.choice([1, -1], size=n))
+
+
+def sign_states(n: int) -> list:
+    """All 2^n sign states of n atoms, lexicographic with +1 before -1."""
+    return [SignState(coeffs) for coeffs in product((1, -1), repeat=n)]
+
+
+def column(table, name: str) -> np.ndarray:
+    """One column of a SweepTable as a float array."""
+    idx = table.columns.index(name)
+    return np.array([row[idx] for row in table.rows], dtype=float)
 
 
 def kernel_minus_one(x: float, phi: float) -> float:

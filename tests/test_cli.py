@@ -321,6 +321,27 @@ for name, call in calls.items():
         assert rows[:, 1].tolist() == [2, 4, 8]
         assert np.all(rows[:, 2] <= 1e-8)
 
+    def test_verify_integrates_the_plus_half_in_order(self, monkeypatch, tmp_path):
+        # each N's batch is the 2^(N-1) patterns with C_1 = +1,
+        # lexicographic with + before -
+        from chainrad import cli
+
+        seen = {}
+        quadrature_rates = cli.quadrature_rates
+
+        def spy(states, x, phi_list):
+            seen.setdefault(states[0].n, [str(state) for state in states])
+            return quadrature_rates(states, x, phi_list)
+
+        monkeypatch.setattr(cli, "quadrature_rates", spy)
+        assert main(["verify", "--nmax", "4", "--out", str(tmp_path / "v.csv")]) == EXIT_OK
+        assert seen == {
+            1: ["+"],
+            2: ["++", "+-"],
+            3: ["+++", "++-", "+-+", "+--"],
+            4: ["++++", "+++-", "++-+", "++--", "+-++", "+-+-", "+--+", "+---"],
+        }
+
 
 class TestExitCodes:
     def test_unknown_figure_is_usage_error(self, capsys):
@@ -392,7 +413,7 @@ class TestExitCodes:
             ["nscaling", "--range", "1:10001"],
             ["scales", "--out", "no_such_dir/scales.csv"],
             ["verify", "--nmax", "0"],
-            # VERIFY_MAX_N refuses it before any state is enumerated
+            # VERIFY_MAX_N refuses it before any state is built
             ["verify", "--nmax", "21"],
             # VERIFY_MAX_N itself: 12 takes about 0.78 s as a fresh
             # process, and each atom doubles the work
@@ -1246,6 +1267,14 @@ class TestDefaults:
         joined = [command, *(f"{flag}={value}" for flag, value in pairs)]
         assert _parse_plain(joined) is None
         assert cli_output(joined) == bare
+
+    @pytest.mark.parametrize("command", sorted(SPELLED_DEFAULTS))
+    def test_help_shows_each_default(self, command):
+        code, out, err = parse_outcome(main, [command, "--help"])
+        assert (code, err) == (EXIT_OK, "")
+        text = " ".join(out.split())
+        for flag, value in SPELLED_DEFAULTS[command]:
+            assert f"(default {value})" in text, flag
 
     def test_time_help_names_the_real_default(self):
         # without --time, emission observes at the grid's latest

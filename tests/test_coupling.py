@@ -9,6 +9,7 @@ from chainrad.coupling import (
     transfer_electrostatic,
     transfer_exact,
 )
+from oracles import column
 
 # frozen high-precision values of the exact coupling at x = 0.5
 J_HALF_PARALLEL = -13.407543974309691
@@ -95,13 +96,13 @@ class TestTransferElectrostatic:
 class TestCouplingSweep:
     def test_anchor_row(self):
         table = coupling_sweep(0.1, 0.9, 5, [0.0, math.pi / 2])
-        xs = table.column("x")
+        xs = column(table, "x")
         idx = int(np.argmin(np.abs(xs - 0.5)))
         assert xs[idx] == pytest.approx(0.5)
-        assert table.column("J_exact_phi0")[idx] == pytest.approx(-13.4, abs=0.05)
-        assert table.column("J_exact_phi90")[idx] == pytest.approx(5.4, abs=0.05)
-        assert table.column("J_approx_phi0")[idx] == pytest.approx(-12.0, rel=1e-12)
-        assert table.column("J_approx_phi90")[idx] == pytest.approx(6.0, rel=1e-12)
+        assert column(table, "J_exact_phi0")[idx] == pytest.approx(-13.4, abs=0.05)
+        assert column(table, "J_exact_phi90")[idx] == pytest.approx(5.4, abs=0.05)
+        assert column(table, "J_approx_phi0")[idx] == pytest.approx(-12.0, rel=1e-12)
+        assert column(table, "J_approx_phi90")[idx] == pytest.approx(6.0, rel=1e-12)
 
     def test_small_x_convergence(self):
         exact = transfer_exact(0.1, 0.0)
@@ -119,7 +120,7 @@ class TestCouplingSweep:
 
     def test_rows_ordered_ascending(self):
         table = coupling_sweep(0.01, 5.0, 50, [0.0])
-        xs = table.column("x")
+        xs = column(table, "x")
         assert np.all(np.diff(xs) > 0)
 
     def test_one_point_grid_is_x_min(self):

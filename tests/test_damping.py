@@ -10,6 +10,7 @@ from mpmath import mp, mpf
 from scipy.integrate import quad
 
 from chainrad import damping
+from chainrad.cli import VERIFY_TOL
 from chainrad.damping import (
     F_SERIES_THRESHOLD,
     QuadratureAccuracyError,
@@ -25,10 +26,11 @@ from chainrad.damping import (
     quadrature_rates,
     x_sweep,
 )
-from chainrad.states import SignState, alternating_state, enumerate_sign_states, symmetric_state
+from chainrad.states import SignState, alternating_state, symmetric_state
 from chainrad.sweeps import linspace
 from oracles import (
     closed_form_rates_mp,
+    column,
     damping_autocorrelation_mp,
     damping_bond_count,
     damping_pairwise,
@@ -36,6 +38,7 @@ from oracles import (
     golden_rule_integrand_per_term,
     kernel_minus_one,
     sign_coeffs,
+    sign_states,
 )
 
 # fixed mixed-sign state for the oracle/closed-form cross-check
@@ -45,6 +48,31 @@ RANDOM_STATE_N7 = SignState(coeffs=(1, 1, -1, 1, -1, -1, 1))
 # the grid `chainrad verify` runs every sign state on
 VERIFY_X = (0.1, 0.5, 1.0, 3.0, 10.0)
 VERIFY_PHI = (0.0, math.pi / 4, math.pi / 2)
+
+
+#: The near-dark rows of the long-chain family that the closed form gets
+#: wrong today, with their measured relative error against mpmath. The
+#: Thue-Morse state of length 2^m has bond moments that vanish up to
+#: order m, so its rate falls as x^(2m) while the bond sum cancels in
+#: double precision.
+LONG_CHAIN_KNOWN_DEFECTS = {
+    ("tm", 16, 0.001): "1.0: the rate 7.8e-24 is written as 0",
+    ("tm", 64, 0.001): "1.0: the rate 2.6e-31 is written as 0",
+    ("tm", 256, 0.001): "5.8e16 off the rate 2.6e-36",
+    ("tm", 1024, 0.001): "3.5e21 off the rate 7.3e-39",
+    ("tm", 1024, 0.1): "1.5e-8 off the rate 5.6e-8, above VERIFY_TOL",
+}
+
+
+def long_chain_cases():
+    """sym, alt, random and Thue-Morse states at N = 16 to 1024 on verify's
+    x grid plus x = 0.001, the known defects marked strict xfail."""
+    for kind in ("sym", "alt", "random", "tm"):
+        for n in (16, 64, 256, 1024):
+            for x in (0.001,) + VERIFY_X:
+                defect = LONG_CHAIN_KNOWN_DEFECTS.get((kind, n, x))
+                marks = [pytest.mark.xfail(strict=True, reason=defect)] if defect else []
+                yield pytest.param(kind, n, x, marks=marks, id=f"{kind}-{n}-{x:g}")
 
 
 def golden_rule_integrand(y, coeffs, x, cos2phi):
@@ -179,7 +207,7 @@ class TestClosedForms:
         assert ratio == pytest.approx(1.0 / 3.0, abs=1e-3)
 
     def test_rate_never_negative(self):
-        for state in enumerate_sign_states(5):
+        for state in sign_states(5):
             for x in (0.1, 0.5, 1.0, 3.0, 10.0):
                 for phi in (0.0, math.pi / 4, math.pi / 2):
                     assert damping_general(state, x, phi).rate_ratio >= 0.0
@@ -230,6 +258,21 @@ class TestAutocorrelationForm:
         assert bond_autocorrelation(SignState(tuple(coeffs))) == want
 
 
+class TestLongChainAccuracy:
+    """Past verify's N <= 12, where subradiant states live: every rate of
+    the family within VERIFY_TOL of an 80-digit reference (80 and 110
+    digits agree to 1e-37 or better on every row)."""
+
+    @pytest.mark.parametrize("kind, n, x", long_chain_cases())
+    def test_matches_mpmath(self, kind, n, x):
+        coeffs = sign_coeffs(kind, n)
+        autocorr = bond_autocorrelation(SignState(coeffs))
+        (got,) = closed_form_rates((sum(coeffs),), (autocorr,), x, VERIFY_PHI)
+        want = closed_form_rates_mp(sum(coeffs), autocorr, x, VERIFY_PHI, dps=80)
+        for phi, rate, ref in zip(VERIFY_PHI, got, want):
+            assert abs(rate - float(ref)) <= VERIFY_TOL * float(ref), (phi, rate, ref)
+
+
 def oracle_rate(state, x, phi):
     """The quadrature oracle's rate of one state at one phi."""
     return quadrature_rates([state], x, [phi])[0][0]
@@ -252,7 +295,7 @@ class TestQuadratureOracle:
         assert abs(cf - qd) / abs(cf) <= 1e-8
 
     def test_equivalence_sample(self):
-        for state in enumerate_sign_states(4):
+        for state in sign_states(4):
             for x in (0.1, 1.0, 10.0):
                 cf = damping_general(state, x, 0.3).rate_ratio
                 qd = oracle_rate(state, x, 0.3)
@@ -331,7 +374,7 @@ class TestSignFlip:
     @pytest.mark.parametrize("x, phi", [(0.5, 0.0), (3.0, math.pi / 4)])
     def test_rates_bitwise_equal(self, x, phi):
         for n in range(1, 6):
-            for state in enumerate_sign_states(n):
+            for state in sign_states(n):
                 flipped = SignState(tuple(-c for c in state.coeffs))
                 closed = [damping_general(c, x, phi).rate_ratio for c in (state, flipped)]
                 quads = [oracle_rate(c, x, phi) for c in (state, flipped)]
@@ -352,7 +395,7 @@ class TestBatchedOracle:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_batch_equals_per_state_loop(self, n):
-        states = enumerate_sign_states(n)
+        states = sign_states(n)
         for x in VERIFY_X:
             assert quadrature_rates(states, x, VERIFY_PHI) == self.one_by_one(states, x), x
 
@@ -362,13 +405,13 @@ class TestBatchedOracle:
         # 2^n states leave a partial last block, and at x = 10 (9 or 10
         # panels) each state's panels are split over blocks of 3
         monkeypatch.setattr(damping, "ORACLE_BLOCK_PANELS", 3)
-        states = enumerate_sign_states(n)
+        states = sign_states(n)
         assert len(states) % 3 != 0
         for x in VERIFY_X:
             assert quadrature_rates(states, x, VERIFY_PHI) == self.one_by_one(states, x), x
 
     def test_small_blocks_agree_with_default(self, monkeypatch):
-        states = enumerate_sign_states(6)
+        states = sign_states(6)
         whole = quadrature_rates(states, 10.0, VERIFY_PHI)
         monkeypatch.setattr(damping, "ORACLE_BLOCK_PANELS", 3)
         blocked = quadrature_rates(states, 10.0, VERIFY_PHI)
@@ -416,13 +459,13 @@ class TestClosedFormRates:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_batch_equals_one_state_calls(self, n):
-        states = enumerate_sign_states(n)
+        states = sign_states(n)
         for x in VERIFY_X:
             assert self.batch(states, x) == self.one_by_one(states, x), x
 
     def test_mixed_lengths_share_the_longest_kernel(self):
         # each state reads only its own N - 1 bonds of the shared kernel
-        states = [s for n in (3, 6, 1, 2, 5, 4) for s in enumerate_sign_states(n)]
+        states = [s for n in (3, 6, 1, 2, 5, 4) for s in sign_states(n)]
         for x in VERIFY_X:
             assert self.batch(states, x) == self.one_by_one(states, x), x
 
@@ -445,6 +488,17 @@ class TestClosedFormRates:
         calls.clear()
         x_sweep(alternating_state(200), 0.01, 5.0, 7, phis)
         assert len(calls) == 7 * 199
+
+    # sum C = 0 and A_1 = 1 is no sign state: at phi = 0 its rate is
+    # 3 g(x) (1 - 3)/2 = -x^2/10 to leading order
+    def test_roundoff_below_zero_is_clamped(self):
+        for x in (1e-6, math.sqrt(5e-12), math.sqrt(1e-11) * (1 - 1e-6)):
+            assert closed_form_rates([0], [[1]], x, [0.0]) == [[0.0]], x
+
+    def test_negative_rate_rejected(self):
+        for x in (0.01, math.sqrt(2e-11)):
+            with pytest.raises(ValueError, match="negative decay rate"):
+                closed_form_rates([0], [[1]], x, [0.0])
 
     def test_negative_rate_refused(self):
         # sum C = 0 and A_1 = 5 is no sign state: its rate is 5 (F - 1) < 0
@@ -470,7 +524,7 @@ class TestSignAverage:
     def test_mean_rate_is_unity(self, n):
         rates = [
             damping_general(s, 0.7, math.radians(30)).rate_ratio
-            for s in enumerate_sign_states(n)
+            for s in sign_states(n)
         ]
         assert sum(rates) / len(rates) == pytest.approx(1.0, abs=1e-12)
 
@@ -478,7 +532,7 @@ class TestSignAverage:
 class TestSweeps:
     def test_nscaling_linear_growth(self):
         table = n_scaling_sweep(20, 0.001, [0.0])
-        gammas = table.column("gamma_phi0")
+        gammas = column(table, "gamma_phi0")
         assert np.allclose(gammas, np.arange(1, 21), rtol=1e-3)
 
     @pytest.mark.parametrize("x", [0.001, 0.1, 1.0])
@@ -493,30 +547,30 @@ class TestSweeps:
             ], n
 
     def test_nscaling_plateau_reached_faster_at_larger_x(self):
-        small_x = n_scaling_sweep(100, 0.001, [0.0]).column("gamma_phi0")
-        large_x = n_scaling_sweep(100, 1.0, [0.0]).column("gamma_phi0")
+        small_x = column(n_scaling_sweep(100, 0.001, [0.0]), "gamma_phi0")
+        large_x = column(n_scaling_sweep(100, 1.0, [0.0]), "gamma_phi0")
         # saturation measured by how close N=20 is to the N=100 value
         assert large_x[19] / large_x[99] > small_x[19] / small_x[99]
 
     def test_nscaling_decoupled_at_large_x(self):
         table = n_scaling_sweep(30, 30.0, [0.0, math.pi / 2])
         for name in ("gamma_phi0", "gamma_phi90"):
-            assert np.all(np.abs(table.column(name) - 1.0) < 0.2)
+            assert np.all(np.abs(column(table, name) - 1.0) < 0.2)
 
     def test_angle_sweep_polarization_gap(self):
         grid = np.radians(np.linspace(0, 90, 19))
         table = angle_sweep(100, 0.1, grid)
-        gammas = table.column("gamma")
+        gammas = column(table, "gamma")
         assert abs(gammas[0] - gammas[-1]) > 0.1 * max(gammas[0], gammas[-1])
 
     def test_angle_sweep_flat_for_single_atom(self):
         table = angle_sweep(1, 0.5, np.radians(np.linspace(0, 90, 7)))
-        assert np.all(table.column("gamma") == 1.0)
+        assert np.all(column(table, "gamma") == 1.0)
 
     def test_angle_sweep_supplementary_symmetry(self):
         grid = [0.3, math.pi - 0.3]
         table = angle_sweep(5, 0.5, grid)
-        gammas = table.column("gamma")
+        gammas = column(table, "gamma")
         assert gammas[0] == pytest.approx(gammas[1], rel=1e-13)
 
     def test_angle_sweep_bitwise_per_point(self):
@@ -627,7 +681,7 @@ class TestSweeps:
     def test_x_sweep_oracle_columns_and_footer(self):
         table = x_sweep(alternating_state(2), 0.5, 2.0, 4, [0.0], oracle=True)
         assert "gamma_quadrature_phi0" in table.columns
-        closed = table.column("gamma_phi0")
-        quads = table.column("gamma_quadrature_phi0")
+        closed = column(table, "gamma_phi0")
+        quads = column(table, "gamma_quadrature_phi0")
         assert np.allclose(closed, quads, rtol=1e-8)
         assert len(table.footer) == 1 and table.footer[0].startswith("max_rel_err=")

@@ -14,6 +14,7 @@ from chainrad.emission import (
 from chainrad.scales import ANGSTROM, config_from_dict, derive_scales
 from chainrad.states import SignState, alternating_state, symmetric_state
 from oracles import (
+    column,
     emission_geometry,
     one_point_intensity,
     sign_coeffs,
@@ -285,8 +286,8 @@ class TestEmissionSweep:
         trace = emission_sweep(
             symmetric_state(2), a_grid, math.pi / 2, OBS_X, T_OBS, scales, 1.0
         )
-        a_col = trace.table.column("a_angstrom")
-        i_col = trace.table.column("intensity_ratio")
+        a_col = column(trace.table, "a_angstrom")
+        i_col = column(trace.table, "intensity_ratio")
         peak = int(np.argmax(i_col))
         step = a_grid[1] / a_grid[0]
         assert 1e6 / step <= a_col[peak] <= 1e6 * step
@@ -300,7 +301,7 @@ class TestEmissionSweep:
         for state in (symmetric_state(2), alternating_state(2)):
             for phi in (0.0, math.pi / 4, math.pi / 2):
                 trace = emission_sweep(state, a_grid, phi, OBS_X, T_OBS, scales, 1.0)
-                assert np.all(trace.table.column("intensity_ratio") >= -1e-12)
+                assert np.all(column(trace.table, "intensity_ratio") >= -1e-12)
 
     def test_causality_violation_names_point(self, scales):
         a_grid = np.array([1e5, 5e6]) * ANGSTROM  # second point is acausal at 2x/c

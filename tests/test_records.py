@@ -105,22 +105,6 @@ class TestChainConfig:
             ChainConfig(**dict(self.BASE, lattice_const_angstrom=-1.0))
 
 
-class TestDampingResult:
-    def make(self, rate):
-        return DampingResult(
-            rate_ratio=rate, method="closed_form", state=symmetric_state(1), x=1.0, phi=0.0
-        )
-
-    def test_roundoff_below_zero_is_clamped(self):
-        assert self.make(-5e-13).rate_ratio == 0.0
-        assert self.make(-1e-12).rate_ratio == 0.0
-        assert self.make(0.25).rate_ratio == 0.25
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError, match="negative decay rate"):
-            self.make(-2e-12)
-
-
 class TestEmissionRecords:
     def test_frozen_with_named_fields(self):
         table = SweepTable(columns=["x"], rows=[(1.0,)])

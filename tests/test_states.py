@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainrad.states import (
-    MAX_ENUM_ATOMS,
-    SignState,
-    alternating_state,
-    enumerate_sign_states,
-    symmetric_state,
-)
+from chainrad.states import SignState, alternating_state, symmetric_state
 from oracles import pair_correlations
 
 sign_patterns = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=12).map(tuple)
@@ -82,23 +76,3 @@ class TestPairCorrelations:
     def test_symmetric_diagonal_value(self):
         mat = pair_correlations(symmetric_state(5).coeffs)
         assert np.all(np.diag(mat) == pytest.approx(0.2))
-
-
-class TestEnumeration:
-    def test_single_atom(self):
-        states = enumerate_sign_states(1)
-        assert [s.coeffs for s in states] == [(1,), (-1,)]
-
-    def test_lexicographic_order_n2(self):
-        states = enumerate_sign_states(2)
-        assert [s.coeffs for s in states] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_count_and_uniqueness(self, n):
-        states = enumerate_sign_states(n)
-        assert len(states) == 2**n
-        assert len({s.coeffs for s in states}) == 2**n
-
-    def test_guard_on_blowup(self):
-        with pytest.raises(ValueError):
-            enumerate_sign_states(MAX_ENUM_ATOMS + 1)
