@@ -11,7 +11,8 @@ with F(0) = 1. The closed-form rate for a sign state {C_n} is
     gamma/gamma_a = 1 + (2/N) sum_{n<m} C_n C_m F(q_a a (m - n), phi),
 
 which depends on the state only through the bond autocorrelation
-A_k = sum_n C_n C_{n+k}, the signed count of bonds of length k. Since
+A_k = sum_n C_n C_{n+k}, the signed count of bonds of length k; even
+(sum_n C_n)^2 is N + 2 sum_k A_k. Since
 F - 1 = 1.5 (sin^2 phi s(x) + (1 - 3 cos^2 phi) g(x)), the bond sum is
 1.5 (sin^2 phi S + (1 - 3 cos^2 phi) G) with the phi-free moments
 S = sum_k A_k s(k x) and G = sum_k A_k g(k x): one pass over the bonds
@@ -32,6 +33,7 @@ import math
 import sys
 
 from .frozen import Frozen
+from .scales import MAX_ATOMS
 from .states import SignState
 from .sweeps import SweepTable, check_work, linspace, phi_columns
 
@@ -63,16 +65,12 @@ ORACLE_BLOCK_PANELS = 1024
 #: 2 s of oracle work on a 2-vCPU host.
 ORACLE_NODE_BUDGET = 1e9
 
-#: Most bond terms a closed-form sweep may sum. Each state sums its N - 1
-#: bonds once per x into two phi-free moments, so x_sweep counts
-#: n_points (N - 1), n_scaling_sweep n_max (n_max - 1)/2 and angle_sweep
-#: N - 1, however many polarizations they have. A sweep over budget is
-#: refused before any work. On a 2-vCPU host a term costs about 0.17 us
-#: where many states share the kernel (n_scaling_sweep) and 1.1 us where
-#: each x evaluates its own (x_sweep, angle_sweep), so the budget is about
-#: 17 s to 2 min of work. A bond on the kernel's series branch
-#: (k x < F_SERIES_THRESHOLD) costs 5 to 15 us instead, so x_sweep, where
-#: each point evaluates its own, counts each such bond as 10 terms.
+#: Most bond terms an x_sweep may sum: its state sums its N - 1 bonds
+#: once per x into two phi-free moments, n_points (N - 1) terms however
+#: many polarizations it has. On a 2-vCPU host a term costs about 1.1 us,
+#: so the budget is about 2 min of work. A bond on the kernel's series
+#: branch (k x < F_SERIES_THRESHOLD) costs 5 to 15 us instead and counts
+#: as 10 terms.
 CLOSED_FORM_TERM_BUDGET = 1e8
 
 
@@ -178,32 +176,33 @@ def bond_autocorrelation(state: SignState) -> list[int]:
     ]
 
 
-def closed_form_rates(totals, autocorrs, x: float, phi_list) -> list[list[float]]:
-    """(sum_n C_n)^2/N + (2/N) sum_k A_k (F(k x, phi) - 1) for each state and phi.
+def closed_form_rates(autocorrs, x: float, phi_list) -> list[list[float]]:
+    """1 + (2/N) sum_k A_k F(k x, phi) for each state and phi, summed as
+    (N + 2 sum_k A_k)/N + (2/N) sum_k A_k (F(k x, phi) - 1).
 
-    A state is its sum_n C_n in the sequence ``totals`` and its A_k,
-    k = 1, ..., N - 1, in the sequence ``autocorrs``; each is read once.
-    Like :func:`quadrature_rates`, one list per state holds one rate per
-    phi. The kernel's series are evaluated once per bond, up to the
-    longest chain, and each state sums its own N - 1 bonds in k order
-    into two phi-free moments, S = sum_k A_k s(k x) and
-    G = sum_k A_k g(k x). Each phi then costs O(1):
-    sum_k A_k (F - 1) = 1.5 (a S + b G) with (a, b) from
-    :func:`_phi_weights`. A rate below zero by at most 1e-12 is roundoff
-    and is returned as 0; a lower one raises ValueError.
+    A state is its A_k, k = 1, ..., N - 1, in the sequence ``autocorrs``;
+    each is read once. N + 2 sum_k A_k is the exact integer (sum_n C_n)^2,
+    so the constant part is one correctly rounded quotient. Like
+    :func:`quadrature_rates`, one list per state holds one rate per phi.
+    The kernel's series are evaluated once per bond, up to the longest
+    chain, and each state sums its own N - 1 bonds in k order into two
+    phi-free moments, S = sum_k A_k s(k x) and G = sum_k A_k g(k x).
+    Each phi then costs O(1): sum_k A_k (F - 1) = 1.5 (a S + b G) with
+    (a, b) from :func:`_phi_weights`. A rate below zero by at most 1e-12
+    is roundoff and is returned as 0; a lower one raises ValueError.
     """
     if not x > 0:
         raise ValueError(f"separation must be > 0, got x={x}")
     parts = [_kernel_parts(k * x) for k in range(1, max(map(len, autocorrs)) + 1)]
     weights = [_phi_weights(phi) for phi in phi_list]
     rates = []
-    for total, autocorr in zip(totals, autocorrs):
+    for autocorr in autocorrs:
         n = len(autocorr) + 1
         s_sum = g_sum = 0.0
         for a_k, (s, g) in zip(autocorr, parts):
             s_sum += a_k * s
             g_sum += a_k * g
-        base = float(total) ** 2 / n
+        base = (n + 2 * sum(autocorr)) / n
         row = []
         for a, b in weights:
             rate = base + 2.0 * (1.5 * (a * s_sum + b * g_sum)) / n
@@ -219,16 +218,13 @@ def closed_form_rates(totals, autocorrs, x: float, phi_list) -> list[list[float]
 def damping_general(state: SignState, x: float, phi: float) -> DampingResult:
     """Rate of an arbitrary sign state via the bond-autocorrelation form.
 
-    1 + (2/N) sum_{n<m} C_n C_m F is evaluated as
-    (sum_n C_n)^2/N + (2/N) sum_k A_k (F(k x, phi) - 1): the constant part
-    collapses exactly, so nearly dark states keep their tiny rates
-    instead of dissolving into cancellation noise. A_k = sum_n C_n C_{n+k}
-    is correlated in exact integers by :func:`bond_autocorrelation`, and
-    the kernel is evaluated once per bond length. The all-plus state has
-    A_k = N - k, the number of bonds of length k.
+    A_k = sum_n C_n C_{n+k} is correlated in exact integers by
+    :func:`bond_autocorrelation`, and :func:`closed_form_rates` evaluates
+    the kernel once per bond length. The all-plus state has A_k = N - k,
+    the number of bonds of length k.
     """
     autocorr = bond_autocorrelation(state)
-    rate = closed_form_rates((sum(state.coeffs),), (autocorr,), x, (phi,))[0][0]
+    rate = closed_form_rates((autocorr,), x, (phi,))[0][0]
     return DampingResult(rate, "closed_form", state, x, phi)
 
 
@@ -368,22 +364,15 @@ def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
 
     The kernel is evaluated once per bond length k < n_max and shared by
     every N; each row is the rate damping_general gives for
-    symmetric_state(N), whose A_k = N - k. The moments do not depend on
-    phi, so a sweep sums n_max (n_max - 1)/2 bond terms however many
-    polarizations it has; one over CLOSED_FORM_TERM_BUDGET is refused
-    with ValueError before any work.
+    symmetric_state(N), whose A_k = N - k. An n_max outside 1..MAX_ATOMS
+    is refused with ValueError before any work.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not 1 <= n_max <= MAX_ATOMS:
+        raise ValueError(f"n_max must be in 1..{MAX_ATOMS}, got {n_max}")
     phi_list = list(phi_list)
-    check_work(
-        f"the closed form over N = 1..{n_max}",
-        n_max * (n_max - 1) / 2, "bond terms", CLOSED_FORM_TERM_BUDGET,
-        "use a shorter chain",
-    )
     columns = ["N"] + phi_columns("gamma", phi_list)
     sizes = range(1, n_max + 1)
-    rates = closed_form_rates(sizes, [range(n - 1, 0, -1) for n in sizes], x, phi_list)
+    rates = closed_form_rates([range(n - 1, 0, -1) for n in sizes], x, phi_list)
     rows = [(n, *row) for n, row in zip(sizes, rates)]
     return SweepTable(columns=columns, rows=rows)
 
@@ -391,16 +380,12 @@ def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
 def angle_sweep(n: int, x: float, phi_grid) -> SweepTable:
     """Symmetric-state rate vs polarization angle: the chain's N - 1 bond
     terms are summed once into phi-free moments, and each angle costs
-    O(1). A chain whose N - 1 exceeds CLOSED_FORM_TERM_BUDGET is refused
-    with ValueError before any work."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    O(1). An n outside 1..MAX_ATOMS is refused with ValueError before
+    any work."""
+    if not 1 <= n <= MAX_ATOMS:
+        raise ValueError(f"n must be in 1..{MAX_ATOMS}, got {n}")
     phis = [float(p) for p in phi_grid]
-    check_work(
-        f"the closed form at N={n}", n - 1, "bond terms", CLOSED_FORM_TERM_BUDGET,
-        "use a shorter chain",
-    )
-    (rates,) = closed_form_rates((n,), (range(n - 1, 0, -1),), x, phis)
+    (rates,) = closed_form_rates((range(n - 1, 0, -1),), x, phis)
     rows = [(math.degrees(p), rate) for p, rate in zip(phis, rates)]
     return SweepTable(columns=["phi_deg", "gamma"], rows=rows)
 
@@ -412,46 +397,56 @@ def x_sweep(
     """Rate of a fixed state vs dimensionless separation.
 
     With ``oracle=True`` a quadrature column is added per polarization
-    and the footer records the worst closed-form/quadrature mismatch; a
+    and the footer records the worst closed-form/quadrature mismatch. A
     grid whose oracle work exceeds ORACLE_NODE_BUDGET, or whose
     n_points (N - 1) bond terms, with a bond on the kernel's series branch
     counted as 10, exceed CLOSED_FORM_TERM_BUDGET, is refused with
-    ValueError before any work. Each x shares one pair of moments,
-    and one oracle batch, among all polarizations.
+    ValueError before any work: first on the least counts the arguments
+    imply (N (ORACLE_NODES + ORACLE_CHECK_NODES) Horner steps and N - 1
+    terms a point), before the grid is built, then on the grid's own.
+    Each x shares one pair of moments, and one oracle batch, among all
+    polarizations.
     """
     if not 0 < x_min < x_max:
         raise ValueError(f"need 0 < x_min < x_max, got [{x_min}, {x_max}]")
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
-    grid = linspace(x_min, x_max, n_points)
-    if oracle:
+    n = state.n
+    bonds = n - 1
+
+    def check_budgets(oracle_steps, terms):
+        if oracle:
+            check_work(
+                f"the quadrature oracle over {n_points} points up to x={x_max:g} "
+                f"at N={n}",
+                oracle_steps, "Horner steps", ORACLE_NODE_BUDGET,
+                "use fewer points, a smaller x range or a shorter chain",
+            )
         check_work(
-            f"the quadrature oracle over {n_points} points up to x={x_max:g} "
-            f"at N={state.n}",
-            _oracle_work(state.n, grid), "Horner steps", ORACLE_NODE_BUDGET,
-            "use fewer points, a smaller x range or a shorter chain",
+            f"the closed form over {n_points} points at N={n}",
+            terms, "bond terms", CLOSED_FORM_TERM_BUDGET,
         )
-    phi_list = list(phi_list)
+
+    # the least counts need no grid: one far over budget is never built
+    check_budgets(n * (ORACLE_NODES + ORACLE_CHECK_NODES) * n_points, n_points * bonds)
+    grid = linspace(x_min, x_max, n_points)
     # the bonds k < F_SERIES_THRESHOLD / x are on the kernel's series
     # branch; each weighs 10 terms
-    bonds = state.n - 1
     series = sum(
-        math.ceil(F_SERIES_THRESHOLD / x) - 1 if x > F_SERIES_THRESHOLD / state.n
+        math.ceil(F_SERIES_THRESHOLD / x) - 1 if x > F_SERIES_THRESHOLD / n
         else bonds
         for x in grid
     )
-    check_work(
-        f"the closed form over {n_points} points at N={state.n}",
-        n_points * bonds + 9 * series, "bond terms", CLOSED_FORM_TERM_BUDGET,
-    )
+    check_budgets(_oracle_work(n, grid) if oracle else 0, n_points * bonds + 9 * series)
+    phi_list = list(phi_list)
     columns = ["x"] + phi_columns("gamma", phi_list)
     if oracle:
         columns += phi_columns("gamma_quadrature", phi_list)
-    totals, autocorrs = (sum(state.coeffs),), (bond_autocorrelation(state),)
+    autocorrs = (bond_autocorrelation(state),)
     rows = []
     max_rel_err = 0.0
     for x in grid:
-        (closed,) = closed_form_rates(totals, autocorrs, x, phi_list)
+        (closed,) = closed_form_rates(autocorrs, x, phi_list)
         row = [x] + closed
         if oracle:
             quads = quadrature_rates([state], x, phi_list)[0]

@@ -13,9 +13,10 @@ from .frozen import Frozen
 
 ANGSTROM = 1e-10  # m
 
-#: Longest chain any command accepts. A rate costs O(N^2) in the bond
-#: autocorrelation and ``nscaling`` O(N_max^2) in Python multiply-adds,
-#: so a mistyped length is rejected before it starts hours of work.
+#: Longest chain any command, angle_sweep or n_scaling_sweep accepts. A
+#: rate costs O(N^2) in the bond autocorrelation and ``nscaling``
+#: O(N_max^2) in Python multiply-adds, so a mistyped length is rejected
+#: before it starts hours of work.
 MAX_ATOMS = 10_000
 
 # CODATA 2022 values, written out so every derived number and CSV header

@@ -275,7 +275,7 @@ from chainrad.states import alternating_state
 calls = {
     "damping_general": lambda: damping_general(alternating_state(7), 0.5, 0.3),
     "x_sweep": lambda: x_sweep(alternating_state(3), 0.1, 2.0, 5, [0.0, 1.0]),
-    "closed_form_rates": lambda: closed_form_rates([1, 3], [[-1], [2, 1]], 0.5, [0.0]),
+    "closed_form_rates": lambda: closed_form_rates([[-1], [2, 1]], 0.5, [0.0]),
 }
 for name, call in calls.items():
     call()
@@ -409,7 +409,7 @@ class TestExitCodes:
             ["damping", "--range", "5:1"],
             ["nscaling", "--range", "5:50"],
             ["nscaling", "--range", "1:20.5"],
-            # N_max is capped before any work; the chain length is the sweep
+            # the sweep refuses an N_max over MAX_ATOMS before any work
             ["nscaling", "--range", "1:10001"],
             ["scales", "--out", "no_such_dir/scales.csv"],
             ["verify", "--nmax", "0"],
@@ -573,7 +573,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            # 9999 terms shared by every angle, and 10^4 (10^4 - 1) / 2 terms
+            # MAX_ATOMS chains: one pass over 9999 bonds shared by every
+            # angle, and every chain length up to 10^4
             ["angles", "--set", "n_atoms=10000", "--points", "1000"],
             ["nscaling", "--range", "1:10000"],
             ["angles", "--set", "n_atoms=10000", "--points", "100000"],
@@ -585,7 +586,7 @@ class TestExitCodes:
         # a stand-in for the sum (seconds of work) keeps the test fast
         monkeypatch.setattr(
             damping, "closed_form_rates",
-            lambda totals, autocorrs, x, phis: [[1.0] * len(phis) for _ in totals],
+            lambda autocorrs, x, phis: [[1.0] * len(phis) for _ in autocorrs],
         )
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == EXIT_OK

@@ -26,6 +26,7 @@ from chainrad.damping import (
     quadrature_rates,
     x_sweep,
 )
+from chainrad.scales import MAX_ATOMS
 from chainrad.states import SignState, alternating_state, symmetric_state
 from chainrad.sweeps import linspace
 from oracles import (
@@ -119,12 +120,12 @@ class TestFKernel:
 
     @pytest.mark.parametrize("x", [0.01, 0.7, 1.4999, 1.5, 4.0, 37.0])
     def test_bond_kernels_match_one_bond_kernel(self, x):
-        # a state whose only bond is of length k sums just that bond's F - 1
+        # an A_k whose only bond is of length k sums just that bond's F - 1
         phis = [0.0, 0.3, math.pi / 4, 1.2, math.pi / 2]
         for k in range(1, 12):
-            (rates,) = closed_form_rates([k + 1], [[0] * (k - 1) + [1]], x, phis)
+            (rates,) = closed_form_rates([[0] * (k - 1) + [1]], x, phis)
             assert rates == [
-                float(k + 1) ** 2 / (k + 1) + 2.0 * kernel_minus_one(k * x, p) / (k + 1)
+                (k + 3) / (k + 1) + 2.0 * kernel_minus_one(k * x, p) / (k + 1)
                 for p in phis
             ]
             # and f_kernel, figure 5's F, is that bond's 1 + (F - 1)
@@ -267,7 +268,7 @@ class TestLongChainAccuracy:
     def test_matches_mpmath(self, kind, n, x):
         coeffs = sign_coeffs(kind, n)
         autocorr = bond_autocorrelation(SignState(coeffs))
-        (got,) = closed_form_rates((sum(coeffs),), (autocorr,), x, VERIFY_PHI)
+        (got,) = closed_form_rates((autocorr,), x, VERIFY_PHI)
         want = closed_form_rates_mp(sum(coeffs), autocorr, x, VERIFY_PHI, dps=80)
         for phi, rate, ref in zip(VERIFY_PHI, got, want):
             assert abs(rate - float(ref)) <= VERIFY_TOL * float(ref), (phi, rate, ref)
@@ -446,9 +447,8 @@ class TestClosedFormRates:
 
     @staticmethod
     def batch(states, x, phis=VERIFY_PHI):
-        totals = [sum(state.coeffs) for state in states]
         autocorrs = [bond_autocorrelation(state) for state in states]
-        return closed_form_rates(totals, autocorrs, x, phis)
+        return closed_form_rates(autocorrs, x, phis)
 
     @staticmethod
     def one_by_one(states, x):
@@ -489,26 +489,47 @@ class TestClosedFormRates:
         x_sweep(alternating_state(200), 0.01, 5.0, 7, phis)
         assert len(calls) == 7 * 199
 
-    # sum C = 0 and A_1 = 1 is no sign state: at phi = 0 its rate is
-    # 3 g(x) (1 - 3)/2 = -x^2/10 to leading order
+    # N + 2 sum_k A_k = (sum C)^2 in exact integers below 2^53, so the
+    # constant part (N + 2 sum_k A_k)/N is bitwise float(sum C)^2/N
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_constant_part_of_every_state_is_its_squared_sum(self, n):
+        for state in sign_states(n):
+            autocorr, total = bond_autocorrelation(state), sum(state.coeffs)
+            assert n + 2 * sum(autocorr) == total**2, state
+            assert (n + 2 * sum(autocorr)) / n == float(total) ** 2 / n, state
+
+    @pytest.mark.parametrize("kind", ["sym", "alt", "random", "tm"])
+    @pytest.mark.parametrize("n", [16, 64, 999, 1024, 4097, MAX_ATOMS])
+    def test_constant_part_of_long_chains_is_their_squared_sum(self, kind, n):
+        coeffs = sign_coeffs(kind, n)
+        autocorr, total = bond_autocorrelation(SignState(coeffs)), sum(coeffs)
+        assert n + 2 * sum(autocorr) == total**2
+        assert (n + 2 * sum(autocorr)) / n == float(total) ** 2 / n
+
     def test_roundoff_below_zero_is_clamped(self):
-        for x in (1e-6, math.sqrt(5e-12), math.sqrt(1e-11) * (1 - 1e-6)):
-            assert closed_form_rates([0], [[1]], x, [0.0]) == [[0.0]], x
+        # Thue-Morse at N = 16 has sum C = 0 and bond moments that vanish
+        # to x^8: at x = 0.001 its bond sum rounds to about -9.5e-22
+        autocorr = bond_autocorrelation(SignState(sign_coeffs("tm", 16)))
+        assert closed_form_rates([autocorr], 0.001, [0.0]) == [[0.0]]
+        # A_k = (-3, 1, 0) is no sign state: N + 2 sum A_k = 0, and at
+        # phi = 0 its rate is -6 G/4 = -x^2/20 to leading order
+        for x in (1e-6, math.sqrt(1e-11), math.sqrt(2e-11) * (1 - 1e-6)):
+            assert closed_form_rates([[-3, 1, 0]], x, [0.0]) == [[0.0]], x
 
     def test_negative_rate_rejected(self):
-        for x in (0.01, math.sqrt(2e-11)):
+        for x in (0.01, math.sqrt(4e-11), math.sqrt(2e-11) * (1 + 1e-6)):
             with pytest.raises(ValueError, match="negative decay rate"):
-                closed_form_rates([0], [[1]], x, [0.0])
+                closed_form_rates([[-3, 1, 0]], x, [0.0])
 
     def test_negative_rate_refused(self):
-        # sum C = 0 and A_1 = 5 is no sign state: its rate is 5 (F - 1) < 0
+        # A_1 = -5 is no sign state: its constant part is (2 - 10)/2
         with pytest.raises(ValueError, match="negative decay rate"):
-            closed_form_rates([0], [[5]], 1.0, [0.0])
+            closed_form_rates([[-5]], 1.0, [0.0])
 
     def test_zero_separation_rejected_by_every_caller(self):
         state = symmetric_state(3)
         with pytest.raises(ValueError, match="separation must be > 0"):
-            closed_form_rates([3], [[2, 1]], 0.0, [0.0])
+            closed_form_rates([[2, 1]], 0.0, [0.0])
         with pytest.raises(ValueError, match="separation must be > 0"):
             n_scaling_sweep(3, 0.0, [0.0])
         with pytest.raises(ValueError, match="separation must be > 0"):
@@ -629,12 +650,30 @@ class TestSweeps:
         monkeypatch.setattr(damping, "closed_form_rates", None)  # never reached
         with pytest.raises(ValueError, match="100000 points at N=10000 .* 1.00e\\+09"):
             x_sweep(symmetric_state(10_000), 0.01, 20.0, 100_000, [0.0])
-        # an angle sweep sums its chain's N - 1 bond terms once
-        with pytest.raises(ValueError, match="at N=100000002 .* 1.00e\\+08"):
-            angle_sweep(100_000_002, 0.1, [0.0])
-        # the chain lengths 1..n_max sum n_max (n_max - 1) / 2 terms
-        with pytest.raises(ValueError, match="N = 1..14143 .* 1.00e\\+08"):
-            n_scaling_sweep(14_143, 0.1, [0.0])
+        # angle and n-scaling sweeps have no budget of their own: a chain
+        # longer than MAX_ATOMS is refused by its length
+        for n in (0, MAX_ATOMS + 1):
+            with pytest.raises(ValueError, match=f"n must be in 1..{MAX_ATOMS}"):
+                angle_sweep(n, 0.1, [0.0])
+            with pytest.raises(ValueError, match=f"n_max must be in 1..{MAX_ATOMS}"):
+                n_scaling_sweep(n, 0.1, [0.0])
+
+    @pytest.mark.parametrize(
+        "oracle, unit", [(False, "bond terms"), (True, "Horner steps")],
+        ids=["closed_form", "oracle"],
+    )
+    def test_x_sweep_over_budget_refused_before_its_grid(self, oracle, unit):
+        # 10^6 points at N = 1000 cost at least 10^6 (N - 1) bond terms and,
+        # with the oracle, N (24 + 16) Horner steps each: both are over
+        # budget before a grid of 10^6 floats (about 32 MB) is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{unit}, over its budget"):
+                x_sweep(symmetric_state(1000), 0.01, 20.0, 10**6, [0.0], oracle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize(
         "sweep, args, text",
@@ -647,12 +686,11 @@ class TestSweeps:
              "the closed form over 10001 points at N=10001 needs about 1.00e+08 "
              "bond terms, over its budget of 1e+08; use fewer points or a "
              "shorter chain"),
-            (angle_sweep, (100_000_002, 0.1, [0.0] * 10),
-             "the closed form at N=100000002 needs about 1.00e+08 bond terms, "
-             "over its budget of 1e+08; use a shorter chain"),
-            (n_scaling_sweep, (14_143, 0.1, [0.0, 1.0]),
-             "the closed form over N = 1..14143 needs about 1.00e+08 bond terms, "
-             "over its budget of 1e+08; use a shorter chain"),
+            # a chain over MAX_ATOMS is refused by its length, not a budget
+            (angle_sweep, (MAX_ATOMS + 1, 0.1, [0.0] * 10),
+             "n must be in 1..10000, got 10001"),
+            (n_scaling_sweep, (MAX_ATOMS + 1, 0.1, [0.0, 1.0]),
+             "n_max must be in 1..10000, got 10001"),
         ],
         ids=["oracle", "x", "angles", "nscaling"],
     )
@@ -664,19 +702,19 @@ class TestSweeps:
         assert str(info.value) == text
 
     def test_closed_form_at_budget_runs(self, monkeypatch):
-        # the budget itself is accepted; a stand-in for the sum (minutes of
-        # work) keeps the test fast
+        # the budget itself is accepted, and so is a MAX_ATOMS chain; a
+        # stand-in for the sum (seconds to minutes of work) keeps the test fast
         monkeypatch.setattr(
             damping, "closed_form_rates",
-            lambda totals, autocorrs, x, phis: [[1.0] * len(phis) for _ in totals],
+            lambda autocorrs, x, phis: [[1.0] * len(phis) for _ in autocorrs],
         )
-        # polarizations add no bond terms: each x, or each chain, sums its
-        # two moments once for every phi. From x = 1.5 on, no bond is on the
-        # kernel's series branch, which would weigh 10 terms
+        # polarizations add no bond terms: each x sums its two moments once
+        # for every phi. From x = 1.5 on, no bond is on the kernel's series
+        # branch, which would weigh 10 terms
         phis = [0.0, 1.0]
         assert len(x_sweep(symmetric_state(10_001), 1.5, 20.0, 10_000, phis).rows) == 10_000
-        assert len(angle_sweep(100_000_001, 0.1, [0.0] * 10_000).rows) == 10_000
-        assert len(n_scaling_sweep(14_142, 0.1, phis).rows) == 14_142
+        assert len(angle_sweep(MAX_ATOMS, 0.1, [0.0] * 10_000).rows) == 10_000
+        assert len(n_scaling_sweep(MAX_ATOMS, 0.1, phis).rows) == MAX_ATOMS
 
     def test_x_sweep_oracle_columns_and_footer(self):
         table = x_sweep(alternating_state(2), 0.5, 2.0, 4, [0.0], oracle=True)
