@@ -53,12 +53,12 @@ def coupling_sweep(
     """Uniform x-grid sweep of the exact and electrostatic couplings.
 
     One exact and one electrostatic column per polarization angle; a
-    one-point grid is x_min alone.
+    one-point grid is x_min alone. The grid comes from
+    :func:`~chainrad.sweeps.linspace`, which refuses an n_points outside
+    1..MAX_POINTS before any point is built.
     """
     if not 0 < x_min < x_max:
         raise ValueError(f"need 0 < x_min < x_max, got [{x_min}, {x_max}]")
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
     phi_list = list(phi_list)
     columns = (
         ["x"] + phi_columns("J_exact", phi_list) + phi_columns("J_approx", phi_list)

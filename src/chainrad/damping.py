@@ -166,9 +166,12 @@ def bond_autocorrelation(state: SignState) -> list[int]:
 
     With the minus signs as the set bits of b, C_n C_{n+k} = -1 exactly
     where bits n and n + k differ, so A_k = (N - k) - 2 popcount of
-    (b ^ b >> k) over the N - k low bits.
+    (b ^ b >> k) over the N - k low bits. The work is O(N^2), so a state
+    longer than MAX_ATOMS is refused with ValueError before any of it.
     """
     n = state.n
+    if n > MAX_ATOMS:
+        raise ValueError(f"n must be in 1..{MAX_ATOMS}, got {n}")
     bits = sum(1 << i for i, c in enumerate(state.coeffs) if c == -1)
     return [
         (n - k) - 2 * ((bits ^ (bits >> k)) & ((1 << (n - k)) - 1)).bit_count()
@@ -397,39 +400,27 @@ def x_sweep(
     """Rate of a fixed state vs dimensionless separation.
 
     With ``oracle=True`` a quadrature column is added per polarization
-    and the footer records the worst closed-form/quadrature mismatch. A
-    grid whose oracle work exceeds ORACLE_NODE_BUDGET, or whose
-    n_points (N - 1) bond terms, with a bond on the kernel's series branch
-    counted as 10, exceed CLOSED_FORM_TERM_BUDGET, is refused with
-    ValueError before any work: first on the least counts the arguments
-    imply (N (ORACLE_NODES + ORACLE_CHECK_NODES) Horner steps and N - 1
-    terms a point), before the grid is built, then on the grid's own.
-    Each x shares one pair of moments, and one oracle batch, among all
-    polarizations.
+    and the footer records the worst closed-form/quadrature mismatch. The
+    grid comes from :func:`~chainrad.sweeps.linspace`, which refuses an
+    n_points outside 1..MAX_POINTS before any point is built. A grid
+    whose oracle work exceeds ORACLE_NODE_BUDGET, or whose n_points (N - 1)
+    bond terms, with a bond on the kernel's series branch counted as 10,
+    exceed CLOSED_FORM_TERM_BUDGET, is then refused with ValueError before
+    any rate is computed. Each x shares one pair of moments, and one
+    oracle batch, among all polarizations.
     """
     if not 0 < x_min < x_max:
         raise ValueError(f"need 0 < x_min < x_max, got [{x_min}, {x_max}]")
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
     n = state.n
     bonds = n - 1
-
-    def check_budgets(oracle_steps, terms):
-        if oracle:
-            check_work(
-                f"the quadrature oracle over {n_points} points up to x={x_max:g} "
-                f"at N={n}",
-                oracle_steps, "Horner steps", ORACLE_NODE_BUDGET,
-                "use fewer points, a smaller x range or a shorter chain",
-            )
-        check_work(
-            f"the closed form over {n_points} points at N={n}",
-            terms, "bond terms", CLOSED_FORM_TERM_BUDGET,
-        )
-
-    # the least counts need no grid: one far over budget is never built
-    check_budgets(n * (ORACLE_NODES + ORACLE_CHECK_NODES) * n_points, n_points * bonds)
     grid = linspace(x_min, x_max, n_points)
+    if oracle:
+        check_work(
+            f"the quadrature oracle over {n_points} points up to x={x_max:g} "
+            f"at N={n}",
+            _oracle_work(n, grid), "Horner steps", ORACLE_NODE_BUDGET,
+            "use fewer points, a smaller x range or a shorter chain",
+        )
     # the bonds k < F_SERIES_THRESHOLD / x are on the kernel's series
     # branch; each weighs 10 terms
     series = sum(
@@ -437,7 +428,10 @@ def x_sweep(
         else bonds
         for x in grid
     )
-    check_budgets(_oracle_work(n, grid) if oracle else 0, n_points * bonds + 9 * series)
+    check_work(
+        f"the closed form over {n_points} points at N={n}",
+        n_points * bonds + 9 * series, "bond terms", CLOSED_FORM_TERM_BUDGET,
+    )
     phi_list = list(phi_list)
     columns = ["x"] + phi_columns("gamma", phi_list)
     if oracle:

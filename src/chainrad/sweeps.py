@@ -10,6 +10,10 @@ import operator
 
 _FLOAT_FMT = ".12g"
 
+#: Most points a grid may have, checked by :func:`linspace` before it
+#: builds one; every grid the package sweeps over comes from there.
+MAX_POINTS = 100_000
+
 
 def format_value(v) -> str:
     """One CSV cell: integers (bool and numpy's included) exactly, any
@@ -35,15 +39,19 @@ def check_work(
 
 
 def linspace(lo: float, hi: float, num: int) -> list[float]:
-    """``num`` evenly spaced floats from lo to hi, bit-equal to np.linspace.
+    """``num`` evenly spaced floats from lo to hi, bit-equal to numpy.linspace.
 
     Point i is i*step + lo (i/(num - 1)*(hi - lo) + lo when the step
     underflows to zero) and the last point is hi itself, in the same
-    operations numpy uses, so the sweeps need no numpy import.
+    operations numpy uses, so the sweeps need no numpy import. A ``num``
+    outside 1..MAX_POINTS is refused with ValueError before any point
+    is built.
     """
-    if num < 2:
+    if not 1 <= num <= MAX_POINTS:
+        raise ValueError(f"a grid takes 1..{MAX_POINTS} points, got {num}")
+    if num == 1:
         # numpy's one point is 0*(hi - lo) + lo: lo, but +0.0 for lo = -0.0
-        return [0.0 * (hi - lo) + lo] * num
+        return [0.0 * (hi - lo) + lo]
     div = num - 1
     delta = hi - lo
     step = delta / div

@@ -460,6 +460,22 @@ class TestExitCodes:
         assert out == "" and err.startswith("chainrad: ")
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the grid builder and the emission sweep word these refusals,
+            # for the CLI and the library alike
+            (["coupling", "--points", "0"], "a grid takes 1..100000 points, got 0"),
+            (["emission", "--points", "100001"],
+             "a grid takes 1..100000 points, got 100001"),
+            (["emission", "--time", "nan"], "observation time must be finite, got nan"),
+        ],
+        ids=["coupling_no_points", "emission_too_many_points", "emission_nan_time"],
+    )
+    def test_library_words_the_refusal(self, argv, message, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"chainrad: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["nscaling", "--points", "10"],

@@ -28,7 +28,7 @@ from chainrad.damping import (
 )
 from chainrad.scales import MAX_ATOMS
 from chainrad.states import SignState, alternating_state, symmetric_state
-from chainrad.sweeps import linspace
+from chainrad.sweeps import MAX_POINTS, linspace
 from oracles import (
     closed_form_rates_mp,
     column,
@@ -617,7 +617,7 @@ class TestSweeps:
         state = alternating_state(3)
         (row,) = x_sweep(state, 0.5, 2.0, 1, [0.0]).rows
         assert row == (0.5, per_point_rate(state, 0.5, 0.0))
-        with pytest.raises(ValueError, match="n_points must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="a grid takes 1..100000 points, got 0"):
             x_sweep(state, 0.5, 2.0, 0, [0.0])
 
     def test_x_sweep_bitwise_per_point(self):
@@ -658,17 +658,14 @@ class TestSweeps:
             with pytest.raises(ValueError, match=f"n_max must be in 1..{MAX_ATOMS}"):
                 n_scaling_sweep(n, 0.1, [0.0])
 
-    @pytest.mark.parametrize(
-        "oracle, unit", [(False, "bond terms"), (True, "Horner steps")],
-        ids=["closed_form", "oracle"],
-    )
-    def test_x_sweep_over_budget_refused_before_its_grid(self, oracle, unit):
-        # 10^6 points at N = 1000 cost at least 10^6 (N - 1) bond terms and,
-        # with the oracle, N (24 + 16) Horner steps each: both are over
-        # budget before a grid of 10^6 floats (about 32 MB) is built
+    @pytest.mark.parametrize("oracle", [False, True], ids=["closed_form", "oracle"])
+    def test_x_sweep_over_budget_refused_before_its_grid(self, oracle):
+        # 10^6 points are over MAX_POINTS, with or without the oracle: the
+        # grid builder refuses them before a grid of 10^6 floats (about
+        # 32 MB) is built, and before any budget is counted
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"{unit}, over its budget"):
+            with pytest.raises(ValueError, match="a grid takes 1..100000 points, got 1000000"):
                 x_sweep(symmetric_state(1000), 0.01, 20.0, 10**6, [0.0], oracle)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -691,8 +688,14 @@ class TestSweeps:
              "n must be in 1..10000, got 10001"),
             (n_scaling_sweep, (MAX_ATOMS + 1, 0.1, [0.0, 1.0]),
              "n_max must be in 1..10000, got 10001"),
+            # the O(N^2) correlation bounds every rate of a given state:
+            # one point of an x sweep is no way round it
+            (damping_general, (alternating_state(MAX_ATOMS + 1), 0.5, 0.0),
+             "n must be in 1..10000, got 10001"),
+            (x_sweep, (alternating_state(MAX_ATOMS + 1), 0.01, 20.0, 1, [0.0]),
+             "n must be in 1..10000, got 10001"),
         ],
-        ids=["oracle", "x", "angles", "nscaling"],
+        ids=["oracle", "x", "angles", "nscaling", "damping_general", "x_long_chain"],
     )
     def test_budget_refusal_text(self, monkeypatch, sweep, args, text):
         monkeypatch.setattr(damping, "quadrature_rates", None)  # never reached
@@ -710,9 +713,11 @@ class TestSweeps:
         )
         # polarizations add no bond terms: each x sums its two moments once
         # for every phi. From x = 1.5 on, no bond is on the kernel's series
-        # branch, which would weigh 10 terms
+        # branch, which would weigh 10 terms: MAX_POINTS points at N = 1001
+        # are exactly 10^8 terms
         phis = [0.0, 1.0]
-        assert len(x_sweep(symmetric_state(10_001), 1.5, 20.0, 10_000, phis).rows) == 10_000
+        table = x_sweep(symmetric_state(1001), 1.5, 20.0, MAX_POINTS, phis)
+        assert len(table.rows) == MAX_POINTS
         assert len(angle_sweep(MAX_ATOMS, 0.1, [0.0] * 10_000).rows) == 10_000
         assert len(n_scaling_sweep(MAX_ATOMS, 0.1, phis).rows) == MAX_ATOMS
 

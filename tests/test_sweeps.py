@@ -1,12 +1,18 @@
 import io
 import math
 import numbers
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainrad.sweeps import SweepTable, format_value, linspace
+from chainrad.cli import _angle_grid, _lattice_grid
+from chainrad.coupling import coupling_sweep
+from chainrad.damping import x_sweep
+from chainrad.states import symmetric_state
+from chainrad.sweeps import MAX_POINTS, SweepTable, format_value, linspace
 
 _bounded = st.floats(min_value=-1e300, max_value=1e300)
 
@@ -27,6 +33,48 @@ class TestLinspace:
         assert linspace(3.0, 7.0, 1) == [3.0]
         # numpy computes it as 0*(hi - lo) + lo, which turns -0.0 into +0.0
         assert str(linspace(-0.0, 0.0, 1)[0]) == str(np.linspace(-0.0, 0.0, 1)[0])
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        lo=st.floats(min_value=-300, max_value=300),
+        hi=st.floats(min_value=-300, max_value=300),
+        num=st.integers(1, 300),
+    )
+    def test_powers_of_ten_bit_equal_to_logspace(self, lo, hi, num):
+        # the emission grid is 10 to the power of these exponents; within
+        # +-300 no power overflows or underflows
+        got = np.power(10.0, linspace(lo, hi, num))
+        want = np.logspace(lo, hi, num)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_max_points_bounds_every_grid(self):
+        assert len(linspace(0.0, 1.0, MAX_POINTS)) == MAX_POINTS
+        for num in (0, -3, MAX_POINTS + 1):
+            with pytest.raises(ValueError, match=f"^a grid takes 1..100000 points, got {num}$"):
+                linspace(0.0, 1.0, num)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: coupling_sweep(0.01, 20.0, n, [0.0]),
+        lambda n: x_sweep(symmetric_state(2), 1.5, 20.0, n, [0.0]),
+        lambda n: _angle_grid(n),
+        lambda n: _lattice_grid(1e3, 1e7, n),
+    ],
+    ids=["coupling_sweep", "x_sweep", "angle_grid", "lattice_grid"],
+)
+def test_grid_over_max_points_refused_before_it_is_built(build):
+    # one point too many is refused before any point exists: a 10^5-point
+    # grid alone, or its rows, would take megabytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="a grid takes 1..100000 points, got 100001"):
+            build(MAX_POINTS + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 class TestFormatValue:
