@@ -352,9 +352,7 @@ def cmd_verify(args) -> int:
             # one batch per method and x serves every state and phi
             closed = closed_form_rates(autocorrs, x, phi_grid)
             quads = quadrature_rates(states, x, phi_grid)
-            for closed_row, quad_row in zip(closed, quads):
-                for cf, qd in zip(closed_row, quad_row):
-                    max_err = max(max_err, relative_error(cf, qd))
+            max_err = max(max_err, relative_error(closed, quads))
         rows.append((n, 2**n, max_err))
         worst = max(worst, max_err)
     table = SweepTable(

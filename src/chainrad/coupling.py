@@ -30,8 +30,8 @@ def transfer_exact(x: float, phi: float) -> float:
     The bracket sin x/x^2 + cos x/x^3 is evaluated as written at every x:
     near 0 its 1/x^3 part dominates, so the two terms do not cancel.
     """
-    if not x > 0:
-        raise ValueError(f"separation must be > 0, got x={x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"separation must be > 0 and finite, got x={x}")
     c2 = math.cos(phi) ** 2
     bracket = math.sin(x) / x**2 + math.cos(x) / x**3
     return _finite(
@@ -41,8 +41,8 @@ def transfer_exact(x: float, phi: float) -> float:
 
 def transfer_electrostatic(x: float, phi: float) -> float:
     """Electrostatic resonance dipole-dipole limit of J/gamma_a."""
-    if not x > 0:
-        raise ValueError(f"separation must be > 0, got x={x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"separation must be > 0 and finite, got x={x}")
     c2 = math.cos(phi) ** 2
     return _finite(0.75 * (1.0 - 3.0 * c2) / x**3, x)
 
@@ -57,8 +57,8 @@ def coupling_sweep(
     :func:`~chainrad.sweeps.linspace`, which refuses an n_points outside
     1..MAX_POINTS before any point is built.
     """
-    if not 0 < x_min < x_max:
-        raise ValueError(f"need 0 < x_min < x_max, got [{x_min}, {x_max}]")
+    if not 0 < x_min < x_max < math.inf:
+        raise ValueError(f"need 0 < x_min < x_max < inf, got [{x_min}, {x_max}]")
     phi_list = list(phi_list)
     columns = (
         ["x"] + phi_columns("J_exact", phi_list) + phi_columns("J_approx", phi_list)

@@ -121,7 +121,10 @@ def _kernel_parts(x: float) -> tuple[float, float]:
 
 def _phi_weights(phi: float) -> tuple[float, float]:
     """(1 - cos^2 phi, 1 - 3 cos^2 phi): F - 1 = 1.5 (a s + b g) with these
-    (a, b) and the (s, g) of :func:`_kernel_parts`."""
+    (a, b) and the (s, g) of :func:`_kernel_parts`. A non-finite phi is
+    refused with ValueError."""
+    if not math.isfinite(phi):
+        raise ValueError(f"polarization angle must be finite, got phi={phi}")
     c2 = math.cos(phi) ** 2
     return 1.0 - c2, 1.0 - 3.0 * c2
 
@@ -133,8 +136,8 @@ def f_kernel(x: float, phi: float) -> float:
     the (a, b) of :func:`_phi_weights`: the one-bond case of the moments
     :func:`closed_form_rates` weights, cancellation-safe near x = 0.
     """
-    if x < 0:
-        raise ValueError(f"bond length must be >= 0, got x={x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"bond length must be >= 0 and finite, got x={x}")
     s, g = _kernel_parts(x)
     a, b = _phi_weights(phi)
     return 1.0 + 1.5 * (a * s + b * g)
@@ -194,8 +197,8 @@ def closed_form_rates(autocorrs, x: float, phi_list) -> list[list[float]]:
     (a, b) from :func:`_phi_weights`. A rate below zero by at most 1e-12
     is roundoff and is returned as 0; a lower one raises ValueError.
     """
-    if not x > 0:
-        raise ValueError(f"separation must be > 0, got x={x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"separation must be > 0 and finite, got x={x}")
     parts = [_kernel_parts(k * x) for k in range(1, max(map(len, autocorrs)) + 1)]
     weights = [_phi_weights(phi) for phi in phi_list]
     rates = []
@@ -231,36 +234,27 @@ def damping_general(state: SignState, x: float, phi: float) -> DampingResult:
     return DampingResult(rate, "closed_form", state, x, phi)
 
 
-def relative_error(closed: float, quadrature: float) -> float:
-    """Closed-form vs quadrature mismatch, relative to the larger rate."""
-    return abs(closed - quadrature) / max(abs(closed), abs(quadrature), 1e-300)
+def relative_error(closed_rows, quadrature_rows) -> float:
+    """The worst closed-form vs quadrature mismatch over two lists of rate
+    rows, each relative to the larger rate of its pair (0 when empty)."""
+    pairs = (p for rows in zip(closed_rows, quadrature_rows) for p in zip(*rows))
+    errors = (abs(c - q) / max(abs(c), abs(q), 1e-300) for c, q in pairs)
+    return max(errors, default=0.0)
 
 
 def _power_spectrum(y, coeffs):
-    """|sum_n C_n e^{i n y}|^2 at the points y, for each row of ``coeffs``.
-
-    ``coeffs`` is one state's C_n, or an array of states (the last axis
-    runs over the atoms); the result has shape coeffs.shape[:-1] + y.shape.
-    """
+    """|sum_n C_n e^{i n y}|^2 at the (panels x nodes) points y for each
+    row of the complex (states x atoms) array ``coeffs``, by Horner's rule
+    over z = e^{iy} (|z| = 1, so the common factor z drops out)."""
     import numpy as np
 
-    # by Horner's rule over z = e^{iy}: |z| = 1, so the common factor z
-    # drops out of the modulus
-    z = np.exp(1j * np.asarray(y, dtype=float))
-    c = np.asarray(coeffs, dtype=complex)
-    lead = c.shape[:-1]
-    c = np.moveaxis(c, -1, 0).reshape(c.shape[-1:] + lead + (1,) * z.ndim)
-    p = np.empty(lead + z.shape, dtype=complex)
-    p[...] = c[-1]
-    for c_n in c[-2::-1]:
+    z = np.exp(1j * y)
+    p = np.empty((len(coeffs),) + z.shape, dtype=complex)
+    p[...] = coeffs[:, -1, None, None]
+    for c_n in coeffs[:, -2::-1].T:
         p *= z
-        p += c_n
+        p += c_n[:, None, None]
     return p.real * p.real + p.imag * p.imag
-
-
-def _angular_weight(y, x: float, cos2phi: float):
-    """The golden-rule weight (1 + cos^2 phi) - (y^2/x^2)(3 cos^2 phi - 1)."""
-    return (1.0 + cos2phi) - (y * y) / (x * x) * (3.0 * cos2phi - 1.0)
 
 
 @functools.cache
@@ -286,13 +280,13 @@ def _oracle_work(n: int, xs) -> float:
 
 
 def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
-    """Golden-rule rates of equal-length sign states at x, for each phi.
+    """Golden-rule rates of equal-length sign states at x: one list per
+    state, holding one rate per phi.
 
     Integrates (3/(8 x N)) int_{-x}^{x} dy |sum_n C_n e^{-i n y}|^2
     [(1 + cos^2 phi) - (y^2/x^2)(3 cos^2 phi - 1)]; the prefactor is
     fixed by the single-atom normalization (N = 1 gives exactly 1).
-    The integrand is even in y, so only [0, x] is integrated. Returns
-    one list per state, holding one rate per phi.
+    The integrand is even in y, so only [0, x] is integrated.
 
     The integrand is a trigonometric polynomial of degree N - 1 times a
     quadratic in y, so a composite Gauss-Legendre rule with
@@ -306,29 +300,27 @@ def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
     OverflowError, when a rate or an estimate is not finite (an x so
     small that x^2 underflows).
 
-    The states share the nodes: |sum_n C_n z^n|^2 is evaluated once for
-    all of them, by Horner's rule over a (states x nodes) array, and
-    weighted for each phi. Blocks hold at most ORACLE_BLOCK_PANELS
-    state-panels, which bounds memory. A state's panels share one block
-    unless there are more of them, and each state's panels are reduced by
-    their own matrix-vector product and sum, so each rate is bitwise the
-    same whichever states it is batched with. The oracle stays
-    independent of A_k and the kernel.
+    The weight is linear in cos^2 phi, so each rule sums two phi-free
+    moments per state, M0 = int |P|^2 and M2 = int |P|^2 y^2/x^2, and each
+    phi costs O(1). |P|^2 is evaluated once for all the states on the
+    shared nodes, in blocks of at most ORACLE_BLOCK_PANELS state-panels,
+    which bounds memory. A state's panels share one block unless there are
+    more of them, and are reduced by their own matrix-vector product and
+    sum, so each rate is bitwise the same whichever states and angles it
+    is batched with. The oracle stays independent of A_k and the kernel.
     """
     import numpy as np
 
-    if not x > 0:
-        raise ValueError(f"separation must be > 0, got x={x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"separation must be > 0 and finite, got x={x}")
     n = states[0].n
     if any(state.n != n for state in states):
         raise ValueError("the states of one batch must have the same length")
     nodes, w_hi, w_lo = _panel_rule()
-    cos2 = [math.cos(phi) ** 2 for phi in phi_list]
     panels = max(1, math.ceil(n * x / ORACLE_PANEL_SPAN))
     width = x / panels
     coeffs = np.array([state.coeffs for state in states], dtype=complex)
-    value = np.zeros((len(states), len(cos2)))
-    check = np.zeros_like(value)
+    moments = np.zeros((2, 2, len(states)))  # M0 and M2, by each rule
     step = min(panels, ORACLE_BLOCK_PANELS)  # panels per block
     batch = ORACLE_BLOCK_PANELS // step  # states per block
     # an x whose square underflows gives nan and inf, rejected below
@@ -340,12 +332,13 @@ def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
                 edges = width * np.arange(first, min(first + step, panels))
                 y = edges[:, None] + width * nodes
                 power = _power_spectrum(y, coeffs[rows])
-                for j, cos2phi in enumerate(cos2):
-                    f = power * _angular_weight(y, x, cos2phi)
+                for m, f in enumerate((power, power * (y * y / (x * x)))):
                     hi = (f[..., :ORACLE_NODES] @ w_hi).sum(axis=-1)
                     lo = (f[..., ORACLE_NODES:] @ w_lo).sum(axis=-1)
-                    value[rows, j] += hi * width
-                    check[rows, j] += lo * width
+                    moments[m, :, rows] += hi * width, lo * width
+        cos2 = np.array([math.cos(phi) ** 2 for phi in phi_list])
+        m0, m2 = moments[..., None]
+        value, check = m0 * (1.0 + cos2) - m2 * (3.0 * cos2 - 1.0)
         scale = 2.0 * 3.0 / (8.0 * x * n)
         rates = value * scale
         floor = 50.0 * sys.float_info.epsilon * np.abs(value)
@@ -373,9 +366,10 @@ def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
     if not 1 <= n_max <= MAX_ATOMS:
         raise ValueError(f"n_max must be in 1..{MAX_ATOMS}, got {n_max}")
     phi_list = list(phi_list)
-    columns = ["N"] + phi_columns("gamma", phi_list)
     sizes = range(1, n_max + 1)
+    # the rates refuse a non-finite phi before its column is named
     rates = closed_form_rates([range(n - 1, 0, -1) for n in sizes], x, phi_list)
+    columns = ["N"] + phi_columns("gamma", phi_list)
     rows = [(n, *row) for n, row in zip(sizes, rates)]
     return SweepTable(columns=columns, rows=rows)
 
@@ -409,8 +403,8 @@ def x_sweep(
     any rate is computed. Each x shares one pair of moments, and one
     oracle batch, among all polarizations.
     """
-    if not 0 < x_min < x_max:
-        raise ValueError(f"need 0 < x_min < x_max, got [{x_min}, {x_max}]")
+    if not 0 < x_min < x_max < math.inf:
+        raise ValueError(f"need 0 < x_min < x_max < inf, got [{x_min}, {x_max}]")
     n = state.n
     bonds = n - 1
     grid = linspace(x_min, x_max, n_points)
@@ -433,20 +427,14 @@ def x_sweep(
         n_points * bonds + 9 * series, "bond terms", CLOSED_FORM_TERM_BUDGET,
     )
     phi_list = list(phi_list)
-    columns = ["x"] + phi_columns("gamma", phi_list)
-    if oracle:
-        columns += phi_columns("gamma_quadrature", phi_list)
     autocorrs = (bond_autocorrelation(state),)
-    rows = []
-    max_rel_err = 0.0
-    for x in grid:
-        (closed,) = closed_form_rates(autocorrs, x, phi_list)
-        row = [x] + closed
-        if oracle:
-            quads = quadrature_rates([state], x, phi_list)[0]
-            row += quads
-            for cf, qd in zip(closed, quads):
-                max_rel_err = max(max_rel_err, relative_error(cf, qd))
-        rows.append(tuple(row))
-    footer = [f"max_rel_err={max_rel_err:.3e}"] if oracle else []
+    # the rates refuse a non-finite phi before its column is named
+    closed = [closed_form_rates(autocorrs, x, phi_list)[0] for x in grid]
+    columns = ["x"] + phi_columns("gamma", phi_list)
+    if not oracle:
+        return SweepTable(columns, [(x, *c) for x, c in zip(grid, closed)])
+    columns += phi_columns("gamma_quadrature", phi_list)
+    quads = [quadrature_rates([state], x, phi_list)[0] for x in grid]
+    rows = [(x, *c, *q) for x, c, q in zip(grid, closed, quads)]
+    footer = [f"max_rel_err={relative_error(closed, quads):.3e}"]
     return SweepTable(columns=columns, rows=rows, footer=footer)

@@ -112,9 +112,10 @@ def emission_sweep(
     """Intensity-vs-lattice-constant trace for a fixed state.
 
     Before any sum, ValueError refuses an empty grid, one over
-    EMISSION_WORK_BUDGET (points times N), obs_x <= 0, a lattice constant
-    not finite and >= 0 or a non-finite t, and CausalityError names the first
-    point whose light arrives after t. A non-finite intensity is OverflowError.
+    EMISSION_WORK_BUDGET (points times N), an obs_x not finite and > 0, a
+    lattice constant not finite and >= 0, a non-finite t or a dipole not
+    finite and > 0, and CausalityError names the first point whose light
+    arrives after t. A non-finite intensity is OverflowError.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size == 0:
@@ -123,13 +124,18 @@ def emission_sweep(
         f"emission over {a_grid.size} points at N={state.n}",
         a_grid.size * state.n, "atom-points", EMISSION_WORK_BUDGET,
     )
-    if not obs_x > 0:
-        raise ValueError(f"obs_x must be > 0, got {obs_x}")
+    if not 0 < obs_x < math.inf:
+        finite = " and finite" if obs_x > 0 else ""
+        raise ValueError(f"obs_x must be > 0{finite}, got {obs_x}")
     bad = a_grid[~(np.isfinite(a_grid) & (a_grid >= 0))]
     if bad.size:
         raise ValueError(f"lattice constant must be finite and >= 0, got {float(bad[0])}")
     if not math.isfinite(t):
         raise ValueError(f"observation time must be finite, got {t}")
+    if not 0 < mu_e_angstrom < math.inf:
+        raise ValueError(
+            f"dipole moment must be finite and > 0, got {mu_e_angstrom}"
+        )
     # (n - 1) a, and amplitudes of about 1/obs_x squared, can overflow: no
     # warning, but a causality check and one finiteness check of the column
     with np.errstate(all="ignore"):

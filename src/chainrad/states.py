@@ -25,13 +25,9 @@ class SignState(Frozen):
 
 def symmetric_state(n: int) -> SignState:
     """All-plus (superradiant) state."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     return SignState(coeffs=(1,) * n)
 
 
 def alternating_state(n: int) -> SignState:
     """Alternating-sign state, C_k = (-1)^(k+1); dark/metastable for q_a a << 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     return SignState(coeffs=tuple(1 if k % 2 == 0 else -1 for k in range(n)))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import product
 import warnings
 
 import numpy as np
@@ -14,7 +15,6 @@ from chainrad.cli import VERIFY_TOL
 from chainrad.damping import (
     F_SERIES_THRESHOLD,
     QuadratureAccuracyError,
-    _angular_weight,
     _kernel_parts,
     _power_spectrum,
     angle_sweep,
@@ -77,8 +77,10 @@ def long_chain_cases():
 
 
 def golden_rule_integrand(y, coeffs, x, cos2phi):
-    """The oracle's integrand: its Horner power spectrum times the weight."""
-    return _power_spectrum(y, coeffs) * _angular_weight(y, x, cos2phi)
+    """The oracle's integrand at one point y: its Horner power spectrum
+    times the weight (1 + cos^2 phi) - (y^2/x^2)(3 cos^2 phi - 1)."""
+    (((power,),),) = _power_spectrum(np.array([[y]]), np.array([coeffs], dtype=complex))
+    return power * ((1.0 + cos2phi) - (y * y) / (x * x) * (3.0 * cos2phi - 1.0))
 
 
 def per_point_rate(state, x, phi):
@@ -349,6 +351,18 @@ class TestQuadratureOracle:
         want = damping_autocorrelation_mp(state.coeffs, 0.1, phi)
         assert abs(got - want) <= 1e-14 * want
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_mpmath_on_verify_grid(self, n):
+        # the half with C_1 = +1 that verify integrates, at 50 digits
+        states = [SignState((1, *rest)) for rest in product((1, -1), repeat=n - 1)]
+        for x in VERIFY_X:
+            for state, row in zip(states, quadrature_rates(states, x, VERIFY_PHI)):
+                want = closed_form_rates_mp(
+                    sum(state.coeffs), bond_autocorrelation(state), x, VERIFY_PHI, dps=50
+                )
+                for phi, got, ref in zip(VERIFY_PHI, row, want):
+                    assert abs(got - float(ref)) <= 1e-14 * float(ref), (state, x, phi)
+
     @pytest.mark.parametrize("n", [7, 64])
     def test_horner_integrand_matches_mpmath_at_large_y(self, n):
         # past y ~ 10 the per-term form's phases (k + 1) y carry rounding
@@ -428,6 +442,16 @@ class TestBatchedOracle:
         assert (info.value.state, info.value.x, info.value.phi) == (RANDOM_STATE_N7, 1.3, 0.7)
         assert "state ++-+--+, x=1.3, phi=0.7" in str(info.value)
 
+    @pytest.mark.parametrize("x", VERIFY_X)
+    def test_phi_alone_equals_phi_in_a_long_list(self, x):
+        # each phi is formed from the same two phi-free moments
+        states = sign_states(4)
+        phis = linspace(0.0, math.pi, 100)
+        batched = quadrature_rates(states, x, phis)
+        for j, phi in enumerate(phis):
+            alone = quadrature_rates(states, x, [phi])
+            assert [[row[j]] for row in batched] == alone, phi
+
     def test_states_of_one_batch_share_a_length(self):
         with pytest.raises(ValueError):
             quadrature_rates([symmetric_state(2), symmetric_state(3)], 1.0, [0.0])
@@ -468,6 +492,14 @@ class TestClosedFormRates:
         states = [s for n in (3, 6, 1, 2, 5, 4) for s in sign_states(n)]
         for x in VERIFY_X:
             assert self.batch(states, x) == self.one_by_one(states, x), x
+
+    @pytest.mark.parametrize("x", VERIFY_X)
+    def test_phi_alone_equals_phi_in_a_long_list(self, x):
+        states = sign_states(4)
+        phis = linspace(0.0, math.pi, 100)
+        batched = self.batch(states, x, phis)
+        for j, phi in enumerate(phis):
+            assert [[row[j]] for row in batched] == self.batch(states, x, [phi]), phi
 
     @pytest.mark.parametrize("n_phi", [1, 1000])
     def test_one_moment_pass_per_x(self, monkeypatch, n_phi):
@@ -728,3 +760,58 @@ class TestSweeps:
         quads = column(table, "gamma_quadrature_phi0")
         assert np.allclose(closed, quads, rtol=1e-8)
         assert len(table.footer) == 1 and table.footer[0].startswith("max_rel_err=")
+
+
+class TestNonFiniteInputs:
+    """A separation or angle that is nan or inf is refused with ValueError
+    before any work, not returned as nan or failed deeper down."""
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_bond_length(self, x):
+        with pytest.raises(ValueError) as info:
+            f_kernel(x, 0.0)
+        assert str(info.value) == f"bond length must be >= 0 and finite, got x={x}"
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda phi: f_kernel(0.5, phi),
+            lambda phi: damping_general(symmetric_state(3), 0.5, phi),
+            lambda phi: angle_sweep(3, 0.5, [0.0, phi]),
+            lambda phi: n_scaling_sweep(3, 0.5, [phi]),
+            lambda phi: x_sweep(symmetric_state(3), 0.1, 1.0, 3, [phi]),
+        ],
+        ids=["f_kernel", "damping_general", "angle_sweep", "n_scaling_sweep", "x_sweep"],
+    )
+    def test_angle(self, call, phi):
+        with pytest.raises(ValueError) as info:
+            call(phi)
+        assert str(info.value) == f"polarization angle must be finite, got phi={phi}"
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: quadrature_rates([symmetric_state(2)], x, [0.0]),
+            lambda x: closed_form_rates([[1]], x, [0.0]),
+            lambda x: damping_general(symmetric_state(3), x, 0.0),
+            lambda x: angle_sweep(3, x, [0.0]),
+            lambda x: n_scaling_sweep(3, x, [0.0]),
+        ],
+        ids=["quadrature_rates", "closed_form_rates", "damping_general", "angle_sweep",
+             "n_scaling_sweep"],
+    )
+    def test_separation(self, call, x):
+        with pytest.raises(ValueError) as info:
+            call(x)
+        assert str(info.value) == f"separation must be > 0 and finite, got x={x}"
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize(
+        "x_min, x_max", [(0.1, math.inf), (math.nan, 1.0), (0.1, math.nan)]
+    )
+    def test_x_sweep_range(self, x_min, x_max, oracle):
+        with pytest.raises(ValueError) as info:
+            x_sweep(symmetric_state(2), x_min, x_max, 3, [0.0], oracle)
+        assert str(info.value) == f"need 0 < x_min < x_max < inf, got [{x_min}, {x_max}]"

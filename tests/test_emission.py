@@ -403,11 +403,14 @@ class TestEmissionSweep:
             (2, [1e4, -1e4], OBS_X, T_OBS, ValueError,
              "lattice constant must be finite and >= 0, got -1e-06"),
             (2, [1e4], 0.0, T_OBS, ValueError, "obs_x must be > 0, got 0.0"),
+            (2, [1e4], math.inf, T_OBS, ValueError,
+             "obs_x must be > 0 and finite, got inf"),
             (2, [1e4], OBS_X, math.nan, ValueError,
              "observation time must be finite, got nan"),
             (2, [], OBS_X, T_OBS, ValueError, "empty lattice-constant grid"),
         ],
-        ids=["budget", "causality", "nan-a", "negative-a", "obs-x", "time", "empty"],
+        ids=["budget", "causality", "nan-a", "negative-a", "obs-x", "obs-x-inf", "time",
+             "empty"],
     )
     def test_refusal_text(self, scales, n, a_angstrom, obs_x, t, error, text):
         a_grid = np.array(a_angstrom, dtype=float) * ANGSTROM
@@ -415,6 +418,18 @@ class TestEmissionSweep:
             emission_sweep(symmetric_state(n), a_grid, 0.0, obs_x, t, scales, 1.0)
         assert type(info.value) is error
         assert str(info.value) == text
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, math.inf, math.nan])
+    def test_dipole_refused_after_time_before_causality(self, scales, mu):
+        # a finite t that violates causality: the dipole is checked first
+        state, a_grid = symmetric_state(2), np.array([1e5, 5e6, 6e6]) * ANGSTROM
+        with pytest.raises(ValueError) as info:
+            emission_sweep(state, a_grid, 0.0, OBS_X, T_OBS, scales, mu)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"dipole moment must be finite and > 0, got {mu}"
+        # and a non-finite t before it
+        with pytest.raises(ValueError, match="observation time"):
+            emission_sweep(state, a_grid, 0.0, OBS_X, math.nan, scales, mu)
 
     def test_independent_atom_regime_warns_nothing(self, scales):
         a_grid = np.array([1e3, 2e3]) * ANGSTROM  # q_a a ~ 0.5 and 1

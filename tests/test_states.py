@@ -27,8 +27,11 @@ class TestConstructors:
 
     @pytest.mark.parametrize("ctor", [symmetric_state, alternating_state])
     def test_zero_atoms_rejected(self, ctor):
-        with pytest.raises(ValueError):
-            ctor(0)
+        # SignState holds the one state-size rule
+        for n in (0, -1):
+            with pytest.raises(ValueError) as info:
+                ctor(n)
+            assert str(info.value) == "state needs at least one atom"
 
     def test_invalid_coefficients_rejected(self):
         with pytest.raises(ValueError):
