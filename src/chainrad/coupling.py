@@ -13,7 +13,7 @@ dipole-dipole interaction (3/4)(1 - 3 cos^2 phi)/x^3.
 
 import math
 
-from .sweeps import SweepTable, linspace, phi_columns
+from .sweeps import SweepTable, _phi_weights, linspace, phi_columns
 
 def _finite(j: float, x: float) -> float:
     """``j``, or OverflowError when it is not finite: from about x = 1.4e-108
@@ -32,19 +32,17 @@ def transfer_exact(x: float, phi: float) -> float:
     """
     if not 0 < x < math.inf:
         raise ValueError(f"separation must be > 0 and finite, got x={x}")
-    c2 = math.cos(phi) ** 2
+    a, b = _phi_weights(phi)
     bracket = math.sin(x) / x**2 + math.cos(x) / x**3
-    return _finite(
-        0.75 * (bracket * (1.0 - 3.0 * c2) - (math.cos(x) / x) * (1.0 - c2)), x
-    )
+    return _finite(0.75 * (b * bracket - a * (math.cos(x) / x)), x)
 
 
 def transfer_electrostatic(x: float, phi: float) -> float:
     """Electrostatic resonance dipole-dipole limit of J/gamma_a."""
     if not 0 < x < math.inf:
         raise ValueError(f"separation must be > 0 and finite, got x={x}")
-    c2 = math.cos(phi) ** 2
-    return _finite(0.75 * (1.0 - 3.0 * c2) / x**3, x)
+    _, b = _phi_weights(phi)
+    return _finite(0.75 * b / x**3, x)
 
 
 def coupling_sweep(

@@ -35,7 +35,7 @@ import sys
 from .frozen import Frozen
 from .scales import MAX_ATOMS
 from .states import SignState
-from .sweeps import SweepTable, check_work, linspace, phi_columns
+from .sweeps import SweepTable, _phi_weights, check_work, linspace, phi_columns
 
 #: Below this x, sin x/x - 1 and cos x/x^2 - sin x/x^3 + 1/3 are summed
 #: as alternating Taylor series. The direct forms cancel catastrophically
@@ -119,16 +119,6 @@ def _kernel_parts(x: float) -> tuple[float, float]:
     return s, g
 
 
-def _phi_weights(phi: float) -> tuple[float, float]:
-    """(1 - cos^2 phi, 1 - 3 cos^2 phi): F - 1 = 1.5 (a s + b g) with these
-    (a, b) and the (s, g) of :func:`_kernel_parts`. A non-finite phi is
-    refused with ValueError."""
-    if not math.isfinite(phi):
-        raise ValueError(f"polarization angle must be finite, got phi={phi}")
-    c2 = math.cos(phi) ** 2
-    return 1.0 - c2, 1.0 - 3.0 * c2
-
-
 def f_kernel(x: float, phi: float) -> float:
     """Bond kernel F(x, phi); F(0) = 1 for every phi.
 
@@ -199,8 +189,9 @@ def closed_form_rates(autocorrs, x: float, phi_list) -> list[list[float]]:
     """
     if not 0 < x < math.inf:
         raise ValueError(f"separation must be > 0 and finite, got x={x}")
-    parts = [_kernel_parts(k * x) for k in range(1, max(map(len, autocorrs)) + 1)]
     weights = [_phi_weights(phi) for phi in phi_list]
+    longest = max(map(len, autocorrs), default=0)
+    parts = [_kernel_parts(k * x) for k in range(1, longest + 1)]
     rates = []
     for autocorr in autocorrs:
         n = len(autocorr) + 1
@@ -300,19 +291,22 @@ def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
     OverflowError, when a rate or an estimate is not finite (an x so
     small that x^2 underflows).
 
-    The weight is linear in cos^2 phi, so each rule sums two phi-free
-    moments per state, M0 = int |P|^2 and M2 = int |P|^2 y^2/x^2, and each
-    phi costs O(1). |P|^2 is evaluated once for all the states on the
-    shared nodes, in blocks of at most ORACLE_BLOCK_PANELS state-panels,
-    which bounds memory. A state's panels share one block unless there are
-    more of them, and are reduced by their own matrix-vector product and
-    sum, so each rate is bitwise the same whichever states and angles it
-    is batched with. The oracle stays independent of A_k and the kernel.
+    The weight is (2 - a) + b y^2/x^2 with the (a, b) of :func:`_phi_weights`,
+    so each rule sums two phi-free moments per state, M0 = int |P|^2 and
+    M2 = int |P|^2 y^2/x^2, and each phi costs O(1). |P|^2 is evaluated once
+    for all the states on the shared nodes, in blocks of at most ORACLE_BLOCK_PANELS
+    state-panels, which bounds memory. A state's panels share one block unless
+    there are more of them, and are reduced by their own matrix-vector product
+    and sum, so each rate is bitwise the same whichever states and angles it is
+    batched with. The oracle stays independent of A_k and the kernel.
     """
     import numpy as np
 
     if not 0 < x < math.inf:
         raise ValueError(f"separation must be > 0 and finite, got x={x}")
+    a, b = np.reshape([_phi_weights(phi) for phi in phi_list], (-1, 2)).T
+    if not states:
+        return []
     n = states[0].n
     if any(state.n != n for state in states):
         raise ValueError("the states of one batch must have the same length")
@@ -336,9 +330,8 @@ def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
                     hi = (f[..., :ORACLE_NODES] @ w_hi).sum(axis=-1)
                     lo = (f[..., ORACLE_NODES:] @ w_lo).sum(axis=-1)
                     moments[m, :, rows] += hi * width, lo * width
-        cos2 = np.array([math.cos(phi) ** 2 for phi in phi_list])
         m0, m2 = moments[..., None]
-        value, check = m0 * (1.0 + cos2) - m2 * (3.0 * cos2 - 1.0)
+        value, check = m0 * (2.0 - a) + m2 * b
         scale = 2.0 * 3.0 / (8.0 * x * n)
         rates = value * scale
         floor = 50.0 * sys.float_info.epsilon * np.abs(value)
@@ -367,9 +360,8 @@ def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
         raise ValueError(f"n_max must be in 1..{MAX_ATOMS}, got {n_max}")
     phi_list = list(phi_list)
     sizes = range(1, n_max + 1)
-    # the rates refuse a non-finite phi before its column is named
-    rates = closed_form_rates([range(n - 1, 0, -1) for n in sizes], x, phi_list)
     columns = ["N"] + phi_columns("gamma", phi_list)
+    rates = closed_form_rates([range(n - 1, 0, -1) for n in sizes], x, phi_list)
     rows = [(n, *row) for n, row in zip(sizes, rates)]
     return SweepTable(columns=columns, rows=rows)
 
@@ -427,10 +419,9 @@ def x_sweep(
         n_points * bonds + 9 * series, "bond terms", CLOSED_FORM_TERM_BUDGET,
     )
     phi_list = list(phi_list)
-    autocorrs = (bond_autocorrelation(state),)
-    # the rates refuse a non-finite phi before its column is named
-    closed = [closed_form_rates(autocorrs, x, phi_list)[0] for x in grid]
     columns = ["x"] + phi_columns("gamma", phi_list)
+    autocorrs = (bond_autocorrelation(state),)
+    closed = [closed_form_rates(autocorrs, x, phi_list)[0] for x in grid]
     if not oracle:
         return SweepTable(columns, [(x, *c) for x, c in zip(grid, closed)])
     columns += phi_columns("gamma_quadrature", phi_list)

@@ -24,7 +24,7 @@ from .scales import (
     CausalityError,
 )
 from .states import SignState
-from .sweeps import SweepTable, check_work, format_value
+from .sweeps import SweepTable, _phi_weights, check_work, format_value
 
 #: Most atom-points (grid points times N) one sweep may evaluate. Each
 #: point is one pass over the N atoms, about 220-290 ns per atom at
@@ -113,8 +113,8 @@ def emission_sweep(
 
     Before any sum, ValueError refuses an empty grid, one over
     EMISSION_WORK_BUDGET (points times N), an obs_x not finite and > 0, a
-    lattice constant not finite and >= 0, a non-finite t or a dipole not
-    finite and > 0, and CausalityError names the first point whose light
+    lattice constant not finite and >= 0, a non-finite t or phi or a dipole
+    not finite and > 0, and CausalityError names the first point whose light
     arrives after t. A non-finite intensity is OverflowError.
     """
     a_grid = np.asarray(a_grid, dtype=float)
@@ -132,10 +132,9 @@ def emission_sweep(
         raise ValueError(f"lattice constant must be finite and >= 0, got {float(bad[0])}")
     if not math.isfinite(t):
         raise ValueError(f"observation time must be finite, got {t}")
+    _phi_weights(phi)  # the one angle rule refuses a non-finite phi
     if not 0 < mu_e_angstrom < math.inf:
-        raise ValueError(
-            f"dipole moment must be finite and > 0, got {mu_e_angstrom}"
-        )
+        raise ValueError(f"dipole moment must be finite and > 0, got {mu_e_angstrom}")
     # (n - 1) a, and amplitudes of about 1/obs_x squared, can overflow: no
     # warning, but a causality check and one finiteness check of the column
     with np.errstate(all="ignore"):

@@ -63,8 +63,19 @@ def linspace(lo: float, hi: float, num: int) -> list[float]:
     return grid
 
 
+def _phi_weights(phi: float) -> tuple[float, float]:
+    """(1 - cos^2 phi, 1 - 3 cos^2 phi): the dipole-dipole angle weights every
+    two-body formula reads phi through. A non-finite phi is a ValueError."""
+    if not math.isfinite(phi):
+        raise ValueError(f"polarization angle must be finite, got phi={phi}")
+    c2 = math.cos(phi) ** 2
+    return 1.0 - c2, 1.0 - 3.0 * c2
+
+
 def phi_columns(prefix: str, phi_list) -> list[str]:
-    """Column names ``<prefix>_phi<deg>``, one per polarization angle."""
+    """Column names ``<prefix>_phi<deg>``, one per angle, each checked first."""
+    for p in phi_list:
+        _phi_weights(p)
     return [f"{prefix}_phi{round(math.degrees(p))}" for p in phi_list]
 
 

@@ -18,10 +18,11 @@ import numpy as np
 from mpmath import mp, mpf
 from scipy.integrate import quad
 
-from chainrad.damping import _kernel_parts, _phi_weights
+from chainrad.damping import _kernel_parts
 from chainrad.emission import emission_sweep
 from chainrad.scales import SPEED_OF_LIGHT, CausalityError
 from chainrad.states import SignState, alternating_state, symmetric_state
+from chainrad.sweeps import _phi_weights
 
 
 def sign_coeffs(kind: str, n: int) -> tuple:

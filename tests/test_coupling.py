@@ -146,3 +146,23 @@ class TestNonFiniteSeparation:
         with pytest.raises(ValueError) as info:
             coupling_sweep(x_min, x_max, 3, [0.0])
         assert str(info.value) == f"need 0 < x_min < x_max < inf, got [{x_min}, {x_max}]"
+
+
+class TestNonFiniteAngle:
+    """A nan or infinite phi is refused by the one angle rule, with its own
+    text, not blamed on x or failed in the column names."""
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda phi: transfer_exact(0.5, phi),
+            lambda phi: transfer_electrostatic(0.5, phi),
+            lambda phi: coupling_sweep(0.1, 1.0, 3, [0.0, phi]),
+        ],
+        ids=["transfer_exact", "transfer_electrostatic", "coupling_sweep"],
+    )
+    def test_refused(self, call, phi):
+        with pytest.raises(ValueError) as info:
+            call(phi)
+        assert str(info.value) == f"polarization angle must be finite, got phi={phi}"

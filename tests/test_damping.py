@@ -456,6 +456,10 @@ class TestBatchedOracle:
         with pytest.raises(ValueError):
             quadrature_rates([symmetric_state(2), symmetric_state(3)], 1.0, [0.0])
 
+    def test_empty_batch_is_no_rows(self):
+        # one list per state: no states, no lists
+        assert quadrature_rates([], 0.5, [0.0, math.pi / 2]) == []
+
     @pytest.mark.parametrize("x", [1e-300, 1e-310])
     def test_non_finite_result_raises_without_warning(self, x):
         # x^2 underflows to zero, so the angular weight divides by it
@@ -486,6 +490,9 @@ class TestClosedFormRates:
         states = sign_states(n)
         for x in VERIFY_X:
             assert self.batch(states, x) == self.one_by_one(states, x), x
+
+    def test_empty_batch_is_no_rows(self):
+        assert closed_form_rates([], 0.5, [0.0, math.pi / 2]) == []
 
     def test_mixed_lengths_share_the_longest_kernel(self):
         # each state reads only its own N - 1 bonds of the shared kernel
@@ -778,11 +785,13 @@ class TestNonFiniteInputs:
         [
             lambda phi: f_kernel(0.5, phi),
             lambda phi: damping_general(symmetric_state(3), 0.5, phi),
+            lambda phi: quadrature_rates([symmetric_state(2)], 0.5, [0.0, phi]),
             lambda phi: angle_sweep(3, 0.5, [0.0, phi]),
             lambda phi: n_scaling_sweep(3, 0.5, [phi]),
             lambda phi: x_sweep(symmetric_state(3), 0.1, 1.0, 3, [phi]),
         ],
-        ids=["f_kernel", "damping_general", "angle_sweep", "n_scaling_sweep", "x_sweep"],
+        ids=["f_kernel", "damping_general", "quadrature_rates", "angle_sweep",
+             "n_scaling_sweep", "x_sweep"],
     )
     def test_angle(self, call, phi):
         with pytest.raises(ValueError) as info:

@@ -431,6 +431,23 @@ class TestEmissionSweep:
         with pytest.raises(ValueError, match="observation time"):
             emission_sweep(state, a_grid, 0.0, OBS_X, math.nan, scales, mu)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_refused_before_any_sum(self, scales, monkeypatch, phi):
+        # not blamed on obs_x as a non-finite intensity: the one angle rule
+        # refuses it before the causality check and the sums
+        from chainrad import emission
+
+        calls = []
+        monkeypatch.setattr(
+            emission, "_point_intensity", lambda *args: calls.append(args) or 0.0
+        )
+        a_grid = np.array([1e5, 5e6, 6e6]) * ANGSTROM  # 6e6 A is acausal at T_OBS
+        with pytest.raises(ValueError) as info:
+            emission_sweep(symmetric_state(2), a_grid, phi, OBS_X, T_OBS, scales, 1.0)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"polarization angle must be finite, got phi={phi}"
+        assert calls == []
+
     def test_independent_atom_regime_warns_nothing(self, scales):
         a_grid = np.array([1e3, 2e3]) * ANGSTROM  # q_a a ~ 0.5 and 1
         assert scales.q_a * a_grid[0] < 1

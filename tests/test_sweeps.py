@@ -12,7 +12,7 @@ from chainrad.cli import _angle_grid, _lattice_grid
 from chainrad.coupling import coupling_sweep
 from chainrad.damping import x_sweep
 from chainrad.states import symmetric_state
-from chainrad.sweeps import MAX_POINTS, SweepTable, format_value, linspace
+from chainrad.sweeps import MAX_POINTS, SweepTable, format_value, linspace, phi_columns
 
 _bounded = st.floats(min_value=-1e300, max_value=1e300)
 
@@ -83,6 +83,15 @@ class TestFormatValue:
 
     def test_floats(self):
         assert format_value(0.1) == format_value(np.float64(0.1)) == "0.1"
+
+
+class TestPhiColumns:
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_refused_by_the_angle_rule(self, phi):
+        # not "cannot convert float NaN to integer" from round()
+        with pytest.raises(ValueError) as info:
+            phi_columns("J", [0.0, phi])
+        assert str(info.value) == f"polarization angle must be finite, got phi={phi}"
 
 
 def reference_cell(v) -> str:
