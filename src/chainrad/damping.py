@@ -69,8 +69,8 @@ ORACLE_NODE_BUDGET = 1e9
 #: once per x into two phi-free moments, n_points (N - 1) terms however
 #: many polarizations it has. On a 2-vCPU host a term costs about 1.1 us,
 #: so the budget is about 2 min of work. A bond on the kernel's series
-#: branch (k x < F_SERIES_THRESHOLD) costs 5 to 15 us instead and counts
-#: as 10 terms.
+#: branch (k x < F_SERIES_THRESHOLD) costs 2 to 7 us instead, more as
+#: k x nears the threshold, and counts as 10 terms.
 CLOSED_FORM_TERM_BUDGET = 1e8
 
 
@@ -94,6 +94,13 @@ class QuadratureAccuracyError(ArithmeticError):
         )
 
 
+#: The integer denominators of the series' term ratios, as floats, by k:
+#: (2k)(2k+1) for s and (2k-2)(2k)(2k+1) for g. Each is below 2^53, so it
+#: is the float an int divisor converts to, and every term is unchanged.
+_S_DEN = tuple(float((2 * k) * (2 * k + 1)) for k in range(30))
+_G_DEN = tuple(float((2 * k - 2) * (2 * k) * (2 * k + 1)) for k in range(30))
+
+
 def _kernel_parts(x: float) -> tuple[float, float]:
     """(sin x/x - 1, cos x/x^2 - sin x/x^3 + 1/3), the phi-free parts of
     F - 1; below F_SERIES_THRESHOLD, summed as sum_{k>=1} (-1)^k x^(2k)/(2k+1)!
@@ -105,14 +112,14 @@ def _kernel_parts(x: float) -> tuple[float, float]:
     s = 0.0
     term = 1.0
     for k in range(1, 30):
-        term *= -x2 / ((2 * k) * (2 * k + 1))
+        term *= -x2 / _S_DEN[k]
         s += term
         if abs(term) < 1e-18 * max(abs(s), 1e-30):
             break
     g = 0.0
     term = -2.0 / 6.0  # k = 1 term of the full series, -1/3
     for k in range(2, 30):
-        term *= -x2 * (2 * k) / ((2 * k - 2) * (2 * k) * (2 * k + 1))
+        term *= -x2 * (2 * k) / _G_DEN[k]
         g += term
         if abs(term) < 1e-18 * max(abs(g), 1e-30):
             break
@@ -176,13 +183,14 @@ def closed_form_rates(autocorrs, x: float, phi_list) -> list[list[float]]:
     """1 + (2/N) sum_k A_k F(k x, phi) for each state and phi, summed as
     (N + 2 sum_k A_k)/N + (2/N) sum_k A_k (F(k x, phi) - 1).
 
-    A state is its A_k, k = 1, ..., N - 1, in the sequence ``autocorrs``;
-    each is read once. N + 2 sum_k A_k is the exact integer (sum_n C_n)^2,
-    so the constant part is one correctly rounded quotient. Like
-    :func:`quadrature_rates`, one list per state holds one rate per phi.
-    The kernel's series are evaluated once per bond, up to the longest
-    chain, and each state sums its own N - 1 bonds in k order into two
-    phi-free moments, S = sum_k A_k s(k x) and G = sum_k A_k g(k x).
+    A state is its A_k, k = 1, ..., N - 1, as a sequence; the batch
+    ``autocorrs`` may be any iterable and is read once. N + 2 sum_k A_k is
+    the exact integer (sum_n C_n)^2, so the constant part is one correctly
+    rounded quotient. Like :func:`quadrature_rates`, one list per state
+    holds one rate per phi. The kernel's series are evaluated once per bond
+    length, the table growing to each state's N - 1 as the batch is read,
+    and each state sums its own N - 1 bonds in k order into two phi-free
+    moments, S = sum_k A_k s(k x) and G = sum_k A_k g(k x).
     Each phi then costs O(1): sum_k A_k (F - 1) = 1.5 (a S + b G) with
     (a, b) from :func:`_phi_weights`. A rate below zero by at most 1e-12
     is roundoff and is returned as 0; a lower one raises ValueError.
@@ -190,11 +198,11 @@ def closed_form_rates(autocorrs, x: float, phi_list) -> list[list[float]]:
     if not 0 < x < math.inf:
         raise ValueError(f"separation must be > 0 and finite, got x={x}")
     weights = [_phi_weights(phi) for phi in phi_list]
-    longest = max(map(len, autocorrs), default=0)
-    parts = [_kernel_parts(k * x) for k in range(1, longest + 1)]
+    parts = []
     rates = []
     for autocorr in autocorrs:
         n = len(autocorr) + 1
+        parts.extend(_kernel_parts(k * x) for k in range(len(parts) + 1, n))
         s_sum = g_sum = 0.0
         for a_k, (s, g) in zip(autocorr, parts):
             s_sum += a_k * s

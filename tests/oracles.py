@@ -18,7 +18,7 @@ import numpy as np
 from mpmath import mp, mpf
 from scipy.integrate import quad
 
-from chainrad.damping import _kernel_parts
+from chainrad.damping import F_SERIES_THRESHOLD, _kernel_parts
 from chainrad.emission import emission_sweep
 from chainrad.scales import SPEED_OF_LIGHT, CausalityError
 from chainrad.states import SignState, alternating_state, symmetric_state
@@ -48,6 +48,31 @@ def column(table, name: str) -> np.ndarray:
     """One column of a SweepTable as a float array."""
     idx = table.columns.index(name)
     return np.array([row[idx] for row in table.rows], dtype=float)
+
+
+def kernel_parts_reference(x: float) -> tuple[float, float]:
+    """The kernel's (s, g) with each term ratio's integer denominator
+    written inline, as the series were first summed: the library reads
+    the same denominators from float tables, and must match bit for bit."""
+    if x >= F_SERIES_THRESHOLD:
+        sin = math.sin(x)
+        return sin / x - 1.0, math.cos(x) / x**2 - sin / x**3 + 1.0 / 3.0
+    x2 = x * x
+    s = 0.0
+    term = 1.0
+    for k in range(1, 30):
+        term *= -x2 / ((2 * k) * (2 * k + 1))
+        s += term
+        if abs(term) < 1e-18 * max(abs(s), 1e-30):
+            break
+    g = 0.0
+    term = -2.0 / 6.0
+    for k in range(2, 30):
+        term *= -x2 * (2 * k) / ((2 * k - 2) * (2 * k) * (2 * k + 1))
+        g += term
+        if abs(term) < 1e-18 * max(abs(g), 1e-30):
+            break
+    return s, g
 
 
 def kernel_minus_one(x: float, phi: float) -> float:

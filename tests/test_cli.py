@@ -578,7 +578,7 @@ class TestExitCodes:
         from chainrad import damping
 
         # 9.999e7 bonds, every one on the kernel's series branch (k x < 1.5,
-        # 5-15 us each: about 20 minutes), so 10 terms each
+        # 2-7 us each: several minutes), so 10 terms each
         monkeypatch.setattr(damping, "closed_form_rates", None)  # never reached
         argv = ["damping", "--set", "n_atoms=10000", "--range", "1e-5:1.5e-4",
                 "--points", "10000"]

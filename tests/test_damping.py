@@ -38,6 +38,7 @@ from oracles import (
     damping_quad,
     golden_rule_integrand_per_term,
     kernel_minus_one,
+    kernel_parts_reference,
     sign_coeffs,
     sign_states,
 )
@@ -147,6 +148,18 @@ class TestFKernel:
             math.sin(x0) / x0 - 1.0,
             math.cos(x0) / x0**2 - math.sin(x0) / x0**3 + 1.0 / 3.0,
         )
+
+    def test_kernel_parts_bitwise_equal_to_reference(self):
+        # log-uniform x down to 1e-300, the bonds k x that rates_scaling
+        # sums on both branches, and the threshold with its neighbours
+        rng = np.random.default_rng(0)
+        top = math.log10(F_SERIES_THRESHOLD)
+        xs = (10.0 ** rng.uniform(-300.0, top, 10**5)).tolist()
+        xs += [k * 0.001 for k in range(1, 1500)] + [k * 0.5 for k in range(1, 1000)]
+        x0 = F_SERIES_THRESHOLD
+        xs += [math.nextafter(x0, 0.0), x0, math.nextafter(x0, math.inf)]
+        mismatches = [x for x in xs if _kernel_parts(x) != kernel_parts_reference(x)]
+        assert mismatches == []
 
     @pytest.mark.parametrize("x", [0.3, 1.0, 4.0])
     @pytest.mark.parametrize("phi", [0.0, 0.9, math.pi / 2])
@@ -493,6 +506,13 @@ class TestClosedFormRates:
 
     def test_empty_batch_is_no_rows(self):
         assert closed_form_rates([], 0.5, [0.0, math.pi / 2]) == []
+
+    def test_generator_batch_equals_list_batch(self):
+        # the batch is read once, so a generator gives every row too
+        states = [s for n in (3, 6, 1, 2, 5, 4) for s in sign_states(n)]
+        for x in VERIFY_X:
+            autocorrs = (bond_autocorrelation(state) for state in states)
+            assert closed_form_rates(autocorrs, x, VERIFY_PHI) == self.batch(states, x), x
 
     def test_mixed_lengths_share_the_longest_kernel(self):
         # each state reads only its own N - 1 bonds of the shared kernel
