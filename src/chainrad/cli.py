@@ -495,24 +495,7 @@ def build_parser() -> "argparse.ArgumentParser":
     """
     import argparse
 
-    class _Parser(argparse.ArgumentParser):
-        """argparse, but --help and --version (argparse's only stdout text)
-        that cannot be written are exit 2 like a CSV, not skipped in
-        silence, and usage lines go to stderr only."""
-
-        def print_usage(self, file=None):
-            # error() passes sys.stderr, which is None when the process
-            # started with stderr closed, and argparse reads a None file
-            # as stdout
-            _write_stderr(self.format_usage())
-
-        def _print_message(self, message, file=None):
-            if file is sys.stderr:
-                _write_stderr(message)
-            else:
-                _write_stdout(lambda out: out.write(message))
-
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="chainrad",
         description="Collective radiative properties of a finite emitter chain",
     )
@@ -531,8 +514,18 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _parse_plain(argv)
     try:
-        if args is None:
-            args = build_parser().parse_args(argv)
+        if args is None:  # argparse's text goes through the two writers too
+            import contextlib
+            import io
+
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    args = build_parser().parse_args(argv)
+            finally:
+                _write_stderr(err.getvalue())
+                if out.getvalue():
+                    _write_stdout(lambda stream: stream.write(out.getvalue()))
         if not hasattr(args, "config"):  # figure and verify read no chain
             return args.func(args)
         # the chain first, then the command's flags, then the work

@@ -33,7 +33,7 @@ import math
 import sys
 
 from .frozen import Frozen
-from .scales import MAX_ATOMS
+from .scales import MAX_ATOMS, _chain_length
 from .states import SignState
 from .sweeps import SweepTable, _phi_weights, check_work, linspace, phi_columns
 
@@ -280,7 +280,8 @@ def _oracle_work(n: int, xs) -> float:
 
 def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
     """Golden-rule rates of equal-length sign states at x: one list per
-    state, holding one rate per phi.
+    state, holding one rate per phi. ``states`` and ``phi_list`` may be
+    any iterables, each read once.
 
     Integrates (3/(8 x N)) int_{-x}^{x} dy |sum_n C_n e^{-i n y}|^2
     [(1 + cos^2 phi) - (y^2/x^2)(3 cos^2 phi - 1)]; the prefactor is
@@ -312,6 +313,7 @@ def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
 
     if not 0 < x < math.inf:
         raise ValueError(f"separation must be > 0 and finite, got x={x}")
+    states, phi_list = list(states), list(phi_list)
     a, b = np.reshape([_phi_weights(phi) for phi in phi_list], (-1, 2)).T
     if not states:
         return []
@@ -361,11 +363,11 @@ def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
 
     The kernel is evaluated once per bond length k < n_max and shared by
     every N; each row is the rate damping_general gives for
-    symmetric_state(N), whose A_k = N - k. An n_max outside 1..MAX_ATOMS
-    is refused with ValueError before any work.
+    symmetric_state(N), whose A_k = N - k. An n_max that is a bool or
+    not a whole number in 1..MAX_ATOMS is refused with ValueError before
+    any work; a whole float such as 3.0 counts as 3.
     """
-    if not 1 <= n_max <= MAX_ATOMS:
-        raise ValueError(f"n_max must be in 1..{MAX_ATOMS}, got {n_max}")
+    n_max = _chain_length("n_max", n_max, ValueError)
     phi_list = list(phi_list)
     sizes = range(1, n_max + 1)
     columns = ["N"] + phi_columns("gamma", phi_list)
@@ -377,10 +379,10 @@ def n_scaling_sweep(n_max: int, x: float, phi_list) -> SweepTable:
 def angle_sweep(n: int, x: float, phi_grid) -> SweepTable:
     """Symmetric-state rate vs polarization angle: the chain's N - 1 bond
     terms are summed once into phi-free moments, and each angle costs
-    O(1). An n outside 1..MAX_ATOMS is refused with ValueError before
-    any work."""
-    if not 1 <= n <= MAX_ATOMS:
-        raise ValueError(f"n must be in 1..{MAX_ATOMS}, got {n}")
+    O(1). An n that is a bool or not a whole number in 1..MAX_ATOMS is
+    refused with ValueError before any work; a whole float such as 3.0
+    counts as 3."""
+    n = _chain_length("n", n, ValueError)
     phis = [float(p) for p in phi_grid]
     (rates,) = closed_form_rates((range(n - 1, 0, -1),), x, phis)
     rows = [(math.degrees(p), rate) for p, rate in zip(phis, rates)]

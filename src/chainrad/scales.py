@@ -43,19 +43,30 @@ class CausalityError(ValueError):
     """Intensity requested before the light from some atom can arrive."""
 
 
-def _number(key: str, value) -> float:
-    """``value`` as a finite float, or a ConfigError whose message starts
+def _number(key: str, value, error=ConfigError) -> float:
+    """``value`` as a finite float, or an ``error`` whose message starts
     with ``key``. A bool, which Python would take as 0 or 1, and a string
     are refused: only :func:`config_from_dict` reads text."""
     if isinstance(value, bool) or not hasattr(value, "__float__"):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+        raise error(f"{key} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an int beyond the float range
-        raise ConfigError(f"{key} is too large for a float") from None
+        raise error(f"{key} is too large for a float") from None
     if not math.isfinite(number):
-        raise ConfigError(f"{key} must be finite, got {value}")
+        raise error(f"{key} must be finite, got {value}")
     return number
+
+
+def _chain_length(key: str, value, error=ConfigError) -> int:
+    """``value`` as a chain length: a :func:`_number` that is a whole number
+    in 1..MAX_ATOMS, a whole float such as 3.0 read as the int 3, or an
+    ``error`` whose message starts with ``key``. The one rule of
+    ChainConfig's n_atoms and the sweeps' chain lengths."""
+    n = _number(key, value, error)
+    if not (n.is_integer() and 1 <= n <= MAX_ATOMS):
+        raise error(f"{key} must be a whole number in 1..{MAX_ATOMS}, got {value}")
+    return int(n)
 
 
 def _positive(key: str, value) -> float:
@@ -108,11 +119,7 @@ class ChainConfig(Frozen):
         polarization_deg: float = 0.0,
         gamma_override_hz: float | None = None,
     ):
-        n = _number("n_atoms", n_atoms)
-        if not (n.is_integer() and 1 <= n <= MAX_ATOMS):
-            raise ConfigError(
-                f"n_atoms must be a whole number in 1..{MAX_ATOMS}, got {n_atoms}"
-            )
+        n = _chain_length("n_atoms", n_atoms)
         a = _positive("lattice_const_angstrom", lattice_const_angstrom)
         energy = _positive("transition_energy_ev", transition_energy_ev)
         dipole = _positive("dipole_e_angstrom", dipole_e_angstrom)
@@ -123,7 +130,7 @@ class ChainConfig(Frozen):
             phi += 180.0
         if phi > 90.0:
             phi = 180.0 - phi
-        super().__init__(int(n), a, energy, dipole, phi, gamma_override_hz)
+        super().__init__(n, a, energy, dipole, phi, gamma_override_hz)
 
 
 class AtomicScales(Frozen):

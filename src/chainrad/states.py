@@ -13,6 +13,10 @@ class SignState(Frozen):
             raise ValueError("state needs at least one atom")
         if any(c not in (1, -1) for c in coeffs):
             raise ValueError(f"coefficients must be +1 or -1, got {coeffs}")
+        if not isinstance(coeffs, tuple):
+            # a list or numpy array of signs is stored as a tuple of ints,
+            # so equal states compare, hash and repr alike
+            coeffs = tuple(1 if c == 1 else -1 for c in coeffs)
         super().__init__(coeffs)
 
     @property

@@ -455,6 +455,18 @@ class TestBatchedOracle:
         assert (info.value.state, info.value.x, info.value.phi) == (RANDOM_STATE_N7, 1.3, 0.7)
         assert "state ++-+--+, x=1.3, phi=0.7" in str(info.value)
 
+    def test_generator_batch_gives_the_list_batch_rows(self):
+        # the batch is read once, like closed_form_rates' batch
+        states = sign_states(4)
+        rows = quadrature_rates(states, 1.3, VERIFY_PHI)
+        assert quadrature_rates((s for s in states), 1.3, VERIFY_PHI) == rows != []
+
+    def test_iterator_of_angles_names_the_failing_angle(self, monkeypatch):
+        monkeypatch.setattr(damping, "ORACLE_TOL", 1e-30)
+        with pytest.raises(QuadratureAccuracyError) as info:
+            quadrature_rates([RANDOM_STATE_N7], 1.3, iter([0.7, 0.2]))
+        assert (info.value.state, info.value.x, info.value.phi) == (RANDOM_STATE_N7, 1.3, 0.7)
+
     @pytest.mark.parametrize("x", VERIFY_X)
     def test_phi_alone_equals_phi_in_a_long_list(self, x):
         # each phi is formed from the same two phi-free moments
@@ -710,12 +722,28 @@ class TestSweeps:
         with pytest.raises(ValueError, match="100000 points at N=10000 .* 1.00e\\+09"):
             x_sweep(symmetric_state(10_000), 0.01, 20.0, 100_000, [0.0])
         # angle and n-scaling sweeps have no budget of their own: a chain
-        # longer than MAX_ATOMS is refused by its length
-        for n in (0, MAX_ATOMS + 1):
-            with pytest.raises(ValueError, match=f"n must be in 1..{MAX_ATOMS}"):
+        # longer than MAX_ATOMS is refused by its length, and a length is
+        # read by ChainConfig's n_atoms rule
+        for n in (0, 2.5, MAX_ATOMS + 1):
+            whole = f"must be a whole number in 1..{MAX_ATOMS}, got {n}"
+            with pytest.raises(ValueError) as info:
                 angle_sweep(n, 0.1, [0.0])
-            with pytest.raises(ValueError, match=f"n_max must be in 1..{MAX_ATOMS}"):
+            assert str(info.value) == f"n {whole}"
+            with pytest.raises(ValueError) as info:
                 n_scaling_sweep(n, 0.1, [0.0])
+            assert str(info.value) == f"n_max {whole}"
+        # a bool is no chain length, though Python would take it as 1
+        for sweep, key in ((angle_sweep, "n"), (n_scaling_sweep, "n_max")):
+            with pytest.raises(ValueError) as info:
+                sweep(True, 0.1, [0.0])
+            assert str(info.value) == f"{key} must be a number, got True"
+
+    def test_whole_float_chain_length_is_its_int(self):
+        # 5.0 is N = 5, as ChainConfig reads n_atoms
+        assert angle_sweep(5.0, 0.1, [0.0, 1.0]).rows == angle_sweep(5, 0.1, [0.0, 1.0]).rows
+        table = n_scaling_sweep(3.0, 0.1, [0.0])
+        assert table.rows == n_scaling_sweep(3, 0.1, [0.0]).rows
+        assert [type(row[0]) for row in table.rows] == [int, int, int]
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["closed_form", "oracle"])
     def test_x_sweep_over_budget_refused_before_its_grid(self, oracle):
@@ -744,9 +772,9 @@ class TestSweeps:
              "shorter chain"),
             # a chain over MAX_ATOMS is refused by its length, not a budget
             (angle_sweep, (MAX_ATOMS + 1, 0.1, [0.0] * 10),
-             "n must be in 1..10000, got 10001"),
+             "n must be a whole number in 1..10000, got 10001"),
             (n_scaling_sweep, (MAX_ATOMS + 1, 0.1, [0.0, 1.0]),
-             "n_max must be in 1..10000, got 10001"),
+             "n_max must be a whole number in 1..10000, got 10001"),
             # the O(N^2) correlation bounds every rate of a given state:
             # one point of an x sweep is no way round it
             (damping_general, (alternating_state(MAX_ATOMS + 1), 0.5, 0.0),

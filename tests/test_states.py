@@ -41,6 +41,23 @@ class TestConstructors:
         with pytest.raises(ValueError):
             SignState(coeffs=())
 
+    @pytest.mark.parametrize(
+        "signs",
+        [[1, -1, 1], (1, -1, 1), np.array([1, -1, 1]), [1.0, -1.0, 1.0],
+         np.array([1.0, -1.0, 1.0])],
+        ids=["list", "tuple", "ndarray", "float-list", "float-ndarray"],
+    )
+    def test_any_sequence_is_a_tuple_record(self, signs):
+        # equal records compare, hash and repr alike, whatever sequence
+        # built them
+        state = SignState(signs)
+        assert state.coeffs == (1, -1, 1) and type(state.coeffs) is tuple
+        assert all(type(c) is int for c in state.coeffs)
+        assert state == SignState((1, -1, 1)) and state != SignState((1, 1, 1))
+        assert hash(state) == hash(SignState((1, -1, 1)))
+        assert repr(state) == "SignState(coeffs=(1, -1, 1))"
+        assert str(state) == "+-+"
+
     def test_str_pattern(self):
         assert str(alternating_state(4)) == "+-+-"
 
