@@ -125,9 +125,9 @@ class ChainConfig(Frozen):
         dipole = _positive("dipole_e_angstrom", dipole_e_angstrom)
         if gamma_override_hz is not None:
             gamma_override_hz = _positive("gamma_override_hz", gamma_override_hz)
-        phi = math.fmod(_number("polarization_deg", polarization_deg), 180.0)
-        if phi < 0:
-            phi += 180.0
+        # cos^2 is even, so fold |phi|: fmod, abs and 180 - phi on [90, 180]
+        # (Sterbenz) are exact, and -phi folds to phi's bits, never to -0.0
+        phi = math.fmod(abs(_number("polarization_deg", polarization_deg)), 180.0)
         if phi > 90.0:
             phi = 180.0 - phi
         super().__init__(n, a, energy, dipole, phi, gamma_override_hz)

@@ -5,7 +5,6 @@ import json
 import math
 import os
 import random
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -37,14 +36,7 @@ from chainrad.cli import (
 from chainrad.emission import latest_retardation
 from chainrad.scales import ANGSTROM, config_from_dict, config_to_dict
 from record_outputs import RECORDED_OPS, cli_output, recorded_output
-
-
-def run_fresh(*args):
-    """Run python with ``args`` in a fresh process on this chainrad tree."""
-    env = dict(os.environ, PYTHONPATH=str(Path(chainrad.__file__).parents[1]))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env
-    )
+from test_console import run_fresh
 
 
 def first_ops_loading(ops, package):
@@ -818,41 +810,10 @@ class TestParser:
         assert built == [["--version"]]
 
 
-def run_cli(
-    *argv, buffered=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    shell_redirect="",
-):
-    """Run ``python -m chainrad.cli argv`` in a fresh process; stdout as
-    bytes. ``buffered=False`` sets PYTHONUNBUFFERED, so every write reaches
-    the fd at once; ``shell_redirect`` (such as ``>&-``) is applied to the
-    command by /bin/sh."""
-    env = dict(os.environ, PYTHONPATH=str(Path(chainrad.__file__).parents[1]))
-    env.pop("PYTHONUNBUFFERED", None)
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    cmd = [sys.executable, "-m", "chainrad.cli", *argv]
-    if shell_redirect:
-        cmd = ["/bin/sh", "-c", f'exec "$@" {shell_redirect}', "sh", *cmd]
-    return subprocess.run(cmd, stdout=stdout, stderr=stderr, env=env)
-
-
 class TestEntry:
     """``entry()`` runs ``main()`` as a process: a one-thread BLAS default,
-    a final flush, and ``os._exit`` without interpreter finalization."""
-
-    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("number", ["2", "16"])
-    def test_fresh_output_is_the_in_process_output(self, number, buffered, tmp_path):
-        # os._exit drops whatever is still buffered, so a missed flush
-        # would truncate the CSV
-        expected = cli_output(["figure", number])
-        done = run_cli("figure", number, buffered=buffered)
-        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
-        assert done.stdout == expected
-        out = tmp_path / "fig.csv"
-        done = run_cli("figure", number, "--out", str(out), buffered=buffered)
-        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, b"", b"")
-        assert out.read_bytes() == expected
+    a final flush, and ``os._exit`` without interpreter finalization. The
+    fresh-process cases are in tests/test_console.py."""
 
     @pytest.mark.parametrize(
         "preset, expected",
@@ -909,63 +870,6 @@ class TestEntry:
             "chainrad: cannot write output: [Errno 28] No space left on device\n"
         )
 
-    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize(
-        "argv",
-        [["scales"], ["figure", "2"], ["--version"], ["--help"], ["damping", "--help"]],
-        ids=" ".join,
-    )
-    @pytest.mark.parametrize("target", ["closed_pipe", "dev_full", "closed_stdout"])
-    def test_unwritable_stdout_is_usage_error(self, target, argv, buffered):
-        # figure 2's CSV outgrows the stdout buffer, scales' fits in it;
-        # argparse itself skips a failed --help or --version write in silence
-        if target == "closed_pipe":
-            read_end, write_end = os.pipe()
-            os.close(read_end)
-            try:
-                done = run_cli(*argv, buffered=buffered, stdout=write_end)
-            finally:
-                os.close(write_end)
-            reason = "[Errno 32] Broken pipe"
-        elif target == "dev_full":
-            if not os.path.exists("/dev/full"):
-                pytest.skip("no /dev/full")
-            done = run_cli(*argv, buffered=buffered, shell_redirect="> /dev/full")
-            reason = "[Errno 28] No space left on device"
-        else:
-            done = run_cli(*argv, buffered=buffered, shell_redirect=">&-")
-            reason = "stdout is closed"
-        assert done.returncode == EXIT_USAGE
-        assert done.stderr.decode() == f"chainrad: cannot write output: {reason}\n"
-
-    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize(
-        "argv, code",
-        [
-            (["figure", "99"], EXIT_USAGE),
-            (["damping", "--bogus"], EXIT_USAGE),
-            (["scales", "--set", "n_atoms=0"], EXIT_CONFIG),
-        ],
-        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
-    )
-    @pytest.mark.parametrize("target", ["closed_pipe", "dev_full", "closed_stderr"])
-    def test_failing_stderr_keeps_the_exit_code(self, target, argv, code, buffered):
-        # the error message cannot be written, and nothing else can be told
-        if target == "closed_pipe":
-            read_end, write_end = os.pipe()
-            os.close(read_end)
-            try:
-                done = run_cli(*argv, buffered=buffered, stderr=write_end)
-            finally:
-                os.close(write_end)
-        elif target == "dev_full":
-            if not os.path.exists("/dev/full"):
-                pytest.skip("no /dev/full")
-            done = run_cli(*argv, buffered=buffered, shell_redirect="2>/dev/full")
-        else:
-            done = run_cli(*argv, buffered=buffered, shell_redirect="2>&-")
-        assert done.returncode == code
-
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -991,27 +895,6 @@ class TestEntry:
         )
         monkeypatch.setattr(sys, "stderr", Full())
         assert main(argv) == code
-
-    def test_package_import_loads_no_submodule(self):
-        done = run_fresh(
-            "-c",
-            "import sys, chainrad; "
-            "print(sorted(m for m in sys.modules if m.startswith('chainrad.')))",
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
-
-    def test_public_names_resolve_to_their_modules(self):
-        import importlib
-
-        for module, names in chainrad._PUBLIC.items():
-            source = importlib.import_module(f"chainrad.{module}")
-            for name in names:
-                assert getattr(chainrad, name) is getattr(source, name)
-        assert set(chainrad.__all__) <= set(dir(chainrad))
-        with pytest.raises(AttributeError):
-            chainrad.no_such_name
-
 
 class TestFigures:
     def test_all_supported_figures_run(self, tmp_path):

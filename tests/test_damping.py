@@ -24,6 +24,7 @@ from chainrad.damping import (
     f_kernel,
     n_scaling_sweep,
     quadrature_rates,
+    relative_error,
     x_sweep,
 )
 from chainrad.scales import MAX_ATOMS
@@ -326,6 +327,16 @@ class TestQuadratureOracle:
         # the error still carries a usable estimate
         assert info.value.estimate == pytest.approx(0.5665718598084711, rel=1e-6)
 
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("x", [0.5, 3.0])
+    def test_long_chains_match_closed_form(self, n, x):
+        # past verify's N <= 12: the oracle integrates |P|^2 and shares no
+        # bond term with the closed form (worst seen 9.1e-12 at N = 1000)
+        states = [SignState(sign_coeffs(kind, n)) for kind in ("sym", "alt", "random")]
+        phis = [0.0, math.pi / 2]
+        closed = closed_form_rates([bond_autocorrelation(s) for s in states], x, phis)
+        assert relative_error(closed, quadrature_rates(states, x, phis)) <= VERIFY_TOL
+
     @pytest.mark.parametrize("kind", ["sym", "alt", "random"])
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     @pytest.mark.parametrize("x", [0.1, 3.0, 10.0])
@@ -619,6 +630,26 @@ class TestSignAverage:
             for s in sign_states(n)
         ]
         assert sum(rates) / len(rates) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestContinuumLimit:
+    """|P|^2/N tends to 2 pi sum_m delta(y - 2 pi m), and for x < 2 pi only
+    the m = 0 term lies in the golden-rule integral's window |y| <= x, so
+    the symmetric rate tends to L = 3 pi (1 + cos^2 phi) / (4 x), with an
+    error that falls as 1/N."""
+
+    @pytest.mark.parametrize("x", [1.0, 3.0])
+    def test_symmetric_rate_settles_on_the_law(self, x):
+        # N (Gamma_N - L) at phi = 0 moved by at most 5.5e-4 from N = 10^2
+        # to 10^4 (x = 1: -5.83108, -5.83163, -5.83164; x = 3: -0.48221)
+        limit = 3.0 * math.pi * 2.0 / (4.0 * x)
+
+        def scaled_error(n):
+            return n * (damping_general(symmetric_state(n), x, 0.0).rate_ratio - limit)
+
+        settled = scaled_error(100)
+        for n in (1000, 10_000):
+            assert abs(scaled_error(n) - settled) <= 1e-3, n
 
 
 class TestSweeps:

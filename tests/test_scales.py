@@ -210,11 +210,13 @@ class TestChainConfig:
     @pytest.mark.parametrize(
         "degrees,folded",
         [(135, 45.0), (-30, 30.0), (90, 90.0), (180, 0.0), (400.5, 40.5),
-         (1e20, 80.0)],
+         (1e20, 80.0), (-30.1, 30.1), (-180, 0.0), (-1e-300, 1e-300)],
     )
     def test_degree_fold_is_exact(self, degrees, folded):
-        # fmod is exact, so an angle folds to the same bits in [0, 90]
-        assert make_config(polarization_deg=degrees).polarization_deg == folded
+        # fmod and abs are exact, so an angle and its negative fold to the
+        # same bits in [0, 90], and no angle folds to -0.0
+        phi = make_config(polarization_deg=degrees).polarization_deg
+        assert phi == folded and math.copysign(1.0, phi) == 1.0
 
 
 class TestJsonInterface:

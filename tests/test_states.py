@@ -44,8 +44,10 @@ class TestConstructors:
     @pytest.mark.parametrize(
         "signs",
         [[1, -1, 1], (1, -1, 1), np.array([1, -1, 1]), [1.0, -1.0, 1.0],
-         np.array([1.0, -1.0, 1.0])],
-        ids=["list", "tuple", "ndarray", "float-list", "float-ndarray"],
+         np.array([1.0, -1.0, 1.0]), (1.0, -1.0, 1.0),
+         tuple(np.array([1, -1, 1])), (True, -1, True)],
+        ids=["list", "tuple", "ndarray", "float-list", "float-ndarray",
+             "float-tuple", "numpy-int-tuple", "bool-tuple"],
     )
     def test_any_sequence_is_a_tuple_record(self, signs):
         # equal records compare, hash and repr alike, whatever sequence
