@@ -37,7 +37,7 @@ from .damping import (
     x_sweep,
 )
 from .states import SignState, alternating_state, symmetric_state
-from .sweeps import SweepTable, format_value, linspace, phi_columns
+from .sweeps import SweepTable, format_value, linspace, phi_columns, x_grid
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -186,7 +186,7 @@ def _f_kernel_sweep(x_min, x_max, n_points, phi_list) -> SweepTable:
     columns = ["x"] + phi_columns("F", phi_list)
     rows = [
         (x, *(f_kernel(x, phi) for phi in phi_list))
-        for x in linspace(x_min, x_max, n_points)
+        for x in x_grid(x_min, x_max, n_points)
     ]
     return SweepTable(columns=columns, rows=rows)
 
@@ -337,7 +337,7 @@ def cmd_verify(args) -> int:
     """Closed form vs quadrature over all sign states, N <= --nmax."""
     if not 1 <= args.nmax <= VERIFY_MAX_N:
         raise UsageError(f"--nmax must be in 1..{VERIFY_MAX_N}, got {args.nmax}")
-    x_grid = (0.1, 0.5, 1.0, 3.0, 10.0)
+    xs = (0.1, 0.5, 1.0, 3.0, 10.0)
     phi_grid = (0.0, math.pi / 4, math.pi / 2)
     rows = []
     worst = 0.0
@@ -348,7 +348,7 @@ def cmd_verify(args) -> int:
         # half with C_1 = +1 stands for all 2^n states
         states = [SignState((1, *rest)) for rest in product((1, -1), repeat=n - 1)]
         autocorrs = [bond_autocorrelation(state) for state in states]
-        for x in x_grid:
+        for x in xs:
             # one batch per method and x serves every state and phi
             closed = closed_form_rates(autocorrs, x, phi_grid)
             quads = quadrature_rates(states, x, phi_grid)
@@ -359,7 +359,7 @@ def cmd_verify(args) -> int:
         columns=["N", "n_states", "max_rel_err"],
         rows=rows,
         metadata={
-            "x_grid": " ".join(format_value(x) for x in x_grid),
+            "x_grid": " ".join(format_value(x) for x in xs),
             "phi_deg_grid": " ".join(format_value(math.degrees(p)) for p in phi_grid),
         },
         footer=[f"max_rel_err={worst:.3e}", f"tolerance={VERIFY_TOL:.0e}"],

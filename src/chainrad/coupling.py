@@ -13,7 +13,7 @@ dipole-dipole interaction (3/4)(1 - 3 cos^2 phi)/x^3.
 
 import math
 
-from .sweeps import SweepTable, _phi_weights, linspace, phi_columns
+from .sweeps import SweepTable, _phi_weights, _separation, phi_columns, x_grid
 
 def _finite(j: float, x: float) -> float:
     """``j``, or OverflowError when it is not finite: from about x = 1.4e-108
@@ -30,8 +30,7 @@ def transfer_exact(x: float, phi: float) -> float:
     The bracket sin x/x^2 + cos x/x^3 is evaluated as written at every x:
     near 0 its 1/x^3 part dominates, so the two terms do not cancel.
     """
-    if not 0 < x < math.inf:
-        raise ValueError(f"separation must be > 0 and finite, got x={x}")
+    _separation(x)
     a, b = _phi_weights(phi)
     bracket = math.sin(x) / x**2 + math.cos(x) / x**3
     return _finite(0.75 * (b * bracket - a * (math.cos(x) / x)), x)
@@ -39,8 +38,7 @@ def transfer_exact(x: float, phi: float) -> float:
 
 def transfer_electrostatic(x: float, phi: float) -> float:
     """Electrostatic resonance dipole-dipole limit of J/gamma_a."""
-    if not 0 < x < math.inf:
-        raise ValueError(f"separation must be > 0 and finite, got x={x}")
+    _separation(x)
     _, b = _phi_weights(phi)
     return _finite(0.75 * b / x**3, x)
 
@@ -52,17 +50,16 @@ def coupling_sweep(
 
     One exact and one electrostatic column per polarization angle; a
     one-point grid is x_min alone. The grid comes from
-    :func:`~chainrad.sweeps.linspace`, which refuses an n_points outside
-    1..MAX_POINTS before any point is built.
+    :func:`~chainrad.sweeps.x_grid`, which refuses a bad x range or an
+    n_points outside 1..MAX_POINTS before any point is built.
     """
-    if not 0 < x_min < x_max < math.inf:
-        raise ValueError(f"need 0 < x_min < x_max < inf, got [{x_min}, {x_max}]")
+    grid = x_grid(x_min, x_max, n_points)
     phi_list = list(phi_list)
     columns = (
         ["x"] + phi_columns("J_exact", phi_list) + phi_columns("J_approx", phi_list)
     )
     rows = []
-    for x in linspace(x_min, x_max, n_points):
+    for x in grid:
         row = [x]
         row += [transfer_exact(x, p) for p in phi_list]
         row += [transfer_electrostatic(x, p) for p in phi_list]

@@ -35,7 +35,7 @@ import sys
 from .frozen import Frozen
 from .scales import MAX_ATOMS, _chain_length
 from .states import SignState
-from .sweeps import SweepTable, _phi_weights, check_work, linspace, phi_columns
+from .sweeps import SweepTable, _phi_weights, _separation, check_work, phi_columns, x_grid
 
 #: Below this x, sin x/x - 1 and cos x/x^2 - sin x/x^3 + 1/3 are summed
 #: as alternating Taylor series. The direct forms cancel catastrophically
@@ -195,8 +195,7 @@ def closed_form_rates(autocorrs, x: float, phi_list) -> list[list[float]]:
     (a, b) from :func:`_phi_weights`. A rate below zero by at most 1e-12
     is roundoff and is returned as 0; a lower one raises ValueError.
     """
-    if not 0 < x < math.inf:
-        raise ValueError(f"separation must be > 0 and finite, got x={x}")
+    _separation(x)
     weights = [_phi_weights(phi) for phi in phi_list]
     parts = []
     rates = []
@@ -311,8 +310,7 @@ def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
     """
     import numpy as np
 
-    if not 0 < x < math.inf:
-        raise ValueError(f"separation must be > 0 and finite, got x={x}")
+    _separation(x)
     states, phi_list = list(states), list(phi_list)
     a, b = np.reshape([_phi_weights(phi) for phi in phi_list], (-1, 2)).T
     if not states:
@@ -397,19 +395,17 @@ def x_sweep(
 
     With ``oracle=True`` a quadrature column is added per polarization
     and the footer records the worst closed-form/quadrature mismatch. The
-    grid comes from :func:`~chainrad.sweeps.linspace`, which refuses an
-    n_points outside 1..MAX_POINTS before any point is built. A grid
-    whose oracle work exceeds ORACLE_NODE_BUDGET, or whose n_points (N - 1)
-    bond terms, with a bond on the kernel's series branch counted as 10,
-    exceed CLOSED_FORM_TERM_BUDGET, is then refused with ValueError before
-    any rate is computed. Each x shares one pair of moments, and one
-    oracle batch, among all polarizations.
+    grid comes from :func:`~chainrad.sweeps.x_grid`, which refuses a bad x
+    range or an n_points outside 1..MAX_POINTS before any point is built.
+    A grid whose oracle work exceeds ORACLE_NODE_BUDGET, or whose n_points
+    (N - 1) bond terms, with a bond on the kernel's series branch counted
+    as 10, exceed CLOSED_FORM_TERM_BUDGET, is then refused with ValueError
+    before any rate is computed. Each x shares one pair of moments, and
+    one oracle batch, among all polarizations.
     """
-    if not 0 < x_min < x_max < math.inf:
-        raise ValueError(f"need 0 < x_min < x_max < inf, got [{x_min}, {x_max}]")
     n = state.n
     bonds = n - 1
-    grid = linspace(x_min, x_max, n_points)
+    grid = x_grid(x_min, x_max, n_points)
     if oracle:
         check_work(
             f"the quadrature oracle over {n_points} points up to x={x_max:g} "

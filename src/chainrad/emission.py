@@ -76,9 +76,8 @@ def _point_intensity(
     # alpha = arctan(obs_x / R); atan2 gives pi/2 at R = 0
     alpha = np.arctan2(obs_x, atom_z)
     phi_n = math.pi - phi - alpha
-    unit = np.column_stack(
-        [np.full(n, obs_x), np.zeros(n), -atom_z]
-    ) / dist[:, None]
+    # the field has no y component: atoms and observer share the xz plane
+    unit = np.column_stack([np.full(n, obs_x), -atom_z]) / dist[:, None]
     tn = dist / SPEED_OF_LIGHT
     amplitude = (
         coeffs * np.sin(phi_n) / dist

@@ -72,6 +72,19 @@ def _phi_weights(phi: float) -> tuple[float, float]:
     return 1.0 - c2, 1.0 - 3.0 * c2
 
 
+def _separation(x: float) -> None:
+    """The separation rule of every two-body formula: x > 0 and finite."""
+    if not 0 < x < math.inf:
+        raise ValueError(f"separation must be > 0 and finite, got x={x}")
+
+
+def x_grid(x_min: float, x_max: float, num: int) -> list[float]:
+    """The x-range rule, 0 < x_min < x_max < inf, then :func:`linspace`."""
+    if not 0 < x_min < x_max < math.inf:
+        raise ValueError(f"need 0 < x_min < x_max < inf, got [{x_min}, {x_max}]")
+    return linspace(x_min, x_max, num)
+
+
 def phi_columns(prefix: str, phi_list) -> list[str]:
     """Column names ``<prefix>_phi<deg>``, one per angle, each checked first."""
     for p in phi_list:

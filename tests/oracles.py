@@ -150,10 +150,11 @@ def pair_correlations(coeffs) -> np.ndarray:
 
 def emission_geometry(n: int, a: float, phi: float, obs_x: float) -> SimpleNamespace:
     """Per-atom observation geometry of n atoms at spacing a, observed at
-    (obs_x, 0, 0), with the numpy calls the library's per-point sum makes inline:
-    R_n (``atom_z``), the dipole angle seen from atom n (``phi_n``),
-    |r - R_n| (``dist_n``), dist_n / c (``retard_n``) and the N x 3 unit
-    vectors (r - R_n)/|r - R_n| (``unit_n``)."""
+    (obs_x, 0, 0): R_n (``atom_z``), the dipole angle seen from atom n
+    (``phi_n``), |r - R_n| (``dist_n``) and dist_n / c (``retard_n``), by the
+    numpy calls the library's per-point sum makes, and the N x 3 unit vectors
+    (r - R_n)/|r - R_n| (``unit_n``), zero y components included, where the
+    library keeps only the x and z columns."""
     atom_z = a * np.arange(n, dtype=float)
     dist = np.hypot(obs_x, atom_z)
     unit = np.column_stack(

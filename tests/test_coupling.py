@@ -133,21 +133,6 @@ class TestCouplingSweep:
             coupling_sweep(*args, [0.0])
 
 
-class TestNonFiniteSeparation:
-    @pytest.mark.parametrize("x", [math.nan, math.inf])
-    @pytest.mark.parametrize("transfer", [transfer_exact, transfer_electrostatic])
-    def test_refused(self, transfer, x):
-        with pytest.raises(ValueError) as info:
-            transfer(x, 0.0)
-        assert str(info.value) == f"separation must be > 0 and finite, got x={x}"
-
-    @pytest.mark.parametrize("x_min, x_max", [(0.1, math.inf), (math.nan, 1.0)])
-    def test_sweep_refused(self, x_min, x_max):
-        with pytest.raises(ValueError) as info:
-            coupling_sweep(x_min, x_max, 3, [0.0])
-        assert str(info.value) == f"need 0 < x_min < x_max < inf, got [{x_min}, {x_max}]"
-
-
 class TestNonFiniteAngle:
     """A nan or infinite phi is refused by the one angle rule, with its own
     text, not blamed on x or failed in the column names."""

@@ -327,11 +327,12 @@ class TestQuadratureOracle:
         # the error still carries a usable estimate
         assert info.value.estimate == pytest.approx(0.5665718598084711, rel=1e-6)
 
-    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("n", [100, 1000, 4000])
     @pytest.mark.parametrize("x", [0.5, 3.0])
     def test_long_chains_match_closed_form(self, n, x):
         # past verify's N <= 12: the oracle integrates |P|^2 and shares no
-        # bond term with the closed form (worst seen 9.1e-12 at N = 1000)
+        # bond term with the closed form (worst seen 2.4e-11, sym at N = 4000
+        # and x = 3)
         states = [SignState(sign_coeffs(kind, n)) for kind in ("sym", "alt", "random")]
         phis = [0.0, math.pi / 2]
         closed = closed_form_rates([bond_autocorrelation(s) for s in states], x, phis)
@@ -608,19 +609,6 @@ class TestClosedFormRates:
         with pytest.raises(ValueError, match="negative decay rate"):
             closed_form_rates([[-5]], 1.0, [0.0])
 
-    def test_zero_separation_rejected_by_every_caller(self):
-        state = symmetric_state(3)
-        with pytest.raises(ValueError, match="separation must be > 0"):
-            closed_form_rates([[2, 1]], 0.0, [0.0])
-        with pytest.raises(ValueError, match="separation must be > 0"):
-            n_scaling_sweep(3, 0.0, [0.0])
-        with pytest.raises(ValueError, match="separation must be > 0"):
-            angle_sweep(3, 0.0, [0.0])
-        with pytest.raises(ValueError, match="separation must be > 0"):
-            damping_general(state, 0.0, 0.0)
-        with pytest.raises(ValueError, match="x_min"):
-            x_sweep(state, 0.0, 1.0, 5, [0.0])
-
 
 class TestSignAverage:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -633,16 +621,23 @@ class TestSignAverage:
 
 
 class TestContinuumLimit:
-    """|P|^2/N tends to 2 pi sum_m delta(y - 2 pi m), and for x < 2 pi only
-    the m = 0 term lies in the golden-rule integral's window |y| <= x, so
-    the symmetric rate tends to L = 3 pi (1 + cos^2 phi) / (4 x), with an
-    error that falls as 1/N."""
+    """|P|^2/N tends to 2 pi sum_m delta(y - 2 pi m), and the golden-rule
+    integral's window |y| <= x takes the terms with 2 pi |m| < x: only
+    m = 0 for x < 2 pi, and m = 0, +-1 for 2 pi < x < 4 pi. So the
+    symmetric rate tends to L = (3 pi/(4 x)) sum_m w(2 pi m/x), with
+    w(u) = (1 + cos^2 phi) - u^2 (3 cos^2 phi - 1), and an error that
+    falls as 1/N."""
 
-    @pytest.mark.parametrize("x", [1.0, 3.0])
+    @pytest.mark.parametrize("x", [1.0, 3.0, 7.0, 9.0, 11.0])
     def test_symmetric_rate_settles_on_the_law(self, x):
-        # N (Gamma_N - L) at phi = 0 moved by at most 5.5e-4 from N = 10^2
-        # to 10^4 (x = 1: -5.83108, -5.83163, -5.83164; x = 3: -0.48221)
-        limit = 3.0 * math.pi * 2.0 / (4.0 * x)
+        # at phi = 0, w(u) = 2 - 2 u^2, and L = 0.934828, 1.060405 and
+        # 1.005651 at x = 7, 9 and 11. N (Gamma_N - L) moved by at most
+        # 5.5e-4 from N = 10^2 to 10^4 (x = 1: -5.83108, -5.83163, -5.83164;
+        # x = 3: -0.48221; x = 7, 9, 11: +0.0266, -0.0521, -0.0129)
+        m_max = math.ceil(x / (2.0 * math.pi)) - 1
+        limit = 3.0 * math.pi / (4.0 * x) * sum(
+            2.0 - 2.0 * (2.0 * math.pi * m / x) ** 2 for m in range(-m_max, m_max + 1)
+        )
 
         def scaled_error(n):
             return n * (damping_general(symmetric_state(n), x, 0.0).rate_ratio - limit)
@@ -849,8 +844,9 @@ class TestSweeps:
 
 
 class TestNonFiniteInputs:
-    """A separation or angle that is nan or inf is refused with ValueError
-    before any work, not returned as nan or failed deeper down."""
+    """A bond length or angle that is nan or inf is refused with ValueError
+    before any work, not returned as nan or failed deeper down (the
+    separation and x-range rules: test_sweeps.TestSeparationRules)."""
 
     @pytest.mark.parametrize("x", [math.nan, math.inf])
     def test_bond_length(self, x):
@@ -876,30 +872,3 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError) as info:
             call(phi)
         assert str(info.value) == f"polarization angle must be finite, got phi={phi}"
-
-    @pytest.mark.parametrize("x", [math.nan, math.inf])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda x: quadrature_rates([symmetric_state(2)], x, [0.0]),
-            lambda x: closed_form_rates([[1]], x, [0.0]),
-            lambda x: damping_general(symmetric_state(3), x, 0.0),
-            lambda x: angle_sweep(3, x, [0.0]),
-            lambda x: n_scaling_sweep(3, x, [0.0]),
-        ],
-        ids=["quadrature_rates", "closed_form_rates", "damping_general", "angle_sweep",
-             "n_scaling_sweep"],
-    )
-    def test_separation(self, call, x):
-        with pytest.raises(ValueError) as info:
-            call(x)
-        assert str(info.value) == f"separation must be > 0 and finite, got x={x}"
-
-    @pytest.mark.parametrize("oracle", [False, True])
-    @pytest.mark.parametrize(
-        "x_min, x_max", [(0.1, math.inf), (math.nan, 1.0), (0.1, math.nan)]
-    )
-    def test_x_sweep_range(self, x_min, x_max, oracle):
-        with pytest.raises(ValueError) as info:
-            x_sweep(symmetric_state(2), x_min, x_max, 3, [0.0], oracle)
-        assert str(info.value) == f"need 0 < x_min < x_max < inf, got [{x_min}, {x_max}]"

@@ -8,9 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainrad.cli import _angle_grid, _lattice_grid
-from chainrad.coupling import coupling_sweep
-from chainrad.damping import x_sweep
+from chainrad.cli import _angle_grid, _f_kernel_sweep, _lattice_grid
+from chainrad.coupling import coupling_sweep, transfer_electrostatic, transfer_exact
+from chainrad.damping import (
+    angle_sweep,
+    closed_form_rates,
+    damping_general,
+    n_scaling_sweep,
+    quadrature_rates,
+    x_sweep,
+)
 from chainrad.states import symmetric_state
 from chainrad.sweeps import MAX_POINTS, SweepTable, format_value, linspace, phi_columns
 
@@ -92,6 +99,51 @@ class TestPhiColumns:
         with pytest.raises(ValueError) as info:
             phi_columns("J", [0.0, phi])
         assert str(info.value) == f"polarization angle must be finite, got phi={phi}"
+
+
+class TestSeparationRules:
+    """The separation rule (x > 0 and finite) and the x-range rule
+    (0 < x_min < x_max < inf), each checked through every caller, with
+    the one message each rule gives."""
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: transfer_exact(x, 0.0),
+            lambda x: transfer_electrostatic(x, 0.0),
+            lambda x: quadrature_rates([symmetric_state(2)], x, [0.0]),
+            lambda x: closed_form_rates([[1]], x, [0.0]),
+            lambda x: damping_general(symmetric_state(3), x, 0.0),
+            lambda x: angle_sweep(3, x, [0.0]),
+            lambda x: n_scaling_sweep(3, x, [0.0]),
+        ],
+        ids=["transfer_exact", "transfer_electrostatic", "quadrature_rates",
+             "closed_form_rates", "damping_general", "angle_sweep", "n_scaling_sweep"],
+    )
+    def test_separation(self, call, x):
+        with pytest.raises(ValueError) as info:
+            call(x)
+        assert str(info.value) == f"separation must be > 0 and finite, got x={x}"
+
+    @pytest.mark.parametrize(
+        "x_min, x_max",
+        [(0.1, math.inf), (math.nan, 1.0), (0.1, math.nan), (0.0, 1.0), (2.0, 1.0)],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda lo, hi: coupling_sweep(lo, hi, 3, [0.0]),
+            lambda lo, hi: x_sweep(symmetric_state(2), lo, hi, 3, [0.0]),
+            lambda lo, hi: x_sweep(symmetric_state(2), lo, hi, 3, [0.0], oracle=True),
+            lambda lo, hi: _f_kernel_sweep(lo, hi, 3, [0.0]),
+        ],
+        ids=["coupling_sweep", "x_sweep", "x_sweep_oracle", "f_kernel_sweep"],
+    )
+    def test_x_range(self, build, x_min, x_max):
+        with pytest.raises(ValueError) as info:
+            build(x_min, x_max)
+        assert str(info.value) == f"need 0 < x_min < x_max < inf, got [{x_min}, {x_max}]"
 
 
 def reference_cell(v) -> str:
