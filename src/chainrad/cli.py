@@ -242,38 +242,14 @@ def cmd_angles(args, config, scales) -> SweepTable:
     return angle_sweep(config.n_atoms, scales.qa_a, _angle_grid(args.points))
 
 
-def _lattice_grid(lo: float, hi: float, n_points: int):
-    """``n_points`` lattice constants in m, log-spaced from lo to hi Angstrom:
-    the grid of ``emission`` and of figures 16-20. Its exponents come from
-    :func:`linspace`, which bounds ``n_points``, and 10 to their power is
-    bit-equal to numpy.logspace."""
-    import numpy as np  # emission is the one command that needs arrays
-
-    return np.power(10.0, linspace(math.log10(lo), math.log10(hi), n_points)) * ANGSTROM
-
-
 def cmd_emission(args, config, scales) -> SweepTable:
-    from .emission import emission_sweep, latest_retardation
+    from .emission import emission_sweep, lattice_grid
 
     state = parse_state(args.state, config.n_atoms)
-    if not (math.isfinite(args.obs_x) and args.obs_x > 0):
-        raise UsageError(f"--obs-x must be finite and > 0, got {args.obs_x}")
-    obs_x = args.obs_x * ANGSTROM
     lo, hi = _parse_range(args.range)
-    if not (lo > 0 and hi > 0):
-        raise UsageError(
-            f"emission --range is a lattice-constant range in Angstrom and "
-            f"needs lo > 0 and hi > 0, got {args.range!r}"
-        )
-    a_grid = _lattice_grid(lo, hi, args.points)
-    t = args.time
-    if t is None:
-        # latest retardation over the grid, by the sweep's own rule, so the
-        # default is always causal
-        t = float(latest_retardation(config.n_atoms, a_grid, obs_x).max())
     trace = emission_sweep(
-        state, a_grid, math.radians(config.polarization_deg), obs_x, t, scales,
-        config.dipole_e_angstrom,
+        state, lattice_grid(lo, hi, args.points), math.radians(config.polarization_deg),
+        args.obs_x * ANGSTROM, args.time, scales, config.dipole_e_angstrom,
     )
     trace.table.metadata["reference_intensity_w_m2"] = format_value(
         trace.reference_intensity
@@ -283,7 +259,7 @@ def cmd_emission(args, config, scales) -> SweepTable:
 
 def _emission_figure(state: SignState, phi: float) -> SweepTable:
     """Two-atom emission trace at the reference parameter set, t = 2x/c."""
-    from .emission import emission_sweep
+    from .emission import emission_sweep, lattice_grid
 
     config = config_from_dict(EMISSION_CONFIG)
     obs_x = EMISSION_OBS_X_ANGSTROM * ANGSTROM
@@ -291,7 +267,7 @@ def _emission_figure(state: SignState, phi: float) -> SweepTable:
     # the grid is capped just below the lattice constant whose light
     # reaches the observer exactly at t (sqrt(3) x)
     a_max = math.sqrt((SPEED_OF_LIGHT * t) ** 2 - obs_x**2) * (1.0 - 1e-12)
-    a_grid = _lattice_grid(1e3, a_max / ANGSTROM, 2000)
+    a_grid = lattice_grid(1e3, a_max / ANGSTROM, 2000)
     trace = emission_sweep(
         state, a_grid, phi, obs_x, t, derive_scales(config), config.dipole_e_angstrom
     )

@@ -24,7 +24,7 @@ from .scales import (
     CausalityError,
 )
 from .states import SignState
-from .sweeps import SweepTable, _phi_weights, check_work, format_value
+from .sweeps import SweepTable, _phi_weights, check_work, format_value, linspace
 
 #: Most atom-points (grid points times N) one sweep may evaluate. Each
 #: point is one pass over the N atoms, about 220-290 ns per atom at
@@ -33,12 +33,22 @@ from .sweeps import SweepTable, _phi_weights, check_work, format_value
 EMISSION_WORK_BUDGET = 1e7
 
 
+def lattice_grid(lo: float, hi: float, num: int) -> np.ndarray:
+    """``num`` lattice constants in m, log-spaced from lo to hi Angstrom (in
+    either order, both finite and > 0, or ValueError): the grid of
+    ``emission`` and of figures 16-20. The exponents come from :func:`linspace`,
+    which bounds ``num``, and 10 to their power is bit-equal to numpy.logspace."""
+    if not (0 < lo < math.inf and 0 < hi < math.inf):
+        raise ValueError(f"need 0 < lo < inf and 0 < hi < inf Angstrom, got [{lo}, {hi}]")
+    return np.power(10.0, linspace(math.log10(lo), math.log10(hi), num)) * ANGSTROM
+
+
 def latest_retardation(n: int, a_grid, obs_x: float) -> np.ndarray:
     """|r - R_N|/c in seconds at each lattice constant of ``a_grid``, as an
     array of at least one dimension: when the last (farthest) atom's light
     reaches (obs_x, 0, 0), bitwise the last atom's dist / c in the
-    intensity sum. The causality check and the CLI's default time use
-    this one rule."""
+    intensity sum. The causality check and the default time use this one
+    rule."""
     return np.hypot(obs_x, (n - 1) * np.atleast_1d(a_grid)) / SPEED_OF_LIGHT
 
 
@@ -90,7 +100,7 @@ def _point_intensity(
 
 
 class IntensityTrace(Frozen):
-    """Scaled-intensity trace over a lattice-constant (or time) grid, with
+    """Scaled-intensity trace over a lattice-constant grid, with
     I_0(x) in W/m^2 as ``reference_intensity``."""
 
     __slots__ = ("table", "reference_intensity")
@@ -104,17 +114,19 @@ def emission_sweep(
     a_grid,
     phi: float,
     obs_x: float,
-    t: float,
+    t: float | None,
     scales: AtomicScales,
     mu_e_angstrom: float,
 ) -> IntensityTrace:
-    """Intensity-vs-lattice-constant trace for a fixed state.
+    """Intensity-vs-lattice-constant trace for a fixed state at time t, or
+    with t None at the grid's latest retardation (the first causal time).
 
     Before any sum, ValueError refuses an empty grid, one over
     EMISSION_WORK_BUDGET (points times N), an obs_x not finite and > 0, a
     lattice constant not finite and >= 0, a non-finite t or phi or a dipole
     not finite and > 0, and CausalityError names the first point whose light
-    arrives after t. A non-finite intensity is OverflowError.
+    arrives after t. A non-finite intensity is OverflowError. Lengths in
+    messages are in Angstrom.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.size == 0:
@@ -125,19 +137,23 @@ def emission_sweep(
     )
     if not 0 < obs_x < math.inf:
         finite = " and finite" if obs_x > 0 else ""
-        raise ValueError(f"obs_x must be > 0{finite}, got {obs_x}")
+        raise ValueError(f"obs_x must be > 0{finite}, got {obs_x / ANGSTROM:.6g} A")
     bad = a_grid[~(np.isfinite(a_grid) & (a_grid >= 0))]
     if bad.size:
-        raise ValueError(f"lattice constant must be finite and >= 0, got {float(bad[0])}")
-    if not math.isfinite(t):
-        raise ValueError(f"observation time must be finite, got {t}")
-    _phi_weights(phi)  # the one angle rule refuses a non-finite phi
-    if not 0 < mu_e_angstrom < math.inf:
-        raise ValueError(f"dipole moment must be finite and > 0, got {mu_e_angstrom}")
+        raise ValueError(
+            f"lattice constant must be finite and >= 0, got {bad[0] / ANGSTROM:.6g} A"
+        )
     # (n - 1) a, and amplitudes of about 1/obs_x squared, can overflow: no
     # warning, but a causality check and one finiteness check of the column
     with np.errstate(all="ignore"):
         t_last = latest_retardation(state.n, a_grid, obs_x)
+        if t is None:
+            t = float(t_last.max())
+        if not math.isfinite(t):
+            raise ValueError(f"observation time must be finite, got {t}")
+        _phi_weights(phi)  # the one angle rule refuses a non-finite phi
+        if not 0 < mu_e_angstrom < math.inf:
+            raise ValueError(f"dipole moment must be finite and > 0, got {mu_e_angstrom}")
         late = np.flatnonzero(t < t_last)
         if late.size:
             raise CausalityError(

@@ -8,6 +8,8 @@ import io
 import math
 import operator
 
+from .scales import _number
+
 _FLOAT_FMT = ".12g"
 
 #: Most points a grid may have, checked by :func:`linspace` before it
@@ -43,12 +45,17 @@ def linspace(lo: float, hi: float, num: int) -> list[float]:
 
     Point i is i*step + lo (i/(num - 1)*(hi - lo) + lo when the step
     underflows to zero) and the last point is hi itself, in the same
-    operations numpy uses, so the sweeps need no numpy import. A ``num``
-    outside 1..MAX_POINTS is refused with ValueError before any point
-    is built.
+    operations numpy uses, so the sweeps need no numpy import. ``num`` is
+    read like a chain length (3.0 is 3); one not whole or outside
+    1..MAX_POINTS is refused with ValueError before any point is built.
     """
-    if not 1 <= num <= MAX_POINTS:
+    try:
+        count = _number("num", num, ValueError)
+    except ValueError:
+        count = math.nan
+    if not (count.is_integer() and 1 <= count <= MAX_POINTS):
         raise ValueError(f"a grid takes 1..{MAX_POINTS} points, got {num}")
+    num = int(count)
     if num == 1:
         # numpy's one point is 0*(hi - lo) + lo: lo, but +0.0 for lo = -0.0
         return [0.0 * (hi - lo) + lo]
@@ -93,19 +100,19 @@ def phi_columns(prefix: str, phi_list) -> list[str]:
 
 
 class SweepTable:
-    """Ordered rows of (grid point -> computed values).
-
-    ``metadata`` becomes the ``# key=value`` header and ``footer`` the
-    ``# line`` trailer; both start empty when not given.
+    """Ordered rows of (grid point -> computed values), read once: a list
+    is kept as given. ``metadata`` becomes the ``# key=value`` header and
+    ``footer`` the ``# line`` trailer; both start empty when not given.
     """
 
     def __init__(
         self,
         columns: list[str],
-        rows: list[tuple],
+        rows,
         metadata: dict | None = None,
         footer: list[str] | None = None,
     ):
+        rows = rows if isinstance(rows, list) else list(rows)
         for row in rows:
             if len(row) != len(columns):
                 raise ValueError(f"row width {len(row)} != {len(columns)} columns")

@@ -226,7 +226,8 @@ def test_criterion_9_figure_smoke(report, tmp_path):
             window = (x >= 2) & (x <= 4)
             checks.append(np.min(j[window]) < 0 < np.max(j[window]))
         elif number == 7:
-            checks.append(bool(np.all(np.diff(rows[:, columns.index("gamma_phi0")]) > 0)))
+            for name in ("gamma_phi0", "gamma_phi90"):
+                checks.append(bool(np.all(np.diff(rows[:, columns.index(name)]) > 0)))
         elif number == 9:
             n = rows[:, columns.index("N")]
             gam = rows[:, columns.index("gamma_phi0")]

@@ -8,6 +8,7 @@ from scipy import constants as const
 from chainrad.emission import (
     CausalityError,
     emission_sweep,
+    lattice_grid,
     latest_retardation,
     reference_intensity,
 )
@@ -280,6 +281,19 @@ class TestAsymptotic:
         assert 0.05 < rel < 0.3
 
 
+class TestLatticeGrid:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_bound_not_finite_and_positive_refused(self, side, bad):
+        lo, hi = (bad, 1e7) if side == "lo" else (1e3, bad)
+        with pytest.raises(ValueError) as info:
+            lattice_grid(lo, hi, 5)
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            f"need 0 < lo < inf and 0 < hi < inf Angstrom, got [{lo}, {hi}]"
+        )
+
+
 class TestEmissionSweep:
     def test_perpendicular_peak_location_and_value(self, scales):
         a_grid = np.logspace(math.log10(1e3), math.log10(1.7e6), 2000) * ANGSTROM
@@ -320,8 +334,16 @@ class TestEmissionSweep:
         monkeypatch.setattr(emission, "_point_intensity", None)
         state = symmetric_state(10_000)
         a_grid = np.full(1001, 1e3 * ANGSTROM)  # 1.001e7 atom-points
-        with pytest.raises(ValueError, match="1001 points at N=10000 .* 1.00e\\+07"):
-            emission_sweep(state, a_grid, 0.0, OBS_X, T_OBS, scales, 1.0)
+        # the default time too is taken only after the budget check
+        for t in (T_OBS, None):
+            with pytest.raises(ValueError, match="1001 points at N=10000 .* 1.00e\\+07"):
+                emission_sweep(state, a_grid, 0.0, OBS_X, t, scales, 1.0)
+        # and after the obs_x and lattice-constant checks
+        for obs_x, a in [(0.0, 1e3), (OBS_X, math.nan), (OBS_X, -1.0)]:
+            with pytest.raises(ValueError, match="^(obs_x|lattice constant) "):
+                emission_sweep(
+                    symmetric_state(2), [a * ANGSTROM], 0.0, obs_x, None, scales, 1.0
+                )
 
     def test_work_at_budget_runs(self, scales, monkeypatch):
         from chainrad import emission
@@ -375,6 +397,25 @@ class TestEmissionSweep:
             )
             assert len(trace.table.rows) == a_grid.size
 
+    @pytest.mark.parametrize(
+        "n, a_angstrom",
+        [(2, [1e3, 1e5, 1e7]), (2, [1e7, 1e5, 1e3]), (5, [3e4]), (64, [2e3, 9e4, 5e3])],
+        ids=["ascending", "descending", "one-point", "unordered"],
+    )
+    def test_default_time_is_the_latest_retardation(self, scales, n, a_angstrom):
+        # t None writes the bytes of the grid's latest retardation given
+        # explicitly, whatever the order of the grid
+        a_grid = np.array(a_angstrom) * ANGSTROM
+        t = float(latest_retardation(n, a_grid, OBS_X).max())
+
+        def csv(t):
+            return emission_sweep(
+                alternating_state(n), a_grid, 0.3, OBS_X, t, scales, 1.0
+            ).table.to_csv()
+
+        assert csv(None) == csv(t)
+        assert f"# t_s={t:.12g}\n" in csv(None)
+
     @pytest.mark.parametrize("a_angstrom", [math.nan, -1e4])
     def test_bad_last_point_refused_before_any_sum(self, scales, monkeypatch, a_angstrom):
         from chainrad import emission
@@ -399,12 +440,12 @@ class TestEmissionSweep:
              "grid point a=5e+06 A violates causality: t=6.671281903963041e-13 "
              "s < retardation 1.7008498304492985e-12 s"),
             (2, [1e4, math.nan], OBS_X, T_OBS, ValueError,
-             "lattice constant must be finite and >= 0, got nan"),
+             "lattice constant must be finite and >= 0, got nan A"),
             (2, [1e4, -1e4], OBS_X, T_OBS, ValueError,
-             "lattice constant must be finite and >= 0, got -1e-06"),
-            (2, [1e4], 0.0, T_OBS, ValueError, "obs_x must be > 0, got 0.0"),
+             "lattice constant must be finite and >= 0, got -10000 A"),
+            (2, [1e4], 0.0, T_OBS, ValueError, "obs_x must be > 0, got 0 A"),
             (2, [1e4], math.inf, T_OBS, ValueError,
-             "obs_x must be > 0 and finite, got inf"),
+             "obs_x must be > 0 and finite, got inf A"),
             (2, [1e4], OBS_X, math.nan, ValueError,
              "observation time must be finite, got nan"),
             (2, [], OBS_X, T_OBS, ValueError, "empty lattice-constant grid"),

@@ -130,6 +130,18 @@ class TestSweepTable:
         with pytest.raises(ValueError, match="row width"):
             SweepTable(columns=["x", "y"], rows=[(1.0,)])
 
+    def test_rows_are_read_once(self):
+        # a generator is checked and written from one list; the width
+        # check used to use it up, leaving a table with no rows
+        rows = [(1.0, 2.0), (3.0, 4.0)]
+        table = SweepTable(["x", "y"], (row for row in rows))
+        assert table.rows == rows
+        assert table.to_csv() == "x,y\n1,2\n3,4\n"
+        with pytest.raises(ValueError, match="row width"):
+            SweepTable(["x", "y"], (row for row in [(1.0, 2.0), (3.0,)]))
+        # a list is kept as given, not copied
+        assert SweepTable(["x", "y"], rows).rows is rows
+
     def test_csv_layout(self):
         table = SweepTable(
             columns=["x", "y"], rows=[(1, 0.5)], metadata={"b": 2, "a": 1},

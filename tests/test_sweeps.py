@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainrad.cli import _angle_grid, _f_kernel_sweep, _lattice_grid
+from chainrad.cli import _angle_grid, _f_kernel_sweep
 from chainrad.coupling import coupling_sweep, transfer_electrostatic, transfer_exact
 from chainrad.damping import (
     angle_sweep,
@@ -18,6 +18,7 @@ from chainrad.damping import (
     quadrature_rates,
     x_sweep,
 )
+from chainrad.emission import lattice_grid
 from chainrad.states import symmetric_state
 from chainrad.sweeps import MAX_POINTS, SweepTable, format_value, linspace, phi_columns
 
@@ -56,9 +57,19 @@ class TestLinspace:
 
     def test_max_points_bounds_every_grid(self):
         assert len(linspace(0.0, 1.0, MAX_POINTS)) == MAX_POINTS
-        for num in (0, -3, MAX_POINTS + 1):
-            with pytest.raises(ValueError, match=f"^a grid takes 1..100000 points, got {num}$"):
+        for num in (0, -3, MAX_POINTS + 1, True, False, "3", 2.5, math.nan, math.inf):
+            with pytest.raises(ValueError) as info:
                 linspace(0.0, 1.0, num)
+            assert str(info.value) == f"a grid takes 1..100000 points, got {num}"
+        # read like a chain length: a whole float or numpy int is its int,
+        # and the points stay Python floats
+        for num in (3.0, np.int64(3), np.float64(3.0)):
+            grid = linspace(0.0, 1.0, num)
+            assert grid == [0.0, 0.5, 1.0]
+            assert [type(x) for x in grid[:2]] == [float, float]
+        assert coupling_sweep(0.1, 1.0, 3.0, [0.0]).rows == coupling_sweep(
+            0.1, 1.0, 3, [0.0]
+        ).rows
 
 
 @pytest.mark.parametrize(
@@ -67,7 +78,7 @@ class TestLinspace:
         lambda n: coupling_sweep(0.01, 20.0, n, [0.0]),
         lambda n: x_sweep(symmetric_state(2), 1.5, 20.0, n, [0.0]),
         lambda n: _angle_grid(n),
-        lambda n: _lattice_grid(1e3, 1e7, n),
+        lambda n: lattice_grid(1e3, 1e7, n),
     ],
     ids=["coupling_sweep", "x_sweep", "angle_grid", "lattice_grid"],
 )
