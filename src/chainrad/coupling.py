@@ -16,9 +16,9 @@ import math
 from .sweeps import SweepTable, _phi_weights, _separation, phi_columns, x_grid
 
 def _finite(j: float, x: float) -> float:
-    """``j``, or OverflowError when it is not finite: from about x = 1.4e-108
-    to 1.8e-103, x^3 is subnormal and 1/x^3 overflows to inf without
-    raising."""
+    """``j``, or OverflowError when it is not finite: below about x = 1.8e-103,
+    x^3 is subnormal and 1/x^3 overflows to inf without raising, and below
+    about 1.4e-108 x^3 is 0, where the couplings take 1/x^3 as inf too."""
     if not math.isfinite(j):
         raise OverflowError(f"the coupling is not finite at x={x!r}")
     return j
@@ -28,11 +28,17 @@ def transfer_exact(x: float, phi: float) -> float:
     """Exact radiative coupling J/gamma_a at dimensionless separation x.
 
     The bracket sin x/x^2 + cos x/x^3 is evaluated as written at every x:
-    near 0 its 1/x^3 part dominates, so the two terms do not cancel.
+    near 0 its 1/x^3 part dominates, so the two terms do not cancel. Where
+    x^3 overflows it is (sin x + cos x/x)/x/x, the same bracket.
     """
     _separation(x)
     a, b = _phi_weights(phi)
-    bracket = math.sin(x) / x**2 + math.cos(x) / x**3
+    try:
+        bracket = math.sin(x) / x**2 + math.cos(x) / x**3
+    except OverflowError:  # x^3 > DBL_MAX
+        bracket = (math.sin(x) + math.cos(x) / x) / x / x
+    except ZeroDivisionError:  # x^3 underflows to 0
+        bracket = math.inf
     return _finite(0.75 * (b * bracket - a * (math.cos(x) / x)), x)
 
 
@@ -40,7 +46,13 @@ def transfer_electrostatic(x: float, phi: float) -> float:
     """Electrostatic resonance dipole-dipole limit of J/gamma_a."""
     _separation(x)
     _, b = _phi_weights(phi)
-    return _finite(0.75 * b / x**3, x)
+    try:
+        j = 0.75 * b / x**3
+    except OverflowError:  # x^3 > DBL_MAX
+        j = 0.75 * b / x / x / x
+    except ZeroDivisionError:  # x^3 underflows to 0
+        j = math.inf
+    return _finite(j, x)
 
 
 def coupling_sweep(

@@ -67,10 +67,10 @@ ORACLE_NODE_BUDGET = 1e9
 
 #: Most bond terms an x_sweep may sum: its state sums its N - 1 bonds
 #: once per x into two phi-free moments, n_points (N - 1) terms however
-#: many polarizations it has. On a 2-vCPU host a term costs about 1.1 us,
-#: so the budget is about 2 min of work. A bond on the kernel's series
-#: branch (k x < F_SERIES_THRESHOLD) costs 2 to 7 us instead, more as
-#: k x nears the threshold, and counts as 10 terms.
+#: many polarizations it has. On a 2-vCPU host a term costs 0.45 to 1.1 us,
+#: with the host's load, so the budget is 1 to 2 min of work. A bond on the
+#: kernel's series branch (k x < F_SERIES_THRESHOLD) costs 1.5 to 5 us
+#: instead, more as k x nears the threshold, and counts as 10 terms.
 CLOSED_FORM_TERM_BUDGET = 1e8
 
 
@@ -94,34 +94,28 @@ class QuadratureAccuracyError(ArithmeticError):
         )
 
 
-#: The integer denominators of the series' term ratios, as floats, by k:
-#: (2k)(2k+1) for s and (2k-2)(2k)(2k+1) for g. Each is below 2^53, so it
-#: is the float an int divisor converts to, and every term is unchanged.
-_S_DEN = tuple(float((2 * k) * (2 * k + 1)) for k in range(30))
-_G_DEN = tuple(float((2 * k - 2) * (2 * k) * (2 * k + 1)) for k in range(30))
-
-
 def _kernel_parts(x: float) -> tuple[float, float]:
     """(sin x/x - 1, cos x/x^2 - sin x/x^3 + 1/3), the phi-free parts of
-    F - 1; below F_SERIES_THRESHOLD, summed as sum_{k>=1} (-1)^k x^(2k)/(2k+1)!
-    and sum_{k>=2} (-1)^(k+1) x^(2k-2) 2k/(2k+1)!."""
+    F - 1; below F_SERIES_THRESHOLD, sum_{k>=1} (-1)^k x^(2k)/(2k+1)! and
+    sum_{k>=1} (-1)^(k+1) x^(2k) (2k+2)/(2k+3)!, summed in one loop until
+    both latest terms are below 1e-18 of their sums. The terms shrink every
+    step, so the series that converges first keeps its sum to the bit."""
     if x >= F_SERIES_THRESHOLD:
         sin = math.sin(x)
-        return sin / x - 1.0, math.cos(x) / x**2 - sin / x**3 + 1.0 / 3.0
+        try:
+            return sin / x - 1.0, math.cos(x) / x**2 - sin / x**3 + 1.0 / 3.0
+        except OverflowError:  # x^3 > DBL_MAX: the two ratios are below 1e-205
+            return sin / x - 1.0, 1.0 / 3.0
     x2 = x * x
-    s = 0.0
-    term = 1.0
+    s = g = 0.0
+    s_term, g_term = 1.0, -2.0 / 6.0  # the k = 0 terms, left out of the sums
     for k in range(1, 30):
-        term *= -x2 / _S_DEN[k]
-        s += term
-        if abs(term) < 1e-18 * max(abs(s), 1e-30):
-            break
-    g = 0.0
-    term = -2.0 / 6.0  # k = 1 term of the full series, -1/3
-    for k in range(2, 30):
-        term *= -x2 * (2 * k) / _G_DEN[k]
-        g += term
-        if abs(term) < 1e-18 * max(abs(g), 1e-30):
+        s_term *= -x2 / ((2 * k) * (2 * k + 1))
+        g_term *= -x2 * (2 * k + 2) / ((2 * k) * (2 * k + 2) * (2 * k + 3))
+        s += s_term
+        g += g_term
+        if (abs(s_term) < 1e-18 * max(abs(s), 1e-30)
+                and abs(g_term) < 1e-18 * max(abs(g), 1e-30)):
             break
     return s, g
 

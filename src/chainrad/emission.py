@@ -56,7 +56,7 @@ def reference_intensity(scales: AtomicScales, mu_e_angstrom: float, obs_x: float
     """I_0(x) in W/m^2."""
     mu = mu_e_angstrom * ELEMENTARY_CHARGE * ANGSTROM
     return mu**2 * scales.omega_a**4 / (
-        16.0 * math.pi**2 * EPSILON_0 * SPEED_OF_LIGHT**3 * obs_x**2
+        16.0 * math.pi**2 * EPSILON_0 * SPEED_OF_LIGHT**3 * (obs_x * obs_x)
     )
 
 
@@ -96,7 +96,7 @@ def _point_intensity(
     )
     field = amplitude @ unit
     # the 1/2 turns the 32 pi^2 field prefactor into I_0/2
-    return 0.5 * obs_x**2 / n * float(np.vdot(field, field).real)
+    return 0.5 * (obs_x * obs_x) / n * float(np.vdot(field, field).real)
 
 
 class IntensityTrace(Frozen):
@@ -121,14 +121,19 @@ def emission_sweep(
     """Intensity-vs-lattice-constant trace for a fixed state at time t, or
     with t None at the grid's latest retardation (the first causal time).
 
-    Before any sum, ValueError refuses an empty grid, one over
-    EMISSION_WORK_BUDGET (points times N), an obs_x not finite and > 0, a
-    lattice constant not finite and >= 0, a non-finite t or phi or a dipole
-    not finite and > 0, and CausalityError names the first point whose light
-    arrives after t. A non-finite intensity is OverflowError. Lengths in
-    messages are in Angstrom.
+    Before any sum, ValueError refuses a grid that is not one-dimensional,
+    is empty or is over EMISSION_WORK_BUDGET (points times N), an obs_x not
+    finite and > 0, a lattice constant not finite and >= 0, a non-finite t
+    or phi or a dipole not finite and > 0, and CausalityError names the
+    first point whose light arrives after t. A non-finite intensity,
+    obs_x^2 overflowing included, is OverflowError. Lengths in messages
+    are in Angstrom.
     """
     a_grid = np.asarray(a_grid, dtype=float)
+    if a_grid.ndim != 1:
+        raise ValueError(
+            f"the lattice-constant grid must be one-dimensional, got shape {a_grid.shape}"
+        )
     if a_grid.size == 0:
         raise ValueError("empty lattice-constant grid")
     check_work(

@@ -419,11 +419,7 @@ class TestExitCodes:
             ["damping", "--set", "n_atoms=10000", "--oracle"],
             ["damping", "--range", "0.01:1e6", "--oracle"],
             # finite inputs whose powers or quotients leave the float range
-            ["coupling", "--range", "1:1e300"],
-            ["damping", "--range", "1:1e300", "--points", "2"],
             ["coupling", "--range", "1e-300:1"],
-            ["angles", "--set", "lattice_const_angstrom=1e300"],
-            ["nscaling", "--set", "lattice_const_angstrom=1e300"],
             ["emission", "--obs-x", "1e300", "--points", "3"],
             # x = 1e-300 squares to zero in the oracle's integrand
             ["damping", "--range", "1e-300:1", "--oracle", "--points", "5"],
@@ -452,6 +448,27 @@ class TestExitCodes:
         assert out == "" and err.startswith("chainrad: ")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coupling", "--range", "1:1e300"],
+            ["damping", "--range", "1:1e300", "--points", "2"],
+            ["angles", "--set", "lattice_const_angstrom=1e300"],
+            ["nscaling", "--set", "lattice_const_angstrom=1e300"],
+            ["damping", "--range", "1e154:1e155", "--points", "2"],
+            ["coupling", "--range", "1e200:1e201", "--points", "2"],
+            ["angles", "--set", "lattice_const_angstrom=1e160"],
+            ["nscaling", "--set", "lattice_const_angstrom=1e160", "--range", "1:3"],
+        ],
+    )
+    def test_separations_whose_cube_overflows_are_computed(self, argv, capsys):
+        # x^3, and past 1.3e154 x^2, overflow, but F and J are finite there
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = [line.split(",") for line in out.splitlines() if line[0] != "#"][1:]
+        assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             # the grid builder and the emission sweep word these refusals,
@@ -464,9 +481,20 @@ class TestExitCodes:
             (["emission", "--obs-x", "-5"], "obs_x must be > 0, got -5 A"),
             (["emission", "--range", "0:1e7"],
              "need 0 < lo < inf and 0 < hi < inf Angstrom, got [0.0, 10000000.0]"),
+            # x^3 underflows to 0, and obs_x^2 overflows
+            (["coupling", "--range", "1e-120:1e-110", "--points", "3"],
+             "the inputs left double-precision range: the coupling is not finite "
+             "at x=1e-120"),
+            (["coupling", "--range", "1e-300:1"],
+             "the inputs left double-precision range: the coupling is not finite "
+             "at x=1e-300"),
+            (["emission", "--obs-x", "1e170"],
+             "the inputs left double-precision range: the intensity at "
+             "obs_x=1e+170 A is not finite"),
         ],
         ids=["coupling_no_points", "emission_too_many_points", "emission_nan_time",
-             "emission_zero_obs_x", "emission_negative_obs_x", "emission_zero_lo"],
+             "emission_zero_obs_x", "emission_negative_obs_x", "emission_zero_lo",
+             "coupling_x_cubed_zero", "coupling_from_1e-300", "emission_huge_obs_x"],
     )
     def test_library_words_the_refusal(self, argv, message, capsys):
         assert main(argv) == EXIT_USAGE

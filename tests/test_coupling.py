@@ -65,12 +65,29 @@ class TestTransferExact:
             want = transfer_exact_mp(float(x), phi)
             assert abs(transfer_exact(x, phi) - want) <= 2e-15 * abs(want), x
 
-    @pytest.mark.parametrize("x", [1e-105, 1.4e-108, 1.8e-103])
+    @pytest.mark.parametrize("x", [1e-105, 1.4e-108, 1.8e-103, 1e-110, 1e-300, 5e-324])
     @pytest.mark.parametrize("transfer", [transfer_exact, transfer_electrostatic])
     def test_non_finite_coupling_raises(self, transfer, x):
-        # x^3 is subnormal, and 1/x^3 overflows to inf without raising
-        with pytest.raises(OverflowError, match="not finite"):
+        # x^3 is subnormal, and 1/x^3 overflows to inf without raising, or
+        # below 1.4e-108 x^3 is 0: the same refusal, not a ZeroDivisionError
+        with pytest.raises(OverflowError) as info:
             transfer(x, 0.0)
+        assert str(info.value) == f"the coupling is not finite at x={x!r}"
+
+    @pytest.mark.parametrize("x", [1e103, 1e200, 1.7e308])
+    @pytest.mark.parametrize("phi", [0.0, 0.7, MAGIC_ANGLE, math.pi / 2])
+    def test_matches_mpmath_where_x_cubed_overflows(self, x, phi):
+        # x^3 (and past 1.3e154 x^2) overflows, but both couplings are
+        # finite: subnormal, or 0 where they underflow
+        with mp.workdps(50):
+            mx, c2 = mpf(x), mp.cos(mpf(phi)) ** 2
+            electrostatic = float(mpf(0.75) * (1 - 3 * c2) / mx**3)
+        assert transfer_exact(x, phi) == pytest.approx(
+            transfer_exact_mp(x, phi), rel=1e-14, abs=1e-320
+        )
+        assert transfer_electrostatic(x, phi) == pytest.approx(
+            electrostatic, rel=1e-14, abs=1e-320
+        )
 
 
 class TestTransferElectrostatic:

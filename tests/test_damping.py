@@ -151,16 +151,32 @@ class TestFKernel:
         )
 
     def test_kernel_parts_bitwise_equal_to_reference(self):
-        # log-uniform x down to 1e-300, the bonds k x that rates_scaling
-        # sums on both branches, and the threshold with its neighbours
+        # x log-uniform over every binary exponent from -1074 (subnormals
+        # included) to 0, where the one loop may stop later than each
+        # series alone; 0, the smallest double and an x whose square is
+        # subnormal; the bonds k x that rates_scaling sums on both
+        # branches; and the threshold with its neighbours
         rng = np.random.default_rng(0)
-        top = math.log10(F_SERIES_THRESHOLD)
-        xs = (10.0 ** rng.uniform(-300.0, top, 10**5)).tolist()
+        xs = np.exp2(rng.uniform(-1074.0, 0.0, 10**5)).tolist()
+        xs += [0.0, 5e-324, 1e-160]
         xs += [k * 0.001 for k in range(1, 1500)] + [k * 0.5 for k in range(1, 1000)]
         x0 = F_SERIES_THRESHOLD
         xs += [math.nextafter(x0, 0.0), x0, math.nextafter(x0, math.inf)]
         mismatches = [x for x in xs if _kernel_parts(x) != kernel_parts_reference(x)]
         assert mismatches == []
+
+    @pytest.mark.parametrize("x", [1e103, 1e200, 1.7e308])
+    def test_kernel_matches_mpmath_where_x_cubed_overflows(self, x):
+        # x^3 (and past 1.3e154 x^2) overflows; the parts are still finite
+        with mp.workdps(50):
+            mx = mpf(x)
+            s = mp.sin(mx) / mx - 1
+            g = mp.cos(mx) / mx**2 - mp.sin(mx) / mx**3 + mpf(1) / 3
+            assert _kernel_parts(x) == (float(s), float(g))
+            for phi in (0.0, 0.7, math.pi / 2):
+                c2 = mp.cos(mpf(phi)) ** 2
+                want = 1 + mpf(1.5) * ((1 - c2) * s + (1 - 3 * c2) * g)
+                assert f_kernel(x, phi) == pytest.approx(float(want), abs=1e-15)
 
     @pytest.mark.parametrize("x", [0.3, 1.0, 4.0])
     @pytest.mark.parametrize("phi", [0.0, 0.9, math.pi / 2])

@@ -449,9 +449,13 @@ class TestEmissionSweep:
             (2, [1e4], OBS_X, math.nan, ValueError,
              "observation time must be finite, got nan"),
             (2, [], OBS_X, T_OBS, ValueError, "empty lattice-constant grid"),
+            (2, 1e4, OBS_X, T_OBS, ValueError,
+             "the lattice-constant grid must be one-dimensional, got shape ()"),
+            (2, [[1e4, 2e4]], OBS_X, T_OBS, ValueError,
+             "the lattice-constant grid must be one-dimensional, got shape (1, 2)"),
         ],
         ids=["budget", "causality", "nan-a", "negative-a", "obs-x", "obs-x-inf", "time",
-             "empty"],
+             "empty", "scalar", "two-dimensional"],
     )
     def test_refusal_text(self, scales, n, a_angstrom, obs_x, t, error, text):
         a_grid = np.array(a_angstrom, dtype=float) * ANGSTROM
@@ -459,6 +463,23 @@ class TestEmissionSweep:
             emission_sweep(symmetric_state(n), a_grid, 0.0, obs_x, t, scales, 1.0)
         assert type(info.value) is error
         assert str(info.value) == text
+
+    @pytest.mark.parametrize("obs_x_angstrom", [1e-150, 1e170])
+    def test_obs_x_out_of_square_range_is_a_non_finite_intensity(
+        self, scales, obs_x_angstrom
+    ):
+        # amplitudes near 1/obs_x, or obs_x itself, overflow when squared:
+        # the sweep's own refusal, not Python's errno text
+        a_grid = np.array([1e3, 1e4]) * ANGSTROM
+        obs_x = obs_x_angstrom * ANGSTROM
+        with pytest.raises(OverflowError) as info:
+            emission_sweep(symmetric_state(2), a_grid, 0.0, obs_x, None, scales, 1.0)
+        assert str(info.value) == (
+            f"the intensity at obs_x={obs_x_angstrom:.6g} A is not finite"
+        )
+
+    def test_reference_intensity_underflows_where_obs_x_squared_overflows(self, scales):
+        assert reference_intensity(scales, 1.0, 1e170 * ANGSTROM) == 0.0
 
     @pytest.mark.parametrize("mu", [-1.0, 0.0, math.inf, math.nan])
     def test_dipole_refused_after_time_before_causality(self, scales, mu):
