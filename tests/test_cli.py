@@ -418,8 +418,14 @@ class TestExitCodes:
             # the oracle's work grows as points * N^2 * x: over its budget
             ["damping", "--set", "n_atoms=10000", "--oracle"],
             ["damping", "--range", "0.01:1e6", "--oracle"],
-            # finite inputs whose powers or quotients leave the float range
+            # finite inputs whose powers or quotients leave the float range:
+            # x^3 underflows to 0, the oracle's integrand at x = 1e-200,
+            # and obs_x^2 overflows
+            ["coupling", "--range", "1e-120:1e-110", "--points", "3"],
+            ["damping", "--range", "1e-200:1e-190", "--oracle", "--points", "3"],
             ["coupling", "--range", "1e-300:1"],
+            ["emission", "--obs-x", "1e170", "--points", "3"],
+            ["emission", "--obs-x", "1e200", "--points", "2"],
             ["emission", "--obs-x", "1e300", "--points", "3"],
             # x = 1e-300 squares to zero in the oracle's integrand
             ["damping", "--range", "1e-300:1", "--oracle", "--points", "5"],
