@@ -31,8 +31,8 @@ on Python floats and integers.
 import functools
 import math
 import sys
+from collections import namedtuple
 
-from .frozen import Frozen
 from .scales import MAX_ATOMS, _chain_length
 from .states import SignState
 from .sweeps import SweepTable, _phi_weights, _separation, check_work, phi_columns, x_grid
@@ -59,10 +59,12 @@ ORACLE_PANEL_SPAN = 6.0
 ORACLE_BLOCK_PANELS = 1024
 
 #: Most oracle work a sweep may start, in Horner steps: every node of
-#: both rules costs one step per atom, so a point costs about
-#: N * (N x / ORACLE_PANEL_SPAN) * (ORACLE_NODES + ORACLE_CHECK_NODES).
-#: A sweep over budget is refused before any work; the budget is about
-#: 2 s of oracle work on a 2-vCPU host.
+#: both rules costs one step per atom plus about 43 steps of numpy work
+#: that does not grow with N, so a point costs about (N + 43)
+#: * (N x / ORACLE_PANEL_SPAN) * (ORACLE_NODES + ORACLE_CHECK_NODES).
+#: A sweep over budget is refused before any work. On a 2-vCPU host a
+#: node costs about 44 ns + 1.0 ns N, so the budget is 1 to 1.5 s of
+#: oracle work at any N.
 ORACLE_NODE_BUDGET = 1e9
 
 #: Most bond terms an x_sweep may sum: its state sums its N - 1 bonds
@@ -101,11 +103,13 @@ def _kernel_parts(x: float) -> tuple[float, float]:
     both latest terms are below 1e-18 of their sums. The terms shrink every
     step, so the series that converges first keeps its sum to the bit."""
     if x >= F_SERIES_THRESHOLD:
+        if x > 2.0**54:
+            # sin x/x is below half an ulp of 1 and the x^-2 terms below
+            # half an ulp of 1/3, so these are the direct form's bits; x^3
+            # may overflow, and at x = inf (k x past DBL_MAX) sin raises
+            return -1.0, 1.0 / 3.0
         sin = math.sin(x)
-        try:
-            return sin / x - 1.0, math.cos(x) / x**2 - sin / x**3 + 1.0 / 3.0
-        except OverflowError:  # x^3 > DBL_MAX: the two ratios are below 1e-205
-            return sin / x - 1.0, 1.0 / 3.0
+        return sin / x - 1.0, math.cos(x) / x**2 - sin / x**3 + 1.0 / 3.0
     x2 = x * x
     s = g = 0.0
     s_term, g_term = 1.0, -2.0 / 6.0  # the k = 0 terms, left out of the sums
@@ -134,25 +138,13 @@ def f_kernel(x: float, phi: float) -> float:
     return 1.0 + 1.5 * (a * s + b * g)
 
 
-class DampingResult(Frozen):
+class DampingResult(namedtuple("DampingResult", "rate_ratio method state x phi")):
     """A computed collective rate gamma/gamma_a and how it was obtained.
 
     ``method`` names the path: "closed_form", from :func:`damping_general`.
     """
 
-    __slots__ = ("rate_ratio", "method", "state", "x", "phi")
-
-    def __init__(
-        self, rate_ratio: float, method: str, state: SignState, x: float, phi: float
-    ):
-        # one is built per rate, so the fields are set directly rather
-        # than through Frozen.__init__'s loop
-        _set = object.__setattr__
-        _set(self, "rate_ratio", rate_ratio)
-        _set(self, "method", method)
-        _set(self, "state", state)
-        _set(self, "x", x)
-        _set(self, "phi", phi)
+    __slots__ = ()
 
 
 def bond_autocorrelation(state: SignState) -> list[int]:
@@ -261,14 +253,15 @@ def _panel_rule():
 
 
 def _oracle_work(n: int, xs) -> float:
-    """Horner steps the oracle takes for an n-atom state over the points xs.
+    """Horner steps the oracle takes for an n-atom state over the points xs,
+    a node's N-free numpy work counted as 43 steps (ORACLE_NODE_BUDGET).
 
     An upper bound: a point's ceil(N x / ORACLE_PANEL_SPAN) panels are
     counted as N x / ORACLE_PANEL_SPAN + 1, in floats, so the sum is
     finite, or inf, for any finite x instead of overflowing.
     """
     nodes = ORACLE_NODES + ORACLE_CHECK_NODES
-    return sum(n * nodes * (n * x / ORACLE_PANEL_SPAN + 1.0) for x in xs)
+    return sum((n + 43) * nodes * (n * x / ORACLE_PANEL_SPAN + 1.0) for x in xs)
 
 
 def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
@@ -290,8 +283,9 @@ def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
     |f| (the integrand is non-negative, so that is the value itself).
     QuadratureAccuracyError, naming the first state and phi in order,
     is raised when an estimate, scaled like the rate, exceeds ORACLE_TOL;
-    OverflowError, when a rate or an estimate is not finite (an x so
-    small that x^2 underflows).
+    OverflowError, before any work where x^2 is below the normal float
+    range (the weight's y^2/x^2 is then inf or inexact), and where a rate
+    or an estimate is not finite.
 
     The weight is (2 - a) + b y^2/x^2 with the (a, b) of :func:`_phi_weights`,
     so each rule sums two phi-free moments per state, M0 = int |P|^2 and
@@ -305,6 +299,11 @@ def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
     import numpy as np
 
     _separation(x)
+    if x * x < sys.float_info.min:
+        raise OverflowError(
+            f"the quadrature oracle is not finite or not accurate at x={x!r}, "
+            f"where x^2 underflows"
+        )
     states, phi_list = list(states), list(phi_list)
     a, b = np.reshape([_phi_weights(phi) for phi in phi_list], (-1, 2)).T
     if not states:
@@ -319,8 +318,7 @@ def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
     moments = np.zeros((2, 2, len(states)))  # M0 and M2, by each rule
     step = min(panels, ORACLE_BLOCK_PANELS)  # panels per block
     batch = ORACLE_BLOCK_PANELS // step  # states per block
-    # an x whose square underflows gives nan and inf, rejected below
-    # rather than warned about
+    # a value that is not finite is rejected below rather than warned about
     with np.errstate(all="ignore"):
         for start in range(0, len(states), batch):
             rows = slice(start, start + batch)
@@ -402,7 +400,7 @@ def x_sweep(
     grid = x_grid(x_min, x_max, n_points)
     if oracle:
         check_work(
-            f"the quadrature oracle over {n_points} points up to x={x_max:g} "
+            f"the quadrature oracle over {n_points} points up to x={grid[-1]:g} "
             f"at N={n}",
             _oracle_work(n, grid), "Horner steps", ORACLE_NODE_BUDGET,
             "use fewer points, a smaller x range or a shorter chain",

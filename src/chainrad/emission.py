@@ -11,10 +11,10 @@ intensities are reported relative to
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
-from .frozen import Frozen
 from .scales import (
     ANGSTROM,
     ELEMENTARY_CHARGE,
@@ -37,10 +37,13 @@ def lattice_grid(lo: float, hi: float, num: int) -> np.ndarray:
     """``num`` lattice constants in m, log-spaced from lo to hi Angstrom (in
     either order, both finite and > 0, or ValueError): the grid of
     ``emission`` and of figures 16-20. The exponents come from :func:`linspace`,
-    which bounds ``num``, and 10 to their power is bit-equal to numpy.logspace."""
+    which bounds ``num``, and 10 to their power is bit-equal to numpy.logspace.
+    A power that rounds past DBL_MAX is inf, without a warning, for
+    :func:`emission_sweep` to refuse."""
     if not (0 < lo < math.inf and 0 < hi < math.inf):
         raise ValueError(f"need 0 < lo < inf and 0 < hi < inf Angstrom, got [{lo}, {hi}]")
-    return np.power(10.0, linspace(math.log10(lo), math.log10(hi), num)) * ANGSTROM
+    with np.errstate(over="ignore"):
+        return np.power(10.0, linspace(math.log10(lo), math.log10(hi), num)) * ANGSTROM
 
 
 def latest_retardation(n: int, a_grid, obs_x: float) -> np.ndarray:
@@ -53,11 +56,21 @@ def latest_retardation(n: int, a_grid, obs_x: float) -> np.ndarray:
 
 
 def reference_intensity(scales: AtomicScales, mu_e_angstrom: float, obs_x: float) -> float:
-    """I_0(x) in W/m^2."""
+    """I_0(x) in W/m^2; OverflowError, naming obs_x in Angstrom, where it is
+    not finite."""
     mu = mu_e_angstrom * ELEMENTARY_CHARGE * ANGSTROM
-    return mu**2 * scales.omega_a**4 / (
-        16.0 * math.pi**2 * EPSILON_0 * SPEED_OF_LIGHT**3 * (obs_x * obs_x)
-    )
+    try:
+        i0 = mu**2 * scales.omega_a**4 / (
+            16.0 * math.pi**2 * EPSILON_0 * SPEED_OF_LIGHT**3 * (obs_x * obs_x)
+        )
+    # float ** raises where * would give inf, and / where obs_x^2 underflows
+    except (OverflowError, ZeroDivisionError):
+        i0 = math.inf
+    if i0 == math.inf:
+        raise OverflowError(
+            f"the reference intensity at obs_x={obs_x / ANGSTROM:.6g} A is not finite"
+        )
+    return i0
 
 
 def _point_intensity(
@@ -99,14 +112,11 @@ def _point_intensity(
     return 0.5 * (obs_x * obs_x) / n * float(np.vdot(field, field).real)
 
 
-class IntensityTrace(Frozen):
+class IntensityTrace(namedtuple("IntensityTrace", "table reference_intensity")):
     """Scaled-intensity trace over a lattice-constant grid, with
     I_0(x) in W/m^2 as ``reference_intensity``."""
 
-    __slots__ = ("table", "reference_intensity")
-
-    def __init__(self, table: SweepTable, reference_intensity: float):
-        super().__init__(table, reference_intensity)
+    __slots__ = ()
 
 
 def emission_sweep(
@@ -125,9 +135,10 @@ def emission_sweep(
     is empty or is over EMISSION_WORK_BUDGET (points times N), an obs_x not
     finite and > 0, a lattice constant not finite and >= 0, a non-finite t
     or phi or a dipole not finite and > 0, and CausalityError names the
-    first point whose light arrives after t. A non-finite intensity,
-    obs_x^2 overflowing included, is OverflowError. Lengths in messages
-    are in Angstrom.
+    first point whose light arrives after t. Then, still before any sum, a
+    non-finite I_0 (:func:`reference_intensity`) is OverflowError, and
+    after the sums so is a non-finite intensity, obs_x^2 overflowing
+    included. Lengths in messages are in Angstrom.
     """
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.ndim != 1:
@@ -165,6 +176,7 @@ def emission_sweep(
                 f"grid point a={a_grid[late[0]] / ANGSTROM:.6g} A violates causality: "
                 f"t={t!r} s < retardation {float(t_last[late[0]])!r} s"
             )
+        i0 = reference_intensity(scales, mu_e_angstrom, obs_x)
         coeffs, index = np.array(state.coeffs), np.arange(state.n, dtype=float)
         rows = [
             (a / ANGSTROM, _point_intensity(coeffs, index, float(a), phi, obs_x, scales, t))
@@ -184,7 +196,4 @@ def emission_sweep(
             "t_s": format_value(t),
         },
     )
-    return IntensityTrace(
-        table=table,
-        reference_intensity=reference_intensity(scales, mu_e_angstrom, obs_x),
-    )
+    return IntensityTrace(table=table, reference_intensity=i0)

@@ -8,8 +8,7 @@ e*Angstrom for transition dipoles, degrees for the polarization angle.
 """
 
 import math
-
-from .frozen import Frozen
+from collections import namedtuple
 
 ANGSTROM = 1e-10  # m
 
@@ -77,7 +76,10 @@ def _positive(key: str, value) -> float:
     return number
 
 
-class ChainConfig(Frozen):
+class ChainConfig(namedtuple("ChainConfig", (
+    "n_atoms", "lattice_const_angstrom", "transition_energy_ev",
+    "dipole_e_angstrom", "polarization_deg", "gamma_override_hz",
+))):
     """Physical description of the emitter chain. Each field is the JSON
     config key of the same name, in that key's unit.
 
@@ -105,13 +107,10 @@ class ChainConfig(Frozen):
     :class:`ConfigError` whose message starts with its key.
     """
 
-    __slots__ = (
-        "n_atoms", "lattice_const_angstrom", "transition_energy_ev",
-        "dipole_e_angstrom", "polarization_deg", "gamma_override_hz",
-    )
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         n_atoms: int,
         lattice_const_angstrom: float,
         transition_energy_ev: float,
@@ -130,10 +129,16 @@ class ChainConfig(Frozen):
         phi = math.fmod(abs(_number("polarization_deg", polarization_deg)), 180.0)
         if phi > 90.0:
             phi = 180.0 - phi
-        super().__init__(n, a, energy, dipole, phi, gamma_override_hz)
+        return super().__new__(cls, n, a, energy, dipole, phi, gamma_override_hz)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own, which _replace calls, would skip the checks;
+        # copy and pickle rebuild through __new__
+        return cls(*iterable)
 
 
-class AtomicScales(Frozen):
+class AtomicScales(namedtuple("AtomicScales", "omega_a q_a lambda_a gamma_a qa_a")):
     """Single-atom scales derived from a :class:`ChainConfig`.
 
     All fields are SI: omega_a in rad/s, q_a in 1/m, lambda_a in m,
@@ -141,12 +146,7 @@ class AtomicScales(Frozen):
     q_a * a.
     """
 
-    __slots__ = ("omega_a", "q_a", "lambda_a", "gamma_a", "qa_a")
-
-    def __init__(
-        self, omega_a: float, q_a: float, lambda_a: float, gamma_a: float, qa_a: float
-    ):
-        super().__init__(omega_a, q_a, lambda_a, gamma_a, qa_a)
+    __slots__ = ()
 
 
 def _in_range(name: str, value: float) -> float:
@@ -196,11 +196,11 @@ def derive_scales(config: ChainConfig) -> AtomicScales:
 def config_from_dict(data: dict) -> ChainConfig:
     """Build a ChainConfig from the JSON key set; values are numbers or,
     as ``--set`` gives them, strings, which are read with ``float()``."""
-    unknown = set(data) - set(ChainConfig.__slots__)
+    unknown = set(data) - set(ChainConfig._fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     # the first four fields have no default
-    missing = set(ChainConfig.__slots__[:4]) - set(data)
+    missing = set(ChainConfig._fields[:4]) - set(data)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     values = {}
@@ -234,8 +234,4 @@ def read_config_dict(path) -> dict:
 def config_to_dict(config: ChainConfig) -> dict:
     """The config's fields as its JSON keys; an unset gamma_override_hz is
     left out. Inverse of :func:`config_from_dict`."""
-    return {
-        key: value
-        for key, value in zip(config.__slots__, config._values())
-        if value is not None
-    }
+    return {key: value for key, value in config._asdict().items() if value is not None}

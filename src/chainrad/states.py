@@ -1,14 +1,14 @@
 """Single-excitation collective states with +/-1 coefficient patterns."""
 
-from .frozen import Frozen
+from collections import namedtuple
 
 
-class SignState(Frozen):
+class SignState(namedtuple("SignState", "coeffs")):
     """A collective state (1/sqrt(N)) sum_i C_i |...e_i...> with C_i = +/-1."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: tuple[int, ...]):
+    def __new__(cls, coeffs: tuple[int, ...]):
         if len(coeffs) < 1:
             raise ValueError("state needs at least one atom")
         if any(c not in (1, -1) for c in coeffs):
@@ -16,7 +16,13 @@ class SignState(Frozen):
         # any sequence of signs (a tuple of floats, numpy ints or bools
         # too) is stored as a tuple of plain ints, so equal states compare,
         # hash and repr alike
-        super().__init__(tuple(1 if c == 1 else -1 for c in coeffs))
+        return super().__new__(cls, tuple(1 if c == 1 else -1 for c in coeffs))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own, which _replace calls, would skip the checks;
+        # copy and pickle rebuild through __new__
+        return cls(*iterable)
 
     @property
     def n(self) -> int:

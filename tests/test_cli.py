@@ -280,7 +280,7 @@ for name, call in calls.items():
         assert done.stdout == ""
 
     def test_emission_import_loads_no_dataclasses(self):
-        # its records are Frozen subclasses like every other record
+        # its records are named tuples like every other record
         done = run_fresh(
             "-c", "import sys, chainrad.emission; print('dataclasses' in sys.modules)"
         )
@@ -464,6 +464,12 @@ class TestExitCodes:
             ["coupling", "--range", "1e200:1e201", "--points", "2"],
             ["angles", "--set", "lattice_const_angstrom=1e160"],
             ["nscaling", "--set", "lattice_const_angstrom=1e160", "--range", "1:3"],
+            # k x itself passes DBL_MAX on the longer bonds: F is its limit there
+            ["damping", "--range", "1e307:1e308", "--points", "2", "--set", "n_atoms=10"],
+            ["angles", "--set", "n_atoms=10000", "--set", "lattice_const_angstrom=1e308",
+             "--points", "2"],
+            # from k = 3548 on; N_max = 10000 is the same path over 8 s
+            ["nscaling", "--set", "lattice_const_angstrom=1e308", "--range", "1:3600"],
         ],
     )
     def test_separations_whose_cube_overflows_are_computed(self, argv, capsys):
@@ -497,10 +503,38 @@ class TestExitCodes:
             (["emission", "--obs-x", "1e170"],
              "the inputs left double-precision range: the intensity at "
              "obs_x=1e+170 A is not finite"),
+            # obs_x^2 underflows to 0 in I_0's denominator
+            (["emission", "--points", "4", "--range",
+              "3.631585983301075e+26:1.7301480333465228e+270",
+              "--obs-x", "3.5539862975858816e-217"],
+             "the inputs left double-precision range: the reference intensity at "
+             "obs_x=3.55399e-217 A is not finite"),
+            # omega_a^4 overflows
+            (["emission", "--set", "transition_energy_ev=3.1766983322230556e+76",
+              "--points", "1", "--range", "2.3326478907633893e+63:2.5766748151114856e+294",
+              "--obs-x", "3.73050762476803e+80", "--time", "6.524225964523323e+125"],
+             "the inputs left double-precision range: the reference intensity at "
+             "obs_x=3.73051e+80 A is not finite"),
+            # 10 to the grid's top exponent rounds past DBL_MAX, with no warning
+            (["emission", "--points", "3", "--range",
+              "3.356068024160366e-238:1.7976931348623157e+308", "--obs-x", "1.7e-16"],
+             "lattice constant must be finite and >= 0, got inf A"),
+            # x^2 is subnormal: a range failure, not an accuracy failure
+            (["damping", "--points", "1", "--range", "1e-160:1", "--oracle"],
+             "the inputs left double-precision range: the quadrature oracle is not "
+             "finite or not accurate at x=1e-160, where x^2 underflows"),
+            # a one-point grid is x_min alone; each node counts N + 43 steps
+            (["damping", "--points", "1", "--range", "2.5e7:3e7", "--oracle"],
+             "the quadrature oracle over 1 points up to x=2.5e+07 at N=2 needs about "
+             "1.50e+10 Horner steps, over its budget of 1e+09; use fewer points, a "
+             "smaller x range or a shorter chain"),
         ],
         ids=["coupling_no_points", "emission_too_many_points", "emission_nan_time",
              "emission_zero_obs_x", "emission_negative_obs_x", "emission_zero_lo",
-             "coupling_x_cubed_zero", "coupling_from_1e-300", "emission_huge_obs_x"],
+             "coupling_x_cubed_zero", "coupling_from_1e-300", "emission_huge_obs_x",
+             "emission_obs_x_squared_zero", "emission_omega_a_fourth_overflows",
+             "emission_grid_past_dbl_max", "oracle_x_squared_subnormal",
+             "oracle_one_point_budget"],
     )
     def test_library_words_the_refusal(self, argv, message, capsys):
         assert main(argv) == EXIT_USAGE

@@ -178,6 +178,16 @@ class TestFKernel:
                 want = 1 + mpf(1.5) * ((1 - c2) * s + (1 - 3 * c2) * g)
                 assert f_kernel(x, phi) == pytest.approx(float(want), abs=1e-15)
 
+    @pytest.mark.parametrize("x", [math.nextafter(2.0**54, math.inf), 1e300, math.inf])
+    def test_kernel_parts_past_2_54_are_their_limit(self, x):
+        # the direct form's own bits at every finite x > 2^54 (mpmath agrees
+        # above); a bond k x past DBL_MAX is inf, where math.sin raises
+        assert _kernel_parts(x) == (-1.0, 1.0 / 3.0)
+
+    def test_bond_past_dbl_max_has_a_rate(self):
+        # bond 2 of x = 1e308 is inf, where F(inf, 0) = 0
+        assert damping_general(symmetric_state(3), 1e308, 0.0).rate_ratio == 1.0
+
     @pytest.mark.parametrize("x", [0.3, 1.0, 4.0])
     @pytest.mark.parametrize("phi", [0.0, 0.9, math.pi / 2])
     def test_golden_rule_integral_identity(self, x, phi):
@@ -513,6 +523,18 @@ class TestBatchedOracle:
         # one list per state: no states, no lists
         assert quadrature_rates([], 0.5, [0.0, math.pi / 2]) == []
 
+    @pytest.mark.parametrize("x", [1e-160, 1e-154])
+    def test_subnormal_x_squared_refused_before_any_work(self, monkeypatch, x):
+        # y^2/x^2 is inexact there: a range refusal, not a rate or an
+        # accuracy error
+        monkeypatch.setattr(damping, "_power_spectrum", None)
+        with pytest.raises(OverflowError) as info:
+            quadrature_rates([symmetric_state(2)], x, [0.0])
+        assert str(info.value) == (
+            f"the quadrature oracle is not finite or not accurate at x={x!r}, "
+            f"where x^2 underflows"
+        )
+
     @pytest.mark.parametrize("x", [1e-300, 1e-310])
     def test_non_finite_result_raises_without_warning(self, x):
         # x^2 underflows to zero, so the angular weight divides by it
@@ -804,9 +826,10 @@ class TestSweeps:
     @pytest.mark.parametrize(
         "sweep, args, text",
         [
+            # each node counts N + 43 steps: its N-free numpy work too
             (x_sweep, (symmetric_state(2), 0.01, 1e6, 1000, [0.0], True),
              "the quadrature oracle over 1000 points up to x=1e+06 at N=2 needs "
-             "about 1.33e+10 Horner steps, over its budget of 1e+09; use fewer "
+             "about 3.00e+11 Horner steps, over its budget of 1e+09; use fewer "
              "points, a smaller x range or a shorter chain"),
             (x_sweep, (alternating_state(10_001), 0.01, 20.0, 10_001, [0.0, 1.0]),
              "the closed form over 10001 points at N=10001 needs about 1.00e+08 "

@@ -293,6 +293,13 @@ class TestLatticeGrid:
             f"need 0 < lo < inf and 0 < hi < inf Angstrom, got [{lo}, {hi}]"
         )
 
+    def test_power_past_dbl_max_is_inf_without_a_warning(self):
+        # 10 to the top exponent rounds past DBL_MAX; the sweep refuses it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = lattice_grid(3.356068024160366e-238, 1.7976931348623157e308, 3)
+        assert grid[-1] == math.inf and np.isfinite(grid[:-1]).all()
+
 
 class TestEmissionSweep:
     def test_perpendicular_peak_location_and_value(self, scales):
@@ -477,6 +484,30 @@ class TestEmissionSweep:
         assert str(info.value) == (
             f"the intensity at obs_x={obs_x_angstrom:.6g} A is not finite"
         )
+
+    @pytest.mark.parametrize(
+        "omega_a, obs_x_angstrom", [(None, 1e-300), (1e80, 1e6)],
+        ids=["obs_x_squared_zero", "omega_a_fourth_overflows"],
+    )
+    def test_reference_intensity_refused_before_any_sum(
+        self, scales, monkeypatch, omega_a, obs_x_angstrom
+    ):
+        # obs_x^2 underflows to 0 in the denominator, or omega_a^4 overflows:
+        # I_0's own refusal, not Python's division or errno text
+        from chainrad import emission
+
+        if omega_a is not None:
+            scales = scales._replace(omega_a=omega_a)
+        obs_x = obs_x_angstrom * ANGSTROM
+        text = f"the reference intensity at obs_x={obs_x_angstrom:.6g} A is not finite"
+        with pytest.raises(OverflowError) as info:
+            reference_intensity(scales, 1.0, obs_x)
+        assert str(info.value) == text
+        monkeypatch.setattr(emission, "_point_intensity", None)  # never reached
+        a_grid = np.array([1e3, 1e4]) * ANGSTROM
+        with pytest.raises(OverflowError) as info:
+            emission_sweep(symmetric_state(2), a_grid, 0.0, obs_x, None, scales, 1.0)
+        assert str(info.value) == text
 
     def test_reference_intensity_underflows_where_obs_x_squared_overflows(self, scales):
         assert reference_intensity(scales, 1.0, 1e170 * ANGSTROM) == 0.0

@@ -1,4 +1,4 @@
-"""The immutable records (chainrad.frozen.Frozen subclasses) and SweepTable."""
+"""The immutable records (standard-library named tuples) and SweepTable."""
 
 import copy
 import math
@@ -8,7 +8,6 @@ import pytest
 
 from chainrad.damping import DampingResult
 from chainrad.emission import IntensityTrace
-from chainrad.frozen import Frozen
 from chainrad.scales import AtomicScales, ChainConfig, ConfigError
 from chainrad.states import SignState, symmetric_state
 from chainrad.sweeps import SweepTable
@@ -32,7 +31,7 @@ def make_records():
 @pytest.mark.parametrize("record", make_records(), ids=lambda r: type(r).__name__)
 class TestFrozen:
     def test_fields_cannot_be_set_or_deleted(self, record):
-        name = type(record).__slots__[0]
+        name = type(record)._fields[0]
         before = getattr(record, name)
         with pytest.raises(AttributeError):
             setattr(record, name, before)
@@ -43,7 +42,7 @@ class TestFrozen:
         assert getattr(record, name) == before
 
     def test_equal_records_hash_alike(self, record):
-        twin = type(record)(*record._values())
+        twin = type(record)(*tuple(record))
         assert twin == record and hash(twin) == hash(record)
         assert twin is not record
 
@@ -55,8 +54,59 @@ class TestFrozen:
     def test_repr_names_every_field(self, record):
         text = repr(record)
         assert text.startswith(type(record).__name__ + "(")
-        for name in type(record).__slots__:
+        for name in type(record)._fields:
             assert f"{name}=" in text
+
+
+@pytest.mark.parametrize(
+    "cls, good, bad, error, message",
+    [
+        (ChainConfig, (2, 1e3, 1.0, 1.0), {"n_atoms": 0}, ConfigError, "^n_atoms "),
+        (ChainConfig, (2, 1e3, 1.0, 1.0), {"dipole_e_angstrom": math.inf},
+         ConfigError, "^dipole_e_angstrom "),
+        (SignState, ((1, -1),), {"coeffs": (5, 7)}, ValueError, "^coefficients "),
+        (SignState, ((1, -1),), {"coeffs": ()}, ValueError, "^state needs "),
+    ],
+    ids=["config_n_atoms", "config_dipole", "state_signs", "state_empty"],
+)
+class TestEveryConstructorChecks:
+    """The records with checks refuse a bad value however they are built.
+    namedtuple's own _make, which _replace calls, would skip them, and copy
+    and pickle must refuse a record built past them by tuple.__new__."""
+
+    def test_call_keyword_make_and_replace_refuse(self, cls, good, bad, error, message):
+        values = dict(zip(cls._fields, cls(*good)), **bad)
+        for build in (
+            lambda: cls(*values.values()),
+            lambda: cls(**values),
+            lambda: cls._make(values.values()),
+            lambda: cls(*good)._replace(**bad),
+        ):
+            with pytest.raises(error, match=message):
+                build()
+
+    def test_copy_and_pickle_refuse_a_record_that_skipped_the_checks(
+        self, cls, good, bad, error, message
+    ):
+        values = dict(zip(cls._fields, cls(*good)), **bad)
+        unchecked = tuple.__new__(cls, values.values())
+        for rebuild in (
+            copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))
+        ):
+            with pytest.raises(error, match=message):
+                rebuild(unchecked)
+            assert rebuild(cls(*good)) == cls(*good)
+
+
+class TestConstructorPathsNormalize:
+    def test_make_and_replace_store_what_a_call_stores(self):
+        config = ChainConfig(2, 1e3, 1.0, 1.0)
+        folded = config._replace(n_atoms=3.0, polarization_deg=-30)
+        assert folded == ChainConfig(3, 1e3, 1.0, 1.0, 30.0)
+        assert type(folded.n_atoms) is int and type(folded) is ChainConfig
+        state = SignState._make([(1.0, -1.0, True)])
+        assert state == SignState((1, -1, 1))
+        assert [type(c) for c in state.coeffs] == [int, int, int]
 
 
 class TestSignState:
@@ -109,7 +159,6 @@ class TestEmissionRecords:
     def test_frozen_with_named_fields(self):
         table = SweepTable(columns=["x"], rows=[(1.0,)])
         trace = IntensityTrace(table=table, reference_intensity=2.5)
-        assert isinstance(trace, Frozen)
         assert (trace.table, trace.reference_intensity) == (table, 2.5)
         assert trace == IntensityTrace(table, 2.5)
         with pytest.raises(AttributeError):
