@@ -43,7 +43,8 @@ from .sweeps import SweepTable, _phi_weights, _separation, check_work, phi_colum
 #: branches are good to ~1e-14.
 F_SERIES_THRESHOLD = 1.5
 
-#: Absolute tolerance requested from the quadrature oracle, read at each call.
+#: Tolerance requested from the quadrature oracle, read at each call: absolute
+#: for rates up to 1, relative above, where the sum's rounding grows with N.
 ORACLE_TOL = 1e-10
 
 #: The oracle sums Gauss-Legendre panels of this many nodes, and takes
@@ -282,10 +283,11 @@ def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
     floor QUADPACK puts under its estimates, 50 eps times the integral of
     |f| (the integrand is non-negative, so that is the value itself).
     QuadratureAccuracyError, naming the first state and phi in order,
-    is raised when an estimate, scaled like the rate, exceeds ORACLE_TOL;
-    OverflowError, before any work where x^2 is below the normal float
-    range (the weight's y^2/x^2 is then inf or inexact), and where a rate
-    or an estimate is not finite.
+    is raised when an estimate, scaled like the rate, exceeds ORACLE_TOL
+    times max(1, |rate|); OverflowError, before any work where x^2 is
+    below the normal float range (the weight's y^2/x^2 is then inf or
+    inexact), and where a rate or an estimate is not finite; ValueError,
+    before any node, where the batch's work exceeds ORACLE_NODE_BUDGET.
 
     The weight is (2 - a) + b y^2/x^2 with the (a, b) of :func:`_phi_weights`,
     so each rule sums two phi-free moments per state, M0 = int |P|^2 and
@@ -311,6 +313,11 @@ def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
     n = states[0].n
     if any(state.n != n for state in states):
         raise ValueError("the states of one batch must have the same length")
+    check_work(
+        f"the quadrature oracle over {len(states)} states at x={x:g}, N={n}",
+        len(states) * _oracle_work(n, [x]), "Horner steps", ORACLE_NODE_BUDGET,
+        "use fewer states, a smaller x or a shorter chain",
+    )
     nodes, w_hi, w_lo = _panel_rule()
     panels = max(1, math.ceil(n * x / ORACLE_PANEL_SPAN))
     width = x / panels
@@ -338,11 +345,12 @@ def quadrature_rates(states, x: float, phi_list) -> list[list[float]]:
         errors = np.maximum(np.abs(value - check), floor) * scale
     if not (np.isfinite(rates).all() and np.isfinite(errors).all()):
         raise OverflowError(f"the quadrature oracle is not finite at x={x!r}")
-    over = np.argwhere(errors > ORACLE_TOL)
+    bounds = ORACLE_TOL * np.maximum(1.0, np.abs(rates))
+    over = np.argwhere(errors > bounds)
     if len(over):
         i, j = over[0]
         raise QuadratureAccuracyError(
-            achieved=float(errors[i, j]), requested=ORACLE_TOL,
+            achieved=float(errors[i, j]), requested=float(bounds[i, j]),
             estimate=float(rates[i, j]), state=states[i], x=x, phi=phi_list[j],
         )
     return rates.tolist()

@@ -13,8 +13,6 @@ intensities are reported relative to
 import math
 from collections import namedtuple
 
-import numpy as np
-
 from .scales import (
     ANGSTROM,
     ELEMENTARY_CHARGE,
@@ -33,25 +31,29 @@ from .sweeps import SweepTable, _phi_weights, check_work, format_value, linspace
 EMISSION_WORK_BUDGET = 1e7
 
 
-def lattice_grid(lo: float, hi: float, num: int) -> np.ndarray:
+def lattice_grid(lo: float, hi: float, num: int) -> "np.ndarray":
     """``num`` lattice constants in m, log-spaced from lo to hi Angstrom (in
     either order, both finite and > 0, or ValueError): the grid of
     ``emission`` and of figures 16-20. The exponents come from :func:`linspace`,
     which bounds ``num``, and 10 to their power is bit-equal to numpy.logspace.
     A power that rounds past DBL_MAX is inf, without a warning, for
     :func:`emission_sweep` to refuse."""
+    import numpy as np
+
     if not (0 < lo < math.inf and 0 < hi < math.inf):
         raise ValueError(f"need 0 < lo < inf and 0 < hi < inf Angstrom, got [{lo}, {hi}]")
     with np.errstate(over="ignore"):
         return np.power(10.0, linspace(math.log10(lo), math.log10(hi), num)) * ANGSTROM
 
 
-def latest_retardation(n: int, a_grid, obs_x: float) -> np.ndarray:
+def latest_retardation(n: int, a_grid, obs_x: float) -> "np.ndarray":
     """|r - R_N|/c in seconds at each lattice constant of ``a_grid``, as an
     array of at least one dimension: when the last (farthest) atom's light
     reaches (obs_x, 0, 0), bitwise the last atom's dist / c in the
     intensity sum. The causality check and the default time use this one
     rule."""
+    import numpy as np
+
     return np.hypot(obs_x, (n - 1) * np.atleast_1d(a_grid)) / SPEED_OF_LIGHT
 
 
@@ -74,7 +76,7 @@ def reference_intensity(scales: AtomicScales, mu_e_angstrom: float, obs_x: float
 
 
 def _point_intensity(
-    coeffs: np.ndarray, index: np.ndarray, a: float, phi: float, obs_x: float,
+    coeffs: "np.ndarray", index: "np.ndarray", a: float, phi: float, obs_x: float,
     scales: AtomicScales, t: float,
 ) -> float:
     """Scaled intensity I(r, t)/I_0(x) for the sign state ``coeffs`` on a
@@ -93,6 +95,8 @@ def _point_intensity(
     Only phase differences enter, so they are taken relative to t_0, the
     first atom's retardation.
     """
+    import numpy as np
+
     n = index.size
     atom_z = a * index
     dist = np.hypot(obs_x, atom_z)
@@ -140,6 +144,8 @@ def emission_sweep(
     after the sums so is a non-finite intensity, obs_x^2 overflowing
     included. Lengths in messages are in Angstrom.
     """
+    import numpy as np
+
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.ndim != 1:
         raise ValueError(

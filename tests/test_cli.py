@@ -470,6 +470,9 @@ class TestExitCodes:
              "--points", "2"],
             # from k = 3548 on; N_max = 10000 is the same path over 8 s
             ["nscaling", "--set", "lattice_const_angstrom=1e308", "--range", "1:3600"],
+            # rates near N = 3000: the oracle's bound is relative above 1
+            ["damping", "--set", "n_atoms=3000", "--range", "1e-6:2e-6", "--points", "2",
+             "--oracle"],
         ],
     )
     def test_separations_whose_cube_overflows_are_computed(self, argv, capsys):
@@ -528,13 +531,28 @@ class TestExitCodes:
              "the quadrature oracle over 1 points up to x=2.5e+07 at N=2 needs about "
              "1.50e+10 Horner steps, over its budget of 1e+09; use fewer points, a "
              "smaller x range or a shorter chain"),
+            # a range bound that is not finite: each sweep's own range rule
+            *(
+                ([command, "--range", f"{bound}:1"], message.format(bound=bound))
+                for bound in ("inf", "nan")
+                for command, message in [
+                    ("coupling", "need 0 < x_min < x_max < inf, got [{bound}, 1.0]"),
+                    ("damping", "need 0 < x_min < x_max < inf, got [{bound}, 1.0]"),
+                    ("emission",
+                     "need 0 < lo < inf and 0 < hi < inf Angstrom, got [{bound}, 1.0]"),
+                    ("nscaling",
+                     "nscaling --range must be 1:N_max with whole N_max, got '{bound}:1'"),
+                ]
+            ),
         ],
         ids=["coupling_no_points", "emission_too_many_points", "emission_nan_time",
              "emission_zero_obs_x", "emission_negative_obs_x", "emission_zero_lo",
              "coupling_x_cubed_zero", "coupling_from_1e-300", "emission_huge_obs_x",
              "emission_obs_x_squared_zero", "emission_omega_a_fourth_overflows",
              "emission_grid_past_dbl_max", "oracle_x_squared_subnormal",
-             "oracle_one_point_budget"],
+             "oracle_one_point_budget",
+             *(f"{command}_{bound}_range" for bound in ("inf", "nan")
+               for command in ("coupling", "damping", "emission", "nscaling"))],
     )
     def test_library_words_the_refusal(self, argv, message, capsys):
         assert main(argv) == EXIT_USAGE
@@ -579,12 +597,12 @@ class TestExitCodes:
         ],
     )
     def test_non_finite_config_is_config_error(self, argv, monkeypatch):
-        from chainrad import cli, emission
+        from chainrad import cli
 
         calls = []
         for module, name in [
             (cli, "coupling_sweep"), (cli, "x_sweep"), (cli, "n_scaling_sweep"),
-            (cli, "angle_sweep"), (emission, "emission_sweep"),
+            (cli, "angle_sweep"), (cli, "emission_sweep"),
         ]:
             monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
         assert main(argv) == EXIT_CONFIG
@@ -1090,6 +1108,78 @@ def fuzz_dir(tmp_path_factory):
     return path
 
 
+# --- every binary exponent: each refusal is one line the program words ---
+
+#: The commands with numeric flags or --set, and the flags each draws.
+#: Every drawn --points is at most 4 and every n_atoms and N_max at most
+#: 12, which bounds the work of one argv to milliseconds.
+_EXPONENT_FLAGS = {
+    "scales": (),
+    "coupling": ("--points", "--range"),
+    "damping": ("--points", "--range", "--state", "--oracle"),
+    "nscaling": ("--range",),
+    "angles": ("--points",),
+    "emission": ("--points", "--range", "--state", "--obs-x", "--time"),
+}
+_DOUBLE_KEYS = sorted(set(DEFAULT_CONFIG) - {"n_atoms"} | {"gamma_override_hz"})
+#: Text of Python's own exceptions and of warnings, which a refusal the
+#: program words never contains.
+BUILTIN_TEXT = (
+    "Traceback", "Warning", "Errno", "math domain error", "math range error",
+    "division by zero", "Numerical result out of range", "invalid literal",
+    "could not convert", "cannot convert", "has no attribute",
+    "unsupported operand", "object is not", "NoneType",
+)
+
+
+def any_double(rng):
+    """m 2^e with m uniform in [1, 2) and e uniform over every binary
+    exponent of a double (-1074 to 1023), or 0, 5e-324 or DBL_MAX; either sign."""
+    if rng.random() < 0.1:
+        value = rng.choice([0.0, 5e-324, sys.float_info.max])
+    else:
+        value = math.ldexp(1.0 + rng.random(), rng.randint(-1074, 1023))
+    return rng.choice([1.0, -1.0]) * value
+
+
+def exponent_argv(rng):
+    """One argv of a command from _EXPONENT_FLAGS. A value that starts with
+    "-" is spelled ``--flag=value``, the one way argparse reads it."""
+    command = rng.choice(sorted(_EXPONENT_FLAGS))
+    argv, n = [command], 2
+
+    def put(flag, value):
+        argv.extend([f"{flag}={value}"] if value.startswith("-") else [flag, value])
+
+    for _ in range(rng.randint(0, 3)):
+        if rng.random() < 0.3:
+            # a random mantissa is almost never a whole N of at most MAX_ATOMS
+            n = rng.randint(0, 12) if rng.random() < 0.8 else any_double(rng)
+            put("--set", f"n_atoms={n!r}")
+        else:
+            put("--set", f"{rng.choice(_DOUBLE_KEYS)}={any_double(rng)!r}")
+    for flag in _EXPONENT_FLAGS[command]:
+        if flag == "--points":
+            put(flag, str(rng.randint(-1, 4)))
+        elif flag == "--oracle":
+            if rng.random() < 0.5:
+                argv.append(flag)
+        elif command == "nscaling":  # its default N_max is 200
+            put(flag, f"1:{rng.randint(1, 12)}" if rng.random() < 0.5
+                else f"{any_double(rng)!r}:{any_double(rng)!r}")
+        elif rng.random() < 0.5:
+            continue
+        elif flag == "--range":
+            put(flag, f"{any_double(rng)!r}:{any_double(rng)!r}")
+        elif flag == "--state":
+            length = n if isinstance(n, int) and n >= 1 else 2
+            pattern = "".join(rng.choice("+-") for _ in range(length))
+            put(flag, rng.choice(["sym", "alt", pattern]))
+        else:
+            put(flag, repr(any_double(rng)))
+    return argv
+
+
 class TestFuzz:
     @given(argv=cli_argv())
     @settings(
@@ -1114,6 +1204,38 @@ class TestFuzz:
                 for cell in line.split(",")
             }
             assert not cells & {"nan", "inf", "-inf"}, argv
+
+    def test_every_exponent_ends_in_one_worded_line(self):
+        # derandomized; 3000 argvs take about 2 s
+        rng = random.Random(14)
+        failures = []
+        for _ in range(3000):
+            argv = exponent_argv(rng)
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # a warning is a failure
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        rc = main(argv)
+                text = err.getvalue()
+            except Exception as exc:
+                rc, text = None, repr(exc)
+            if rc == EXIT_OK:
+                cells = {
+                    cell for line in out.getvalue().splitlines()
+                    if not line.startswith("#") for cell in line.split(",")
+                }
+                worded = text == "" and not cells & {"nan", "inf", "-inf"}
+            else:
+                worded = (
+                    rc in (EXIT_USAGE, EXIT_CONFIG, EXIT_ACCURACY, EXIT_CAUSALITY)
+                    and text.startswith("chainrad: ") and text.count("\n") == 1
+                    and text.endswith("\n")
+                    and not any(word in text for word in BUILTIN_TEXT)
+                )
+            if not worded:
+                failures.append((argv, rc, text))
+        assert failures == []
 
 
 def same_namespace(plain, argv):

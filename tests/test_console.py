@@ -7,6 +7,7 @@ scipy (CI's wheel step). Every fresh process runs the ``chainrad`` that
 this module imported.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -189,21 +190,64 @@ class TestArgparseSpellings:
         assert out.read_bytes() == cli_output(["figure", "7"])
 
 
+#: The package's public names.
+PUBLIC = (
+    "AtomicScales", "CausalityError", "ChainConfig", "ConfigError",
+    "DampingResult", "IntensityTrace", "QuadratureAccuracyError", "SignState",
+    "SweepTable", "alternating_state", "angle_sweep", "config_from_dict",
+    "coupling_sweep", "damping_general", "derive_scales", "emission_sweep",
+    "f_kernel", "n_scaling_sweep", "quadrature_rates", "symmetric_state",
+    "transfer_exact",
+)
+
+
+def module_level_imports(tree):
+    """The modules a parsed module imports when it is imported: its
+    function bodies are skipped, and relative imports too."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
 class TestPackage:
-    def test_package_import_loads_no_submodule(self):
+    def test_package_import_loads_no_numpy(self):
+        # only the emission sums and the oracle import numpy, inside the
+        # functions that call it
         done = run_fresh(
             "-c",
             "import sys, chainrad; "
-            "print(sorted(m for m in sys.modules if m.startswith('chainrad.')))",
+            "[getattr(chainrad, name) for name in chainrad.__all__]; "
+            "print('numpy' in sys.modules)",
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.strip() == "False"
 
     def test_public_names_resolve_to_their_modules(self):
-        for module, names in chainrad._PUBLIC.items():
-            source = importlib.import_module(f"chainrad.{module}")
-            for name in names:
-                assert getattr(chainrad, name) is getattr(source, name)
+        assert sorted(chainrad.__all__) == list(PUBLIC)
+        for name in PUBLIC:
+            value = getattr(chainrad, name)
+            source = importlib.import_module(value.__module__)
+            assert source.__name__.startswith("chainrad."), name
+            assert getattr(source, name) is value
         assert set(chainrad.__all__) <= set(dir(chainrad))
         with pytest.raises(AttributeError):
             chainrad.no_such_name
+
+    def test_no_module_imports_numpy_at_module_level(self):
+        package = Path(chainrad.__file__).parent
+        found = {}
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            found[path.name] = set(module_level_imports(tree))
+        assert {"math", "sys"} <= found["damping.py"]  # the walk sees imports
+        assert {
+            name: sorted(m for m in modules if m.split(".")[0] == "numpy")
+            for name, modules in found.items()
+        } == {name: [] for name in found}

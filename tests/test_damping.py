@@ -353,6 +353,42 @@ class TestQuadratureOracle:
         # the error still carries a usable estimate
         assert info.value.estimate == pytest.approx(0.5665718598084711, rel=1e-6)
 
+    def test_tolerance_is_relative_above_rate_one(self, monkeypatch):
+        # the symmetric pair's rate is about 2, so the bound is twice ORACLE_TOL
+        monkeypatch.setattr(damping, "ORACLE_TOL", 1e-30)
+        with pytest.raises(QuadratureAccuracyError) as info:
+            oracle_rate(symmetric_state(2), 0.5, 0.0)
+        assert info.value.requested == 1e-30 * info.value.estimate > 1.9e-30
+
+    @pytest.mark.parametrize("n, x", [(3000, 1e-6), (5000, 1e-4)])
+    def test_rates_near_n_pass_the_oracle(self, n, x):
+        # their error estimates (1.5e-10 and 2.1e-10) are the rounding of
+        # a rate near N, over the absolute 1e-10 that refused them
+        state = symmetric_state(n)
+        (closed,) = closed_form_rates([bond_autocorrelation(state)], x, VERIFY_PHI)
+        (quads,) = quadrature_rates([state], x, VERIFY_PHI)
+        assert min(quads) > 0.99 * n
+        assert relative_error([closed], [quads]) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "states, x, message",
+        [
+            ([symmetric_state(2)], 1e200,
+             "the quadrature oracle over 1 states at x=1e+200, N=2 needs about "
+             "6.00e+202 Horner steps"),
+            # each state alone is within budget, the batch is not
+            ([symmetric_state(12)] * 30000, 10.0,
+             "the quadrature oracle over 30000 states at x=10, N=12 needs about "
+             "1.39e+09 Horner steps"),
+        ],
+        ids=["huge_x", "many_states"],
+    )
+    def test_work_over_budget_refused_before_any_node(self, monkeypatch, states, x, message):
+        monkeypatch.setattr(damping, "_power_spectrum", None)  # never reached
+        with pytest.raises(ValueError) as info:
+            quadrature_rates(states, x, [0.0])
+        assert str(info.value).startswith(message + ", over its budget of 1e+09")
+
     @pytest.mark.parametrize("n", [100, 1000, 4000])
     @pytest.mark.parametrize("x", [0.5, 3.0])
     def test_long_chains_match_closed_form(self, n, x):
