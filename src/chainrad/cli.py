@@ -516,7 +516,7 @@ def main(argv=None) -> int:
         code, message = EXIT_CAUSALITY, f"causality error: {exc}"
     except ValueError as exc:  # UsageError and OutputError too
         code, message = EXIT_USAGE, exc
-    except (OverflowError, ZeroDivisionError) as exc:
+    except OverflowError as exc:
         code, message = EXIT_USAGE, f"the inputs left double-precision range: {exc}"
     _write_stderr(f"chainrad: {message}\n")
     return code

@@ -78,7 +78,11 @@ CLOSED_FORM_TERM_BUDGET = 1e8
 
 
 class QuadratureAccuracyError(ArithmeticError):
-    """The oracle integral did not reach the requested tolerance."""
+    """The oracle integral did not reach the requested tolerance.
+
+    The message spells out a state of up to 16 atoms and names a longer
+    one by its first 16 signs and N, so it stays one short line at any N.
+    """
 
     def __init__(
         self, achieved: float, requested: float, estimate: float,
@@ -90,9 +94,10 @@ class QuadratureAccuracyError(ArithmeticError):
         self.state = state
         self.x = x
         self.phi = phi
+        pattern = str(state) if state.n <= 16 else f"{str(state)[:16]}...(N={state.n})"
         super().__init__(
             f"quadrature error estimate {achieved:.3e} exceeds requested "
-            f"{requested:.3e} at state {state}, x={x!r}, phi={phi!r} "
+            f"{requested:.3e} at state {pattern}, x={x!r}, phi={phi!r} "
             f"(value estimate {estimate!r})"
         )
 
@@ -101,8 +106,9 @@ def _kernel_parts(x: float) -> tuple[float, float]:
     """(sin x/x - 1, cos x/x^2 - sin x/x^3 + 1/3), the phi-free parts of
     F - 1; below F_SERIES_THRESHOLD, sum_{k>=1} (-1)^k x^(2k)/(2k+1)! and
     sum_{k>=1} (-1)^(k+1) x^(2k) (2k+2)/(2k+3)!, summed in one loop until
-    both latest terms are below 1e-18 of their sums. The terms shrink every
-    step, so the series that converges first keeps its sum to the bit."""
+    both latest terms are under half an ulp (2^-54 of the sum). The terms
+    shrink every step, so no later term can change either sum, and the
+    series that converges first keeps its sum to the bit."""
     if x >= F_SERIES_THRESHOLD:
         if x > 2.0**54:
             # sin x/x is below half an ulp of 1 and the x^-2 terms below
@@ -119,8 +125,8 @@ def _kernel_parts(x: float) -> tuple[float, float]:
         g_term *= -x2 * (2 * k + 2) / ((2 * k) * (2 * k + 2) * (2 * k + 3))
         s += s_term
         g += g_term
-        if (abs(s_term) < 1e-18 * max(abs(s), 1e-30)
-                and abs(g_term) < 1e-18 * max(abs(g), 1e-30)):
+        if (abs(s_term) < 2.0**-54 * max(abs(s), 1e-30)
+                and abs(g_term) < 2.0**-54 * max(abs(g), 1e-30)):
             break
     return s, g
 
@@ -159,7 +165,10 @@ def bond_autocorrelation(state: SignState) -> list[int]:
     n = state.n
     if n > MAX_ATOMS:
         raise ValueError(f"n must be in 1..{MAX_ATOMS}, got {n}")
-    bits = sum(1 << i for i, c in enumerate(state.coeffs) if c == -1)
+    bits = 0
+    for i, c in enumerate(state.coeffs):
+        if c == -1:
+            bits |= 1 << i
     return [
         (n - k) - 2 * ((bits ^ (bits >> k)) & ((1 << (n - k)) - 1)).bit_count()
         for k in range(1, n)
@@ -188,7 +197,8 @@ def closed_form_rates(autocorrs, x: float, phi_list) -> list[list[float]]:
     rates = []
     for autocorr in autocorrs:
         n = len(autocorr) + 1
-        parts.extend(_kernel_parts(k * x) for k in range(len(parts) + 1, n))
+        for k in range(len(parts) + 1, n):
+            parts.append(_kernel_parts(k * x))
         s_sum = g_sum = 0.0
         for a_k, (s, g) in zip(autocorr, parts):
             s_sum += a_k * s

@@ -51,9 +51,10 @@ def column(table, name: str) -> np.ndarray:
 
 
 def kernel_parts_reference(x: float) -> tuple[float, float]:
-    """The kernel's (s, g) summed one series per loop, each stopping at its
-    own latest term: the library sums both in one loop until both have
-    stopped, and must match bit for bit."""
+    """The kernel's (s, g) summed one series per loop, each stopping once
+    its own latest term is below 1e-18 of its sum: the library sums both in
+    one loop until both latest terms are under half an ulp, and must match
+    bit for bit."""
     if x >= F_SERIES_THRESHOLD:
         sin = math.sin(x)
         return sin / x - 1.0, math.cos(x) / x**2 - sin / x**3 + 1.0 / 3.0

@@ -165,6 +165,16 @@ class TestFKernel:
         mismatches = [x for x in xs if _kernel_parts(x) != kernel_parts_reference(x)]
         assert mismatches == []
 
+    def test_kernel_parts_bitwise_equal_to_reference_at_every_exponent(self):
+        # deterministic: five mantissas at each binary exponent from -1074
+        # to 0, plus 0 and the smallest double. The library stops at half
+        # an ulp (2^-54 of each sum), the reference at 1e-18 of each sum
+        mantissas = [1.0, 1.25, 1.5, 1.75, math.nextafter(2.0, 0.0)]
+        xs = [math.ldexp(m, e) for e in range(-1074, 1) for m in mantissas]
+        xs += [0.0, 5e-324]
+        mismatches = [x for x in xs if _kernel_parts(x) != kernel_parts_reference(x)]
+        assert mismatches == []
+
     @pytest.mark.parametrize("x", [1e103, 1e200, 1.7e308])
     def test_kernel_matches_mpmath_where_x_cubed_overflows(self, x):
         # x^3 (and past 1.3e154 x^2) overflows; the parts are still finite
@@ -528,6 +538,16 @@ class TestBatchedOracle:
         # the first state and phi in order
         assert (info.value.state, info.value.x, info.value.phi) == (RANDOM_STATE_N7, 1.3, 0.7)
         assert "state ++-+--+, x=1.3, phi=0.7" in str(info.value)
+
+    def test_error_names_a_long_state_by_prefix_and_length(self, monkeypatch):
+        state = alternating_state(3000)
+        monkeypatch.setattr(damping, "ORACLE_TOL", 1e-30)
+        with pytest.raises(QuadratureAccuracyError) as info:
+            quadrature_rates([state], 1e-3, [0.0])
+        message = str(info.value)
+        assert info.value.state == state
+        assert "at state +-+-+-+-+-+-+-+-...(N=3000), x=0.001, phi=0.0" in message
+        assert "\n" not in message and len(message) < 200, message
 
     def test_generator_batch_gives_the_list_batch_rows(self):
         # the batch is read once, like closed_form_rates' batch
