@@ -102,21 +102,13 @@ class QuadratureAccuracyError(ArithmeticError):
         )
 
 
-def _kernel_parts(x: float) -> tuple[float, float]:
-    """(sin x/x - 1, cos x/x^2 - sin x/x^3 + 1/3), the phi-free parts of
-    F - 1; below F_SERIES_THRESHOLD, sum_{k>=1} (-1)^k x^(2k)/(2k+1)! and
-    sum_{k>=1} (-1)^(k+1) x^(2k) (2k+2)/(2k+3)!, summed in one loop until
-    both latest terms are under half an ulp (2^-54 of the sum). The terms
-    shrink every step, so no later term can change either sum, and the
-    series that converges first keeps its sum to the bit."""
-    if x >= F_SERIES_THRESHOLD:
-        if x > 2.0**54:
-            # sin x/x is below half an ulp of 1 and the x^-2 terms below
-            # half an ulp of 1/3, so these are the direct form's bits; x^3
-            # may overflow, and at x = inf (k x past DBL_MAX) sin raises
-            return -1.0, 1.0 / 3.0
-        sin = math.sin(x)
-        return sin / x - 1.0, math.cos(x) / x**2 - sin / x**3 + 1.0 / 3.0
+def _series_parts(x: float) -> tuple[float, float]:
+    """The (s, g) of :func:`_kernel_table` below F_SERIES_THRESHOLD:
+    sum_{k>=1} (-1)^k x^(2k)/(2k+1)! and sum_{k>=1} (-1)^(k+1) x^(2k)
+    (2k+2)/(2k+3)!, summed in one loop until both latest terms are under
+    half an ulp (2^-54 of the sum). The terms shrink every step, so no
+    later term can change either sum, and the series that converges first
+    keeps its sum to the bit."""
     x2 = x * x
     s = g = 0.0
     s_term, g_term = 1.0, -2.0 / 6.0  # the k = 0 terms, left out of the sums
@@ -129,6 +121,43 @@ def _kernel_parts(x: float) -> tuple[float, float]:
                 and abs(g_term) < 2.0**-54 * max(abs(g), 1e-30)):
             break
     return s, g
+
+
+def _kernel_table(parts: list, x: float, n: int) -> list:
+    """Extend ``parts`` to the bonds k x, k = 1, ..., n - 1, and return it.
+
+    Bond k's entry is (sin kx/kx - 1, cos kx/(kx)^2 - sin kx/(kx)^3 + 1/3),
+    the phi-free parts of F - 1; entries already in the table are kept.
+    From F_SERIES_THRESHOLD to 2^54 the direct form is evaluated inline,
+    with no call but sin and cos; below, :func:`_series_parts` sums it
+    without the direct form's cancellation; above 2^54 the entry is the
+    limit (-1, 1/3). The bonds are in k order, each one's value
+    independent of the others, so a table grown in slices holds the same
+    bits as one grown at once.
+    """
+    sin, cos, threshold = math.sin, math.cos, F_SERIES_THRESHOLD
+    append = parts.append
+    for k in range(len(parts) + 1, n):
+        kx = k * x
+        if kx >= threshold:
+            if kx > 2.0**54:
+                # sin kx/kx is below half an ulp of 1 and the (kx)^-2 terms
+                # below half an ulp of 1/3, so these are the direct form's
+                # bits; (kx)^3 may overflow, and at kx = inf (past DBL_MAX)
+                # sin raises
+                append((-1.0, 1.0 / 3.0))
+            else:
+                s = sin(kx)
+                append((s / kx - 1.0, cos(kx) / kx**2 - s / kx**3 + 1.0 / 3.0))
+        else:
+            append(_series_parts(kx))
+    return parts
+
+
+def _kernel_parts(x: float) -> tuple[float, float]:
+    """(sin x/x - 1, cos x/x^2 - sin x/x^3 + 1/3), the phi-free parts of
+    F - 1: the one-bond table of :func:`_kernel_table`."""
+    return _kernel_table([], x, 2)[0]
 
 
 def f_kernel(x: float, phi: float) -> float:
@@ -183,10 +212,11 @@ def closed_form_rates(autocorrs, x: float, phi_list) -> list[list[float]]:
     ``autocorrs`` may be any iterable and is read once. N + 2 sum_k A_k is
     the exact integer (sum_n C_n)^2, so the constant part is one correctly
     rounded quotient. Like :func:`quadrature_rates`, one list per state
-    holds one rate per phi. The kernel's series are evaluated once per bond
-    length, the table growing to each state's N - 1 as the batch is read,
-    and each state sums its own N - 1 bonds in k order into two phi-free
-    moments, S = sum_k A_k s(k x) and G = sum_k A_k g(k x).
+    holds one rate per phi. The kernel is evaluated once per bond length:
+    each state makes one :func:`_kernel_table` call, which grows the shared
+    table to its N - 1 as the batch is read, and sums its own N - 1 bonds
+    in k order into two phi-free moments, S = sum_k A_k s(k x) and
+    G = sum_k A_k g(k x).
     Each phi then costs O(1): sum_k A_k (F - 1) = 1.5 (a S + b G) with
     (a, b) from :func:`_phi_weights`. A rate below zero by at most 1e-12
     is roundoff and is returned as 0; a lower one raises ValueError.
@@ -197,8 +227,7 @@ def closed_form_rates(autocorrs, x: float, phi_list) -> list[list[float]]:
     rates = []
     for autocorr in autocorrs:
         n = len(autocorr) + 1
-        for k in range(len(parts) + 1, n):
-            parts.append(_kernel_parts(k * x))
+        _kernel_table(parts, x, n)
         s_sum = g_sum = 0.0
         for a_k, (s, g) in zip(autocorr, parts):
             s_sum += a_k * s

@@ -252,6 +252,30 @@ def closed_form_rates_mp(total: int, autocorr, x: float, phis, dps: int = 40) ->
         return rates
 
 
+def symmetric_rates_mp(n_max: int, x: float, cos_phis, dps: int = 50) -> list:
+    """The all-plus state's N + 3 (sin^2 phi S + (1 - 3 cos^2 phi) G)/N for
+    N = 1, ..., n_max at ``dps`` digits: one list of mpf per N, one rate per
+    cos phi, each cos phi taken as the exact double it is. A_k = N - k, so
+    S = N sum_k s(k x) - sum_k k s(k x) over k < N, and likewise G: one
+    direct-form kernel evaluation per bond length serves every N."""
+    rows = []
+    with mp.workdps(dps):
+        weights = [(1 - mpf(c) ** 2, 1 - 3 * mpf(c) ** 2) for c in cos_phis]
+        s_sum = ks_sum = g_sum = kg_sum = mpf(0)
+        for n in range(1, n_max + 1):
+            if n > 1:
+                k = n - 1
+                y = k * mpf(x)
+                sin, cos = mp.sin(y), mp.cos(y)
+                s = sin / y - 1
+                g = cos / y**2 - sin / y**3 + mpf(1) / 3
+                s_sum, ks_sum = s_sum + s, ks_sum + k * s
+                g_sum, kg_sum = g_sum + g, kg_sum + k * g
+            s_n, g_n = n * s_sum - ks_sum, n * g_sum - kg_sum
+            rows.append([n + 3 * (a * s_n + b * g_n) / n for a, b in weights])
+    return rows
+
+
 def total_intensity_mp(coeffs, geom, scales, t: float) -> float:
     """(x^2/2N) |sum_n C_n (sin phi_n/d_n) e^{-gamma (t - t_n)/2}
     e^{i omega t_n} u_n|^2 at 50 digits from the same double-precision

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from itertools import product
 import warnings
@@ -16,6 +17,7 @@ from chainrad.damping import (
     F_SERIES_THRESHOLD,
     QuadratureAccuracyError,
     _kernel_parts,
+    _kernel_table,
     _power_spectrum,
     angle_sweep,
     bond_autocorrelation,
@@ -174,6 +176,32 @@ class TestFKernel:
         xs += [0.0, 5e-324]
         mismatches = [x for x in xs if _kernel_parts(x) != kernel_parts_reference(x)]
         assert mismatches == []
+
+    def test_direct_branch_bitwise_equal_to_reference_at_every_exponent(self):
+        # the same five mantissas at each binary exponent from 1 to 340,
+        # where x^3 is still finite: the direct form for x up to 2^54, and
+        # its limit (-1, 1/3) above, must both be the reference's bits.
+        # Their squares are exact, so uniform x in [1.5, 4] are added: with
+        # glibc's pow, about 1 in 2500 of them gets other bits of g from
+        # x*x than from x**2, so the squaring the two forms share is pinned
+        mantissas = [1.0, 1.25, 1.5, 1.75, math.nextafter(2.0, 0.0)]
+        xs = [math.ldexp(m, e) for e in range(1, 341) for m in mantissas]
+        rng = random.Random(1)
+        xs += [rng.uniform(1.5, 4.0) for _ in range(20000)]
+        mismatches = [x for x in xs if _kernel_parts(x) != kernel_parts_reference(x)]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("x", [0.7, 1.4999, 2.0**53])
+    def test_table_crossing_both_branch_ends_is_bitwise_each_bond(self, x):
+        # eight bonds in one call cross k x = 1.5 (x = 0.7, 1.4999) or
+        # 2^54 (x = 2^53); a table grown in slices holds the same bits
+        whole = _kernel_table([], x, 9)
+        assert whole == [kernel_parts_reference(k * x) for k in range(1, 9)]
+        assert whole == [_kernel_parts(k * x) for k in range(1, 9)]
+        sliced = []
+        for n in (2, 3, 5, 9):
+            _kernel_table(sliced, x, n)
+        assert sliced == whole
 
     @pytest.mark.parametrize("x", [1e103, 1e200, 1.7e308])
     def test_kernel_matches_mpmath_where_x_cubed_overflows(self, x):
@@ -637,6 +665,14 @@ class TestClosedFormRates:
         states = [s for n in (3, 6, 1, 2, 5, 4) for s in sign_states(n)]
         for x in VERIFY_X:
             assert self.batch(states, x) == self.one_by_one(states, x), x
+        # lengths that go down and up grow the table in slices, across
+        # the series threshold at every x but the smallest
+        states = [
+            SignState(sign_coeffs(kind, n))
+            for n in (200, 3, 120, 1, 250) for kind in ("sym", "alt", "random", "tm")
+        ]
+        for x in (0.001, 0.1, 0.5, 1.0, 5.0):
+            assert self.batch(states, x) == self.one_by_one(states, x), x
 
     @pytest.mark.parametrize("x", VERIFY_X)
     def test_phi_alone_equals_phi_in_a_long_list(self, x):
@@ -648,23 +684,29 @@ class TestClosedFormRates:
 
     @pytest.mark.parametrize("n_phi", [1, 1000])
     def test_one_moment_pass_per_x(self, monkeypatch, n_phi):
-        # the kernel's series are evaluated once per bond of the longest
-        # chain, whatever the number of states or polarizations
-        calls = []
-        kernel_parts = damping._kernel_parts
-        monkeypatch.setattr(
-            damping, "_kernel_parts", lambda x: calls.append(x) or kernel_parts(x)
-        )
+        # the kernel is evaluated once per bond of the longest chain,
+        # whatever the number of states or polarizations: each state makes
+        # one table call, which adds only the bonds the table lacks
+        added = []
+        kernel_table = damping._kernel_table
+
+        def counting_table(parts, x, n):
+            before = len(parts)
+            kernel_table(parts, x, n)
+            added.append(len(parts) - before)
+            return parts
+
+        monkeypatch.setattr(damping, "_kernel_table", counting_table)
         states = [symmetric_state(50), alternating_state(200), RANDOM_STATE_N7]
         phis = linspace(0.0, math.pi / 2, n_phi)
         for x in (0.01, 0.5, 5.0):
-            calls.clear()
+            added.clear()
             rates = self.batch(states, x, phis)
-            assert len(calls) == 199
+            assert added == [49, 150, 0]
             assert [len(row) for row in rates] == [n_phi] * len(states)
-        calls.clear()
+        added.clear()
         x_sweep(alternating_state(200), 0.01, 5.0, 7, phis)
-        assert len(calls) == 7 * 199
+        assert added == [199] * 7
 
     # N + 2 sum_k A_k = (sum C)^2 in exact integers below 2^53, so the
     # constant part (N + 2 sum_k A_k)/N is bitwise float(sum C)^2/N
